@@ -36,6 +36,7 @@ from cascade_forge.proposers import (
     ensemble_proposer,
     external_proposer,
 )
+from cascade_forge.resources import atomic_write, dumps
 from cascade_forge.rule_engine import (
     Cascade,
     RuleError,
@@ -48,12 +49,11 @@ from cascade_forge.rule_engine import (
 from cascade_forge.search import (
     SearchConfig,
     beam_search_cascade,
-    hypothesis_to_obj,
     induce_single_law,
-    pick_best,
     select_examples_ites,
 )
 from cascade_forge.synthgen import (
+    GENERATOR_VERSION,
     GenerationError,
     LingSpec,
     SmpSpec,
@@ -87,20 +87,6 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from None
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
 
 
 def _sha256(path: str) -> str:
@@ -161,14 +147,16 @@ def read_words(path: str, inv: Inventory) -> list:
     return words
 
 
-def _load_cascade(args) -> Cascade:
-    if getattr(args, "rule", None):
+def _load_cascade(args) -> tuple[Inventory, Cascade]:
+    """The inventory, and the --rule or --cascade file checked against it."""
+    inv = _load_inventory(args.inventory)
+    if args.rule:
         try:
-            return Cascade([parse_rule(_read_text(args.rule))])
+            return inv, Cascade([parse_rule(_read_text(args.rule), inv)])
         except RuleError as exc:
             raise CliError(f"rule {args.rule}: {exc}", EXIT_PARSE) from None
     try:
-        return parse_cascade(_read_text(args.cascade))
+        return inv, parse_cascade(_read_text(args.cascade), inv)
     except RuleError as exc:
         raise CliError(f"cascade {args.cascade}: {exc}", EXIT_PARSE) from None
 
@@ -190,7 +178,7 @@ def _argv_tail(args) -> list[str]:
 
 
 def _write_manifest(out_dir: str, manifest: dict) -> None:
-    _atomic_write(os.path.join(out_dir, "manifest.json"), _dumps(manifest))
+    atomic_write(os.path.join(out_dir, "manifest.json"), dumps(manifest))
 
 
 def _render_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -209,8 +197,7 @@ def _render_table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def cmd_apply(args) -> int:
-    inv = _load_inventory(args.inventory)
-    cascade = _load_cascade(args)
+    inv, cascade = _load_cascade(args)
     if args.pairs:
         words = [p.source for p in read_pairs(args.pairs, inv).pairs]
     else:
@@ -246,19 +233,18 @@ def _report_obj(dataset: Dataset, preds) -> dict:
 
 
 def cmd_eval(args) -> int:
-    inv = _load_inventory(args.inventory)
-    cascade = _load_cascade(args)
+    inv, cascade = _load_cascade(args)
     dataset = read_pairs(args.pairs, inv)
     preds = [apply_cascade(cascade, p.source, inv)[0] for p in dataset.pairs]
     obj = _report_obj(dataset, preds)
     if args.out:
         manifest = _manifest(args, {"mode": "eval"}, [args.pairs, args.inventory or "", args.cascade or args.rule])
         _write_manifest(args.out, manifest)
-        _atomic_write(os.path.join(args.out, "report.json"), _dumps(obj))
+        atomic_write(os.path.join(args.out, "report.json"), dumps(obj))
         manifest["finished_at_utc"] = _now()
         _write_manifest(args.out, manifest)
     if args.json:
-        print(_dumps(obj), end="")
+        print(dumps(obj), end="")
     else:
         rows = [
             [p["id"], p["source"], p["pred"], p["target"], str(p["dist"])]
@@ -322,23 +308,23 @@ def cmd_induce(args) -> int:
             diagnostics=diagnostics,
         )
         rewards = [report.reward for _, report in ranked]
-        _atomic_write(
+        atomic_write(
             os.path.join(args.out, "config.json"),
-            _dumps(config_obj),
+            dumps(config_obj),
         )
-        _atomic_write(
+        atomic_write(
             os.path.join(args.out, "ranked.json"),
-            _dumps([
+            dumps([
                 {"rule": rule_to_obj(rule), "reward": report.reward, "pass": report.passed}
                 for rule, report in ranked
             ]),
         )
         if ranked:
             best_rule, best_report = ranked[0]
-            _atomic_write(
+            atomic_write(
                 os.path.join(args.out, "best.json"),
-                _dumps({"rule": rule_to_obj(best_rule), "reward": best_report.reward,
-                        "pass": best_report.passed}),
+                dumps({"rule": rule_to_obj(best_rule), "reward": best_report.reward,
+                       "pass": best_report.passed}),
             )
     else:
         beams = beam_search_cascade(
@@ -346,13 +332,8 @@ def cmd_induce(args) -> int:
             diagnostics=diagnostics,
         )
         rewards = [b.reward for b in beams]
-        best = pick_best(beams)
-        _atomic_write(
-            os.path.join(args.out, "best.json"),
-            _dumps(hypothesis_to_obj(best)),
-        )
     if diagnostics:
-        _atomic_write(os.path.join(args.out, "diagnostics.txt"), "\n".join(diagnostics) + "\n")
+        atomic_write(os.path.join(args.out, "diagnostics.txt"), "\n".join(diagnostics) + "\n")
 
     summary = {
         "best_reward": rewards[0] if rewards else None,
@@ -361,12 +342,12 @@ def cmd_induce(args) -> int:
     }
     for m in (1, 3, 5, 10):
         summary[f"reward_at_{m}"] = reward_at_m([rewards], m) if rewards else None
-    _atomic_write(os.path.join(args.out, "summary.json"), _dumps(summary))
+    atomic_write(os.path.join(args.out, "summary.json"), dumps(summary))
     manifest["finished_at_utc"] = _now()
     _write_manifest(args.out, manifest)
 
     if args.json:
-        print(_dumps(summary), end="")
+        print(dumps(summary), end="")
     else:
         if rewards:
             print(f"best reward {summary['best_reward']:.6f}  pass {summary['pass']}")
@@ -420,6 +401,7 @@ def cmd_generate(args) -> int:
         inputs.append(args.pool)
     manifest = _manifest(args, config, inputs)
     manifest["spec"] = config
+    manifest["generator_version"] = GENERATOR_VERSION
     _write_manifest(args.out, manifest)
     write_corpus(args.out, cases, manifest)
     manifest["cases"] = len(cases)
@@ -434,7 +416,7 @@ def cmd_select_examples(args) -> int:
     dataset = read_pairs(args.pairs, inv)
     filtered, triggers = select_examples_ites(dataset.pairs)
     lines = [f"{p.source.surface}\t{p.target.surface}" for p in filtered]
-    _atomic_write(args.out, "\n".join(lines) + ("\n" if lines else ""))
+    atomic_write(args.out, "\n".join(lines) + ("\n" if lines else ""))
     print(f"kept {len(filtered)}/{len(dataset.pairs)} pairs; "
           f"trigger phones: {' '.join(sorted(triggers)) if triggers else '(none)'}")
     if not filtered:

@@ -92,10 +92,7 @@ class Inventory:
                 raise InventoryError(f"duplicate symbol {phone.symbol!r}")
             self._by_symbol[phone.symbol] = phone
 
-        # Longest-first order drives greedy segmentation; ties keep declaration order.
-        self.segmentation_order: tuple[str, ...] = tuple(
-            sorted(self._by_symbol, key=lambda s: -len(s))
-        )
+        # Symbol lengths, longest first, drive greedy segmentation in tokenize.
         self._symbol_lengths: tuple[int, ...] = tuple(
             sorted({len(s) for s in self._by_symbol}, reverse=True)
         )
@@ -124,19 +121,18 @@ class Inventory:
     def symbols(self) -> tuple[str, ...]:
         return tuple(p.symbol for p in self.phones)
 
-    def matching_phones(self, requirements: Mapping[int, int]) -> frozenset[str]:
+    def matching_phones(self, requirements: tuple[tuple[int, int], ...]) -> frozenset[str]:
         """Symbols of all phones satisfying the partial feature requirements.
 
-        Results are memoized; the cache is append-only and keyed by the
-        requirement items, so concurrent readers stay consistent.
+        ``requirements`` is the sorted ``(index, value)`` tuple that
+        ``FeatureReq.reqs`` holds, and is the memo key as given.  The cache
+        is append-only, so concurrent readers stay consistent.
         """
-        key = tuple(sorted(requirements.items()))
-        cached = self._req_cache.get(key)
+        cached = self._req_cache.get(requirements)
         if cached is None:
-            cached = frozenset(
-                p.symbol for p in self.phones if feature_match(p, requirements)
-            )
-            self._req_cache[key] = cached
+            reqs = dict(requirements)
+            cached = frozenset(p.symbol for p in self.phones if feature_match(p, reqs))
+            self._req_cache[requirements] = cached
         return cached
 
 

@@ -64,13 +64,11 @@ class ProposalRequest:
     examples: tuple[tuple[TokenizedWord, TokenizedWord], ...]
     num_samples: int
     step_index: int = 0
-    budget_hint_ms: int | None = None
 
-    def __init__(self, examples, num_samples, step_index=0, budget_hint_ms=None):
+    def __init__(self, examples, num_samples, step_index=0):
         object.__setattr__(self, "examples", tuple((s, t) for s, t in examples))
         object.__setattr__(self, "num_samples", num_samples)
         object.__setattr__(self, "step_index", step_index)
-        object.__setattr__(self, "budget_hint_ms", budget_hint_ms)
         if not self.examples:
             raise ValueError("proposal request has no examples")
         if self.num_samples < 1:

@@ -1,4 +1,4 @@
-"""Loaders for the bundled data files.
+"""Loaders for the bundled data files, and the one writer of output files.
 
 The Tangkhulic law corpus holds 26 hand-encoded historical sound laws
 from three Tangkhulic languages, each with environment/mapping example
@@ -10,6 +10,7 @@ are ordinary phones of the corpus inventory.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from importlib import resources
 
@@ -50,3 +51,19 @@ def tangkhulic_laws(inv: Inventory | None = None) -> list[CorpusLaw]:
         )
         laws.append(CorpusLaw(entry["language"], entry["law"], rule, examples))
     return laws
+
+
+def dumps(obj) -> str:
+    """JSON text as every output file holds it: sorted keys, indented, newline-terminated."""
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+
+
+def atomic_write(path: str, text: str) -> None:
+    """Write ``text`` through a temporary file, creating parent directories."""
+    directory = os.path.dirname(path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(tmp, path)

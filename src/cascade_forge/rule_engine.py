@@ -22,6 +22,7 @@ from typing import Any
 
 from cascade_forge.phonology import (
     BOUNDARY,
+    RESERVED_TOKENS,
     SEPARATOR,
     Inventory,
     TokenizedWord,
@@ -81,14 +82,11 @@ class FeatureReq(Predicate):
     boundary and separator tokens never satisfy it.
     """
 
-    reqs: tuple[tuple[int, int], ...]
+    reqs: tuple[tuple[int, int], ...]  # sorted (feature index, value) pairs
 
     def __init__(self, reqs):
         items = tuple(sorted(dict(reqs).items())) if not isinstance(reqs, tuple) else tuple(sorted(reqs))
         object.__setattr__(self, "reqs", items)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.reqs)
 
 
 @dataclass(frozen=True)
@@ -128,9 +126,6 @@ class Substitute(MappingFn):
                 return value
         return None
 
-    def as_dict(self) -> dict[str, tuple[str, ...]]:
-        return dict(self.mapping)
-
 
 @dataclass(frozen=True)
 class Insert(MappingFn):
@@ -141,16 +136,6 @@ class Insert(MappingFn):
 
 
 # --- rule / cascade ---------------------------------------------------------
-
-
-def _can_match_phone(pred: Predicate) -> bool:
-    if isinstance(pred, (PhoneSet, FeatureReq)):
-        return True
-    if isinstance(pred, Not):
-        # A negated predicate may match phone tokens unless it negates
-        # something that matches every phone, which none of our kinds do.
-        return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -172,6 +157,13 @@ class Rule:
         object.__setattr__(self, "name", name)
 
     def validate(self, inv: Inventory | None = None) -> None:
+        """Raise ``RuleError`` unless the rule is well formed.
+
+        Rule JSON, proposers and the generators all check rules here.
+        Beyond the structure, every phone the rule names (phone sets,
+        substitute keys and targets, inserts) must be a non-empty symbol
+        other than ``#``/``@`` and, given an inventory, one of its phones.
+        """
         if not self.predicates:
             raise RuleError("rule has no predicates")
         if not self.change_pos:
@@ -191,27 +183,21 @@ class Rule:
                     raise RuleError(f"insert at position {pos} requires an is-nothing predicate")
                 if not fn.phones:
                     raise RuleError("insert sequence is empty")
-            else:
-                if not _can_match_phone(pred):
-                    raise RuleError(
-                        f"{type(fn).__name__.lower()} at position {pos} requires a phone-matching predicate"
-                    )
+                for phone in fn.phones:
+                    _check_phone(phone, f"insert at position {pos}", inv)
+            elif not isinstance(pred, (PhoneSet, FeatureReq, Not)):
+                # Any negation can match a phone token (Not(WordEnd()) does).
+                raise RuleError(
+                    f"{type(fn).__name__.lower()} at position {pos} requires a phone-matching predicate"
+                )
             if isinstance(fn, Substitute):
                 if not fn.mapping:
                     raise RuleError("substitute map is empty")
                 for key, value in fn.mapping:
                     if not value:
                         raise RuleError(f"substitute target for {key!r} is empty")
-            if inv is not None:
-                if isinstance(fn, Insert):
-                    for phone in fn.phones:
-                        if phone not in inv:
-                            raise RuleError(f"insert phone {phone!r} not in inventory")
-                elif isinstance(fn, Substitute):
-                    for key, value in fn.mapping:
-                        for phone in (key, *value):
-                            if phone not in inv:
-                                raise RuleError(f"substitute phone {phone!r} not in inventory")
+                    for phone in (key, *value):
+                        _check_phone(phone, f"substitute at position {pos}", inv)
         for i, pred in enumerate(self.predicates):
             _validate_predicate(pred, i, inv)
 
@@ -219,14 +205,19 @@ class Rule:
         return len(self.predicates)
 
 
+def _check_phone(symbol: str, where: str, inv: Inventory | None) -> None:
+    if not symbol or symbol in RESERVED_TOKENS:
+        raise RuleError(f"{where}: {symbol!r} is not a phone")
+    if inv is not None and symbol not in inv:
+        raise RuleError(f"{where}: phone {symbol!r} not in inventory")
+
+
 def _validate_predicate(pred: Predicate, position: int, inv: Inventory | None) -> None:
     if isinstance(pred, PhoneSet):
         if not pred.phones:
             raise RuleError(f"empty phone set at position {position}")
-        if inv is not None:
-            for symbol in pred.phones:
-                if symbol not in inv:
-                    raise RuleError(f"phone {symbol!r} at position {position} not in inventory")
+        for symbol in sorted(pred.phones):
+            _check_phone(symbol, f"phone set at position {position}", inv)
     elif isinstance(pred, FeatureReq):
         for idx, value in pred.reqs:
             if value not in (0, 1):
@@ -274,7 +265,7 @@ def match_predicate(
             return False
         if inv is None:
             raise RuleError("feature predicates require an inventory to match")
-        return token in inv.matching_phones(pred.as_dict())
+        return token in inv.matching_phones(pred.reqs)
     if isinstance(pred, Not):
         return not match_predicate(pred.inner, token, is_first, is_last, inv)
     raise RuleError(f"unknown predicate {pred!r}")

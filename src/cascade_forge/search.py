@@ -15,7 +15,6 @@ what the proposer sees.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
@@ -29,6 +28,7 @@ from cascade_forge.metrics import (
 )
 from cascade_forge.phonology import Inventory, TokenizedWord
 from cascade_forge.proposers import ProposalRequest, ProposerHandle, propose
+from cascade_forge.resources import atomic_write, dumps
 from cascade_forge.rule_engine import (
     Cascade,
     Rule,
@@ -148,13 +148,19 @@ def beam_search_cascade(
     run_dir: str | None = None,
     diagnostics: list[str] | None = None,
 ) -> list[Hypothesis]:
-    """Induce a rule cascade; returns the final beams sorted by reward."""
+    """Induce a rule cascade; returns the final beams sorted by reward.
+
+    With ``run_dir``, writes ``config.json``, ``beams/step_<i>.json`` after
+    each step, and ``best.json`` and ``log.txt`` at the end there.
+    """
     sources = dataset.sources
     targets = dataset.targets
     log_lines: list[str] = []
-    writer = _RunWriter(run_dir) if run_dir else None
-    if writer:
-        writer.write_config(config, handle, use_ites)
+    if run_dir:
+        config_obj = asdict(config)
+        config_obj["proposer"] = handle.name
+        config_obj["use_ites"] = use_ites
+        atomic_write(os.path.join(run_dir, "config.json"), dumps(config_obj))
 
     initial = reward_report(sources, sources, targets)
     beams = [Hypothesis(Cascade(), tuple(sources), initial.reward, 0)]
@@ -201,16 +207,19 @@ def beam_search_cascade(
             f"cascade length {len(best.cascade)}"
             + ("" if proposed_any else " (no proposals; carried forward)")
         )
-        if writer:
-            writer.write_step(step, beams)
+        if run_dir:
+            atomic_write(
+                os.path.join(run_dir, "beams", f"step_{step:03d}.json"),
+                dumps([hypothesis_to_obj(b) for b in beams]),
+            )
         if config.early_stop_on_perfect and best.reward == 1.0:
             log_lines.append(f"step {step}: perfect reward reached, stopping early")
             break
 
     beams = sorted(beams, key=_rank_key)
-    if writer:
-        writer.write_best(beams[0])
-        writer.write_log(log_lines)
+    if run_dir:
+        atomic_write(os.path.join(run_dir, "best.json"), dumps(hypothesis_to_obj(beams[0])))
+        atomic_write(os.path.join(run_dir, "log.txt"), "\n".join(log_lines) + "\n")
     return beams
 
 
@@ -228,39 +237,3 @@ def hypothesis_to_obj(hypothesis: Hypothesis) -> dict:
         "cascade": cascade_to_obj(hypothesis.cascade),
         "forms": [w.surface for w in hypothesis.forms],
     }
-
-
-class _RunWriter:
-    """Writes the run directory layout: config, per-step beams, best, log."""
-
-    def __init__(self, run_dir: str):
-        self.run_dir = run_dir
-        os.makedirs(os.path.join(run_dir, "beams"), exist_ok=True)
-
-    def _write(self, relpath: str, text: str) -> None:
-        path = os.path.join(self.run_dir, relpath)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-
-    def _write_json(self, relpath: str, obj) -> None:
-        self._write(relpath, json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
-
-    def write_config(self, config: SearchConfig, handle: ProposerHandle, use_ites: bool) -> None:
-        obj = asdict(config)
-        obj["proposer"] = handle.name
-        obj["use_ites"] = use_ites
-        self._write_json("config.json", obj)
-
-    def write_step(self, step: int, beams: Sequence[Hypothesis]) -> None:
-        self._write_json(
-            os.path.join("beams", f"step_{step:03d}.json"),
-            [hypothesis_to_obj(b) for b in beams],
-        )
-
-    def write_best(self, best: Hypothesis) -> None:
-        self._write_json("best.json", hypothesis_to_obj(best))
-
-    def write_log(self, lines: Sequence[str]) -> None:
-        self._write("log.txt", "\n".join(lines) + "\n")

@@ -22,7 +22,6 @@ were built from, so corpus files read back identically.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from random import Random
@@ -52,8 +51,11 @@ from cascade_forge.rule_engine import (
     WordStart,
     apply_cascade,
     apply_rule,
+    cascade_to_obj,
     find_sites,
+    rule_to_obj,
 )
+from cascade_forge.resources import atomic_write, dumps
 
 GENERATOR_VERSION = 1
 
@@ -207,7 +209,7 @@ def environment_phones(rule: Rule, inv: Inventory | None = None) -> list[str]:
         if isinstance(pred, PhoneSet):
             phones.append(sorted(pred.phones)[0])
         elif isinstance(pred, FeatureReq) and inv is not None:
-            matching = sorted(inv.matching_phones(pred.as_dict()))
+            matching = sorted(inv.matching_phones(pred.reqs))
             if matching:
                 phones.append(matching[0])
     if not phones:
@@ -337,20 +339,21 @@ def _gaussian_length(rng: Random) -> int:
     return round(abs(rng.gauss(0.0, 1.0))) + 1
 
 
-def _gated_requirements(anchor_features: tuple[int, ...], rng: Random) -> dict[int, int]:
+def _gated_requirements(anchor_features: tuple[int, ...], rng: Random) -> tuple[tuple[int, int], ...]:
     """Per-feature Gaussian gate; required values are taken from the anchor phone.
 
     Gating at |z| >= 1 keeps the requirement rate of fully blind sampling, but
     copying values from a phone actually occurring in the protoforms keeps the
     rejection loop convergent: at least the anchor window always satisfies the
-    environment.  Unspecified anchor values yield no requirement.
+    environment.  Unspecified anchor values yield no requirement.  The
+    result is sorted by index, the form ``FeatureReq.reqs`` holds.
     """
-    reqs: dict[int, int] = {}
+    reqs: list[tuple[int, int]] = []
     for idx, value in enumerate(anchor_features):
         z = rng.gauss(0.0, 1.0)
         if (z <= -1.0 or z >= 1.0) and value in (0, 1):
-            reqs[idx] = value
-    return reqs
+            reqs.append((idx, value))
+    return tuple(reqs)
 
 
 def _changeto_features(num_features: int, rng: Random) -> dict[int, int]:
@@ -668,38 +671,23 @@ def nonce_word(inv: Inventory, profile: NonceProfile, rng: Random) -> TokenizedW
 
 def write_corpus(out_dir: str, cases: Sequence[SynthCase], manifest: dict) -> None:
     """Write ``case_<idx>/{rule.json|cascade.json,pairs.tsv}`` plus a manifest."""
-    os.makedirs(out_dir, exist_ok=True)
-    from cascade_forge.rule_engine import cascade_to_obj, rule_to_obj
-
     for index, case in enumerate(cases):
         case_dir = os.path.join(out_dir, f"case_{index:04d}")
-        os.makedirs(case_dir, exist_ok=True)
         if len(case.ground_truth) == 1:
-            _atomic_write(
+            atomic_write(
                 os.path.join(case_dir, "rule.json"),
-                _dumps(rule_to_obj(case.ground_truth.rules[0])),
+                dumps(rule_to_obj(case.ground_truth.rules[0])),
             )
         else:
-            _atomic_write(
+            atomic_write(
                 os.path.join(case_dir, "cascade.json"),
-                _dumps(cascade_to_obj(case.ground_truth)),
+                dumps(cascade_to_obj(case.ground_truth)),
             )
         lines = [
             f"{pair.source.surface}\t{pair.target.surface}" for pair in case.dataset.pairs
         ]
-        _atomic_write(os.path.join(case_dir, "pairs.tsv"), "\n".join(lines) + "\n")
+        atomic_write(os.path.join(case_dir, "pairs.tsv"), "\n".join(lines) + "\n")
     full_manifest = dict(manifest)
     full_manifest["cases"] = len(cases)
     full_manifest["generator_version"] = GENERATOR_VERSION
-    _atomic_write(os.path.join(out_dir, "manifest.json"), _dumps(full_manifest))
-
-
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
-
-
-def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    atomic_write(os.path.join(out_dir, "manifest.json"), dumps(full_manifest))

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from cascade_forge.cli import main
+from cascade_forge.synthgen import GENERATOR_VERSION
 
 A_TO_E_RULE = {
     "predicates": [
@@ -84,6 +85,45 @@ def test_apply_bad_rule_json_exits_2(workdir, capsys):
     (workdir / "broken.json").write_text("{not json", encoding="utf-8")
     code, _, err = run(capsys, "apply", "--rule", "broken.json", "--words", "words.txt")
     assert code == 2
+
+
+SMALL_INVENTORY = "a\t1,0\ne\t1,1\nj\t0,1\nk\t0,0\nt\t-1,0\n"
+
+# Rules that no inventory admits, and the token each error must name.
+INVALID_RULES = {
+    "reserved-target": (
+        {"predicates": [{"kind": "phone_set", "phones": ["a"]}], "change_pos": [0],
+         "mappings": [{"kind": "substitute", "map": {"a": ["@"]}}]},
+        "'@'",
+    ),
+    "reserved-phone-set": (
+        {"predicates": [{"kind": "phone_set", "phones": ["#"]}], "change_pos": [0],
+         "mappings": [{"kind": "delete"}]},
+        "'#'",
+    ),
+    "phone-not-in-inventory": (
+        {"predicates": [{"kind": "phone_set", "phones": ["i"]}], "change_pos": [0],
+         "mappings": [{"kind": "delete"}]},
+        "'i' not in inventory",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["apply", "eval"])
+@pytest.mark.parametrize("case", sorted(INVALID_RULES))
+def test_invalid_rule_against_inventory_exits_2(workdir, capsys, command, case):
+    rule, named = INVALID_RULES[case]
+    (workdir / "small.tsv").write_text(SMALL_INVENTORY, encoding="utf-8")
+    (workdir / "bad_rule.json").write_text(json.dumps(rule), encoding="utf-8")
+    (workdir / "bad_cascade.json").write_text(json.dumps([rule]), encoding="utf-8")
+    if command == "apply":
+        argv = ["apply", "--rule", "bad_rule.json", "--words", "words.txt"]
+    else:
+        argv = ["eval", "--cascade", "bad_cascade.json", "--pairs", "pairs.tsv"]
+    code, out, err = run(capsys, *argv, "--inventory", "small.tsv")
+    assert code == 2
+    assert out == ""
+    assert named in err
 
 
 # --- eval ------------------------------------------------------------------------
@@ -205,6 +245,9 @@ def test_generate_smp_deterministic(workdir, capsys):
         assert code == 0
     assert tree_bytes(workdir / "g1") == tree_bytes(workdir / "g2")
     assert (workdir / "g1" / "case_0002" / "rule.json").exists()
+    manifest = json.loads((workdir / "g1" / "manifest.json").read_text())
+    assert manifest["generator_version"] == GENERATOR_VERSION
+    assert manifest["cases"] == 3 and manifest["finished_at_utc"]
 
 
 def test_generate_multilaw_counts(workdir, capsys):

@@ -60,12 +60,6 @@ def test_load_inventory_bad_value():
         load_inventory("a\t0,2\n")
 
 
-def test_segmentation_order_longest_first(tiny_inv):
-    order = tiny_inv.segmentation_order
-    assert order.index("ts") < order.index("t")
-    assert order.index("ts") < order.index("s")
-
-
 def test_tokenize_simple(tiny_inv):
     word = tokenize("aj", tiny_inv)
     assert word.tokens == ("#", "@", "a", "@", "j", "@", "#")

@@ -31,6 +31,7 @@ from cascade_forge.rule_engine import (
     Substitute,
     WordEnd,
     apply_rule,
+    rule_to_obj,
     serialize_rule,
 )
 from cascade_forge.synthgen import SmpSpec, gen_smp_examples, gen_smp_law, task_rng
@@ -232,6 +233,20 @@ def test_callable_invalid_candidates_dropped_with_diagnostic(tiny_inv):
     assert len(result.diagnostics) == 1
 
 
+# Substitutes a into the separator token: no inventory can make this valid.
+RESERVED_TARGET_RULE = Rule([PhoneSet({"a"})], [0], [Substitute({"a": ("@",)})])
+
+
+@pytest.mark.parametrize("with_inventory", [False, True])
+def test_callable_reserved_token_dropped_with_diagnostic(tiny_inv, with_inventory):
+    good = sub_rule("a", 0, "a", "e")
+    handle = callable_proposer(lambda req: [RESERVED_TARGET_RULE, good], "stub")
+    request = ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 20)
+    result = propose(handle, request, tiny_inv if with_inventory else None)
+    assert result.rules == [good]
+    assert len(result.diagnostics) == 1 and "'@' is not a phone" in result.diagnostics[0]
+
+
 def test_propose_never_returns_invalid_rules(default_inv):
     wild = Rule([PhoneSet({"a"})], [0], [Insert(("a",))])  # insert not on is-nothing
     handle = callable_proposer(lambda req: [wild], "wild")
@@ -293,6 +308,22 @@ def test_external_partial_validity(tmp_path, tiny_inv):
     result = propose(external_proposer(command), ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 4), tiny_inv)
     assert len(result.rules) == 1
     assert len(result.diagnostics) == 1
+
+
+@pytest.mark.parametrize("with_inventory", [False, True])
+def test_external_reserved_token_dropped_with_diagnostic(tmp_path, tiny_inv, with_inventory):
+    bad = rule_to_obj(RESERVED_TARGET_RULE)
+    command = write_stub(tmp_path, "reserved.py", f"""
+        import sys, json
+        sys.stdin.readline()
+        print(json.dumps({{"v": 1, "programs": [{json.dumps(bad)}, {json.dumps(VALID_RULE_OBJ)}]}}))
+    """)
+    inv = tiny_inv if with_inventory else None
+    result = propose(external_proposer(command), ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 4), inv)
+    assert result.rules == [sub_rule("a", 0, "a", "e")]
+    assert len(result.diagnostics) == 1
+    assert result.diagnostics[0].startswith("dropped invalid program 0")
+    assert "'@' is not a phone" in result.diagnostics[0]
 
 
 def test_external_malformed_line(tmp_path, tiny_inv):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cascade_forge.phonology import TokenizedWord, detokenize, tokenize, validate_word
+from cascade_forge.phonology import BOUNDARY, SEPARATOR, TokenizedWord, detokenize, tokenize, validate_word
 from cascade_forge.rule_engine import (
     Cascade,
     Delete,
@@ -225,6 +225,71 @@ def test_apply_matches_reference_on_feature_rules(default_inv):
             assert apply_rule(rule, word, default_inv) == reference_apply(rule, word, default_inv)
 
 
+def _random_feature_rule(inv, rng):
+    """A valid rule over 1-3 phone slots that are FeatureReq, Not(FeatureReq),
+    FeatureReq({}) or a phone set, with optional word-edge anchors, one
+    delete or substitute on a slot and sometimes an insert."""
+    symbols = inv.symbols
+
+    def reqs():
+        indices = rng.sample(range(inv.num_features), rng.randint(1, 2))
+        return {i: rng.randint(0, 1) for i in indices}
+
+    preds = [WordStart(), IsNothing()] if rng.random() < 0.2 else []
+    slots, kinds = [], []
+    for k in range(rng.randint(1, 3)):
+        if k:
+            preds.append(IsNothing())
+        kind = rng.choice(("req", "not_req", "empty_req", "phone_set"))
+        if kind == "req":
+            pred = FeatureReq(reqs())
+        elif kind == "not_req":
+            pred = Not(FeatureReq(reqs()))
+        elif kind == "empty_req":
+            pred = FeatureReq({})
+        else:
+            pred = PhoneSet(rng.sample(symbols, rng.randint(1, 3)))
+        slots.append(len(preds))
+        kinds.append(kind)
+        preds.append(pred)
+    if rng.random() < 0.2:
+        preds += [IsNothing(), WordEnd()]
+    changes = {}
+    slot = rng.choice(slots)
+    if rng.random() < 0.5:
+        changes[slot] = Delete()
+    else:
+        keys = rng.sample(symbols, min(len(symbols), 6))
+        changes[slot] = Substitute({k: tuple(rng.sample(symbols, rng.randint(1, 2))) for k in keys})
+    if rng.random() < 0.5:
+        gaps = [i for i, p in enumerate(preds) if isinstance(p, IsNothing)]
+        if not gaps:
+            preds.append(IsNothing())
+            gaps = [len(preds) - 1]
+        changes[rng.choice(gaps)] = Insert(rng.sample(symbols, rng.randint(1, 2)))
+    ordered = sorted(changes.items())
+    rule = Rule(preds, [p for p, _ in ordered], [fn for _, fn in ordered])
+    rule.validate(inv)
+    return rule, kinds
+
+
+@pytest.mark.parametrize("inv_fixture", ["tiny_inv", "default_inv"])
+def test_feature_predicates_match_oracles_on_random_rules(inv_fixture, request):
+    inv = request.getfixturevalue(inv_fixture)
+    rng = random.Random(f"feature-oracle-{inv_fixture}")
+    seen_kinds = set()
+    for _ in range(300):
+        rule, kinds = _random_feature_rule(inv, rng)
+        seen_kinds.update(kinds)
+        for _ in range(4):
+            word = TokenizedWord.from_phones(rng.choice(inv.symbols) for _ in range(rng.randint(0, 6)))
+            assert find_sites(rule, word, inv) == scan_sites(rule, word, inv)
+            out = apply_rule(rule, word, inv)
+            assert out == reference_apply(rule, word, inv)
+            validate_word(out, inv)
+    assert seen_kinds == {"req", "not_req", "empty_req", "phone_set"}
+
+
 # --- cascades ---------------------------------------------------------------------
 
 
@@ -279,6 +344,21 @@ def test_rule_validation_against_inventory(tiny_inv):
     rule.validate()  # structurally fine
     with pytest.raises(RuleError, match="not in inventory"):
         rule.validate(tiny_inv)
+
+
+RESERVED_PLACES = {
+    "phone set": lambda token: Rule([PhoneSet({token})], [0], [Delete()]),
+    "substitute key": lambda token: Rule([PhoneSet({"a"})], [0], [Substitute({token: ("e",)})]),
+    "substitute target": lambda token: Rule([PhoneSet({"a"})], [0], [Substitute({"a": ("e", token)})]),
+    "insert": lambda token: Rule([IsNothing()], [0], [Insert(("a", token))]),
+}
+
+
+@pytest.mark.parametrize("token", [BOUNDARY, SEPARATOR, ""])
+@pytest.mark.parametrize("place", sorted(RESERVED_PLACES))
+def test_rule_validation_rejects_non_phones_without_inventory(place, token):
+    with pytest.raises(RuleError, match=f"{token!r} is not a phone"):
+        RESERVED_PLACES[place](token).validate()
 
 
 def test_serialize_roundtrip_example_rule():
