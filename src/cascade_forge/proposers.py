@@ -8,19 +8,24 @@ into rules under every context window of up to two phones per side
 candidates by reward on the requesting examples.
 
 External proposers are child processes speaking one JSON object per line
-on stdin/stdout; invalid or late replies degrade to an empty candidate
-list with diagnostics and never abort a search.  Ensembles pool their
-members' candidates, deduplicated by canonical serialization.
+on stdin/stdout.  A search keeps one process per command for all of its
+requests (``ProposerSessions``).  Invalid or late replies degrade to an
+empty candidate list with diagnostics and never abort a search.
+Ensembles pool their members' candidates, deduplicated by canonical
+serialization.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import selectors
 import shlex
 import subprocess
+import tempfile
+import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import IO, Any, Callable, Iterable, Sequence
 
 from cascade_forge.metrics import EditOp, edit_script, reward
 from cascade_forge.phonology import Inventory, TokenizedWord
@@ -45,6 +50,10 @@ from cascade_forge.rule_engine import (
 
 TIMEOUT_ENV_VAR = "CASCADE_FORGE_PROPOSER_TIMEOUT_MS"
 DEFAULT_TIMEOUT_MS = 120_000
+# Seconds a proposer process gets to exit once its stdin is closed.
+CLOSE_GRACE_S = 1.0
+_READ_SIZE = 65536
+_STDERR_TAIL_CHARS = 200
 
 # Caps for the builtin candidate grammar: edit groups may span at most
 # MAX_SPAN source phones and carry up to MAX_CONTEXT context phones per side.
@@ -327,49 +336,240 @@ def _timeout_seconds(timeout_ms: int | None) -> float:
     return max(timeout_ms, 1) / 1000.0
 
 
+class _Session:
+    """One external proposer command and the child process serving it.
+
+    The process is spawned at the command's first request and kept for
+    later ones.  It is replaced whenever it has exited, timed out, sent a
+    malformed reply or written output that answers no request, so a reply
+    never reaches any request but its own.  The child's stderr goes to a
+    temporary file, never to a pipe that nobody drains.
+    """
+
+    def __init__(self, command: tuple[str, ...]) -> None:
+        self.command = command
+        self._proc: subprocess.Popen | None = None
+        self._stderr: IO[bytes] | None = None
+        self._pending = b""  # stdout bytes read but not yet taken as a reply
+        self._eof = False
+        self._answered = False  # the current process has replied before
+
+    def exchange(self, line: bytes, timeout_s: float) -> tuple[bytes | None, list[str]]:
+        """Send one request line; return its reply line (None if none) and diagnostics.
+
+        One deadline covers writing the request and reading the reply,
+        including the one retry in a fresh process that a reused process
+        gets when it ends without replying.
+        """
+        deadline = time.monotonic() + timeout_s
+        diagnostics: list[str] = []
+        self._settle(diagnostics)
+        for _ in range(2):
+            if self._proc is None:
+                failure = self._spawn()
+                if failure is not None:
+                    diagnostics.append(failure)
+                    return None, diagnostics
+            reused = self._answered
+            try:
+                reply = self._round_trip(line, deadline)
+            except TimeoutError:
+                self.kill()
+                diagnostics.append(f"proposer timed out: {' '.join(self.command)}")
+                return None, diagnostics
+            if reply is not None:
+                self._answered = True
+                return reply, diagnostics
+            self.close(diagnostics)
+            if not reused:
+                break
+        diagnostics.append("proposer produced no response line")
+        return None, diagnostics
+
+    def kill(self) -> None:
+        self._end(0.0, None)
+
+    def close(self, diagnostics: list[str] | None = None) -> None:
+        """Close the child's stdin and give it CLOSE_GRACE_S to exit before killing it.
+
+        A non-zero status the child exits with by itself is reported to
+        ``diagnostics``.
+        """
+        self._end(CLOSE_GRACE_S, diagnostics)
+
+    def _spawn(self) -> str | None:
+        stderr = tempfile.TemporaryFile()
+        try:
+            proc = subprocess.Popen(
+                list(self.command),
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=stderr,
+                bufsize=0,
+            )
+        except OSError as exc:
+            stderr.close()
+            return f"proposer spawn failed: {exc}"
+        os.set_blocking(proc.stdin.fileno(), False)
+        os.set_blocking(proc.stdout.fileno(), False)
+        self._proc, self._stderr = proc, stderr
+        self._pending, self._eof, self._answered = b"", False, False
+        return None
+
+    def _settle(self, diagnostics: list[str]) -> None:
+        """Before a request, drop a process that has ended or has output pending."""
+        if self._proc is None:
+            return
+        self._read()
+        if self._pending.strip():
+            self.kill()
+            diagnostics.append("proposer wrote output that answers no request; restarted it")
+        elif self._eof:
+            self.close(diagnostics)
+        else:
+            # Keep one request's stderr, the part a diagnostic quotes.
+            self._pending = b""
+            os.ftruncate(self._stderr.fileno(), 0)
+            os.lseek(self._stderr.fileno(), 0, os.SEEK_SET)
+
+    def _read(self) -> None:
+        try:
+            chunk = os.read(self._proc.stdout.fileno(), _READ_SIZE)
+        except BlockingIOError:
+            return
+        self._pending += chunk
+        self._eof = not chunk
+
+    def _round_trip(self, line: bytes, deadline: float) -> bytes | None:
+        """Write ``line``, then return the first non-blank line read back, or None at EOF.
+
+        Raises TimeoutError when the deadline passes first.
+        """
+        stdin = self._proc.stdin.fileno()
+        unsent = memoryview(line)
+        with selectors.DefaultSelector() as selector:
+            selector.register(stdin, selectors.EVENT_WRITE)
+            selector.register(self._proc.stdout, selectors.EVENT_READ)
+            while True:
+                reply = self._take_line()
+                if self._eof or (reply is not None and not unsent):
+                    return reply
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise TimeoutError
+                for key, _ in selector.select(remaining):
+                    if key.fd != stdin:
+                        self._read()
+                        continue
+                    try:
+                        unsent = unsent[os.write(stdin, unsent) :]
+                    except BlockingIOError:
+                        continue
+                    except BrokenPipeError:  # the child is gone: read what it left
+                        unsent = unsent[:0]
+                    if not unsent:
+                        selector.unregister(stdin)
+
+    def _take_line(self) -> bytes | None:
+        while True:
+            head, newline, rest = self._pending.partition(b"\n")
+            if not newline and not (self._eof and head.strip()):
+                return None
+            self._pending = rest
+            if head.strip():
+                return head
+
+    def _end(self, grace_s: float, diagnostics: list[str] | None) -> None:
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        proc.stdin.close()
+        try:
+            proc.wait(grace_s)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        else:
+            if proc.returncode != 0 and diagnostics is not None:
+                diagnostics.append(
+                    f"proposer exited with status {proc.returncode}: {self._stderr_tail()}"
+                )
+        proc.stdout.close()
+        self._stderr.close()
+        self._stderr, self._pending = None, b""
+
+    def _stderr_tail(self) -> str:
+        fd = self._stderr.fileno()
+        start = max(0, os.fstat(fd).st_size - 4 * _STDERR_TAIL_CHARS)
+        text = os.pread(fd, 4 * _STDERR_TAIL_CHARS, start).decode("utf-8", "replace")
+        return text.strip()[-_STDERR_TAIL_CHARS:]
+
+
+class ProposerSessions:
+    """The external proposer processes of one search, one per distinct command.
+
+    Use it as a context manager: leaving the block closes and reaps every
+    child, whether the search returned or raised.
+    """
+
+    def __init__(self) -> None:
+        self._sessions: dict[tuple[str, ...], _Session] = {}
+
+    def __enter__(self) -> "ProposerSessions":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def session(self, command: Sequence[str]) -> _Session:
+        key = tuple(command)
+        if key not in self._sessions:
+            self._sessions[key] = _Session(key)
+        return self._sessions[key]
+
+    def close(self, diagnostics: list[str] | None = None) -> None:
+        for session in self._sessions.values():
+            session.close(diagnostics)
+
+
 def external_propose(
     command: Sequence[str],
     request: ProposalRequest,
     inv: Inventory | None = None,
     timeout_ms: int | None = None,
+    sessions: ProposerSessions | None = None,
 ) -> ProposeResult:
     """One request line out, one response line in, within the timeout.
 
-    Every failure mode (spawn error, timeout, malformed reply, invalid
-    program) degrades to dropped candidates plus a diagnostic.
+    The request goes to the command's process in ``sessions``; without
+    sessions, a process is started for this one request and closed after
+    it.  Every failure mode (spawn error, timeout, crash, malformed reply,
+    invalid program) degrades to dropped candidates plus a diagnostic.
     """
-    diagnostics: list[str] = []
-    line = json.dumps(request_to_obj(request), ensure_ascii=False)
-    try:
-        proc = subprocess.Popen(
-            list(command),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            encoding="utf-8",
-        )
-    except OSError as exc:
-        return ProposeResult([], [f"proposer spawn failed: {exc}"])
-    try:
-        stdout, stderr = proc.communicate(line + "\n", timeout=_timeout_seconds(timeout_ms))
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        proc.communicate()
-        return ProposeResult([], [f"proposer timed out: {' '.join(command)}"])
-    if proc.returncode != 0:
-        diagnostics.append(f"proposer exited with status {proc.returncode}: {stderr.strip()[:200]}")
-    reply = next((l for l in stdout.splitlines() if l.strip()), "")
-    if not reply:
-        diagnostics.append("proposer produced no response line")
+    if sessions is not None:
+        return _ask(sessions.session(command), request, inv, timeout_ms)
+    with ProposerSessions() as own:
+        result = _ask(own.session(command), request, inv, timeout_ms)
+        own.close(result.diagnostics)
+    return result
+
+
+def _ask(
+    session: _Session, request: ProposalRequest, inv: Inventory | None, timeout_ms: int | None
+) -> ProposeResult:
+    line = json.dumps(request_to_obj(request), ensure_ascii=False) + "\n"
+    reply, diagnostics = session.exchange(line.encode("utf-8"), _timeout_seconds(timeout_ms))
+    if reply is None:
         return ProposeResult([], diagnostics)
     try:
-        obj = json.loads(reply)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(reply.decode("utf-8"))
+    except ValueError as exc:
+        session.kill()
         diagnostics.append(f"malformed proposer response: {exc}")
         return ProposeResult([], diagnostics)
     programs = obj.get("programs") if isinstance(obj, dict) else None
     if not isinstance(programs, list):
+        session.kill()
         diagnostics.append("proposer response has no 'programs' list")
         return ProposeResult([], diagnostics)
     rules: list[Rule] = []
@@ -389,11 +589,14 @@ def propose(
     request: ProposalRequest,
     inv: Inventory | None = None,
     timeout_ms: int | None = None,
+    sessions: ProposerSessions | None = None,
 ) -> ProposeResult:
     """Run a proposer; ensembles return the pooled, deduplicated union.
 
     Returned rules always satisfy the rule invariants; at most
-    ``num_samples`` rules are taken per (non-ensemble) member.
+    ``num_samples`` rules are taken per (non-ensemble) member.  External
+    members send their requests through ``sessions`` (see
+    ``external_propose``).
     """
     if handle.kind == "builtin":
         return ProposeResult(builtin_enumerative_propose(request, inv), [])
@@ -410,14 +613,14 @@ def propose(
             rules.append(rule)
         return ProposeResult(rules[: request.num_samples], diagnostics)
     if handle.kind == "external":
-        result = external_propose(handle.command, request, inv, timeout_ms)
+        result = external_propose(handle.command, request, inv, timeout_ms, sessions)
         result.rules = result.rules[: request.num_samples]
         return result
     if handle.kind == "ensemble":
         pooled: dict[str, Rule] = {}
         diagnostics = []
         for member in handle.members:
-            sub = propose(member, request, inv, timeout_ms)
+            sub = propose(member, request, inv, timeout_ms, sessions)
             diagnostics.extend(sub.diagnostics)
             for rule in sub.rules:
                 pooled.setdefault(serialize_rule(rule), rule)

@@ -212,6 +212,11 @@ def _check_phone(symbol: str, where: str, inv: Inventory | None) -> None:
         raise RuleError(f"{where}: phone {symbol!r} not in inventory")
 
 
+def _is_bit(value: object) -> bool:
+    """An int 0 or 1; ``True`` and ``1.0`` equal 1 but serialize differently."""
+    return type(value) is int and value in (0, 1)
+
+
 def _validate_predicate(pred: Predicate, position: int, inv: Inventory | None) -> None:
     if isinstance(pred, PhoneSet):
         if not pred.phones:
@@ -220,7 +225,7 @@ def _validate_predicate(pred: Predicate, position: int, inv: Inventory | None) -
             _check_phone(symbol, f"phone set at position {position}", inv)
     elif isinstance(pred, FeatureReq):
         for idx, value in pred.reqs:
-            if value not in (0, 1):
+            if not _is_bit(value):
                 raise RuleError(f"feature requirement value {value!r} at position {position}")
             if idx < 0 or (inv is not None and idx >= inv.num_features):
                 raise RuleError(f"feature index {idx} out of range at position {position}")
@@ -456,7 +461,7 @@ def predicate_from_obj(obj: Any, path: str = "") -> Predicate:
                 idx = int(key)
             except (TypeError, ValueError):
                 raise RuleParseError(f"non-integer feature index {key!r}", f"{path}/reqs") from None
-            if value not in (0, 1):
+            if not _is_bit(value):
                 raise RuleParseError(f"requirement value must be 0 or 1, got {value!r}", f"{path}/reqs/{key}")
             reqs[idx] = value
         return FeatureReq(reqs)

@@ -10,7 +10,9 @@ reward never decreases.  All tie-breaks are total orders, so a fixed
 dataset, config, and proposer transcript reproduce identical beams.
 
 Scoring always uses the full dataset; example selection only narrows
-what the proposer sees.
+what the proposer sees.  Each search call keeps one process per external
+proposer command for all of its requests and closes them all when it
+returns or raises.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from cascade_forge.metrics import (
     reward_report,
 )
 from cascade_forge.phonology import Inventory, TokenizedWord
-from cascade_forge.proposers import ProposalRequest, ProposerHandle, propose
+from cascade_forge.proposers import ProposalRequest, ProposerHandle, ProposerSessions, propose
 from cascade_forge.resources import atomic_write, dumps
 from cascade_forge.rule_engine import (
     Cascade,
@@ -113,7 +115,8 @@ def induce_single_law(
     request = ProposalRequest(
         [(p.source, p.target) for p in view], num_samples=samples, step_index=0
     )
-    result = propose(handle, request, inv)
+    with ProposerSessions() as sessions:
+        result = propose(handle, request, inv, sessions=sessions)
     if diagnostics is not None:
         diagnostics.extend(result.diagnostics)
     sources = dataset.sources
@@ -165,56 +168,56 @@ def beam_search_cascade(
     initial = reward_report(sources, sources, targets)
     beams = [Hypothesis(Cascade(), tuple(sources), initial.reward, 0)]
 
-    for step in range(1, config.max_steps + 1):
-        candidates: list[Hypothesis] = [replace(beam, step=step) for beam in beams]
-        proposed_any = False
-        for beam in beams:
-            pairs = [
-                ExamplePair(form, target, dataset.pairs[i].id)
-                for i, (form, target) in enumerate(zip(beam.forms, targets))
-            ]
-            view = _proposer_view(pairs, use_ites)
-            request = ProposalRequest(
-                [(p.source, p.target) for p in view],
-                num_samples=config.samples_per_step,
-                step_index=step - 1,
-            )
-            result = propose(handle, request, inv)
-            if diagnostics is not None:
-                diagnostics.extend(result.diagnostics)
-            for rule in result.rules:
-                proposed_any = True
-                forms = tuple(apply_rule(rule, form, inv) for form in beam.forms)
-                report = reward_report(sources, forms, targets)
-                candidates.append(
-                    Hypothesis(Cascade(beam.cascade.rules + (rule,)), forms, report.reward, step)
+    with ProposerSessions() as sessions:
+        for step in range(1, config.max_steps + 1):
+            candidates: list[Hypothesis] = [replace(beam, step=step) for beam in beams]
+            proposed_any = False
+            for beam in beams:
+                pairs = [
+                    ExamplePair(form, target, dataset.pairs[i].id)
+                    for i, (form, target) in enumerate(zip(beam.forms, targets))
+                ]
+                view = _proposer_view(pairs, use_ites)
+                request = ProposalRequest(
+                    [(p.source, p.target) for p in view],
+                    num_samples=config.samples_per_step,
+                    step_index=step - 1,
                 )
-        candidates.sort(key=_rank_key)
-        deduped: list[Hypothesis] = []
-        seen_forms = set()
-        for candidate in candidates:
-            fingerprint = _forms_fingerprint(candidate.forms)
-            if fingerprint in seen_forms:
-                continue
-            seen_forms.add(fingerprint)
-            deduped.append(candidate)
-            if len(deduped) == config.beam_width:
-                break
-        beams = deduped
-        best = beams[0]
-        log_lines.append(
-            f"step {step}: {len(candidates)} candidates, best reward {best.reward:.6f}, "
-            f"cascade length {len(best.cascade)}"
-            + ("" if proposed_any else " (no proposals; carried forward)")
-        )
-        if run_dir:
-            atomic_write(
-                os.path.join(run_dir, "beams", f"step_{step:03d}.json"),
-                dumps([hypothesis_to_obj(b) for b in beams]),
+                result = propose(handle, request, inv, sessions=sessions)
+                if diagnostics is not None:
+                    diagnostics.extend(result.diagnostics)
+                for rule in result.rules:
+                    proposed_any = True
+                    forms = tuple(apply_rule(rule, form, inv) for form in beam.forms)
+                    report = reward_report(sources, forms, targets)
+                    cascade = Cascade(beam.cascade.rules + (rule,))
+                    candidates.append(Hypothesis(cascade, forms, report.reward, step))
+            candidates.sort(key=_rank_key)
+            deduped: list[Hypothesis] = []
+            seen_forms = set()
+            for candidate in candidates:
+                fingerprint = _forms_fingerprint(candidate.forms)
+                if fingerprint in seen_forms:
+                    continue
+                seen_forms.add(fingerprint)
+                deduped.append(candidate)
+                if len(deduped) == config.beam_width:
+                    break
+            beams = deduped
+            best = beams[0]
+            log_lines.append(
+                f"step {step}: {len(candidates)} candidates, best reward {best.reward:.6f}, "
+                f"cascade length {len(best.cascade)}"
+                + ("" if proposed_any else " (no proposals; carried forward)")
             )
-        if config.early_stop_on_perfect and best.reward == 1.0:
-            log_lines.append(f"step {step}: perfect reward reached, stopping early")
-            break
+            if run_dir:
+                atomic_write(
+                    os.path.join(run_dir, "beams", f"step_{step:03d}.json"),
+                    dumps([hypothesis_to_obj(b) for b in beams]),
+                )
+            if config.early_stop_on_perfect and best.reward == 1.0:
+                log_lines.append(f"step {step}: perfect reward reached, stopping early")
+                break
 
     beams = sorted(beams, key=_rank_key)
     if run_dir:

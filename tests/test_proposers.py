@@ -1,11 +1,15 @@
 import json
+import os
 import stat
+import subprocess
 import sys
 import textwrap
+import time
+from pathlib import Path
 
 import pytest
 
-from cascade_forge.metrics import reward
+from cascade_forge.metrics import Dataset, ExamplePair, reward
 from cascade_forge.phonology import tokenize
 from cascade_forge.proposers import (
     EDGE_AT,
@@ -13,6 +17,7 @@ from cascade_forge.proposers import (
     EDGE_NOT_AT,
     EditCandidate,
     ProposalRequest,
+    ProposerSessions,
     builtin_enumerative_propose,
     builtin_proposer,
     callable_proposer,
@@ -34,6 +39,7 @@ from cascade_forge.rule_engine import (
     rule_to_obj,
     serialize_rule,
 )
+from cascade_forge.search import SearchConfig, beam_search_cascade, hypothesis_to_obj
 from cascade_forge.synthgen import SmpSpec, gen_smp_examples, gen_smp_law, task_rng
 
 
@@ -371,6 +377,25 @@ def test_timeout_env_var(tmp_path, tiny_inv, monkeypatch):
     assert any("timed out" in d for d in result.diagnostics)
 
 
+def test_external_boolean_feature_requirement_dropped(tmp_path, tiny_inv):
+    bad = {
+        "predicates": [{"kind": "feature_req", "reqs": {"0": True}}],
+        "change_pos": [0],
+        "mappings": [{"kind": "delete"}],
+    }
+    reply = json.dumps({"v": 1, "programs": [bad, VALID_RULE_OBJ]})
+    command = write_stub(tmp_path, "bool_req.py", f"""
+        import sys
+        sys.stdin.readline()
+        print({reply!r})
+    """)
+    result = propose(external_proposer(command), ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 4), tiny_inv)
+    assert result.rules == [sub_rule("a", 0, "a", "e")]
+    assert len(result.diagnostics) == 1
+    assert result.diagnostics[0].startswith("dropped invalid program 0")
+    assert "/programs/0/predicates/0/reqs/0" in result.diagnostics[0]
+
+
 def test_request_wire_format(tiny_inv):
     request = ProposalRequest(pairs(tiny_inv, ("kaj", "kej")), 20, step_index=2)
     obj = request_to_obj(request)
@@ -381,3 +406,247 @@ def test_request_wire_format(tiny_inv):
         "step": 2,
     }
     json.dumps(obj)  # serializable
+
+
+# --- proposer sessions -----------------------------------------------------------------
+
+# Serves requests until EOF, logs its PID per request, and names each reply
+# after the request's step.  argv: PID log, mode.
+SESSION_STUB = """
+    import json, os, sys, time
+    log, mode = sys.argv[1], sys.argv[2]
+    if mode == "deaf":
+        time.sleep(10)
+    served = 0
+    for line in sys.stdin:
+        if not line.strip():
+            continue
+        step = json.loads(line)["step"]
+        served += 1
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\\n")
+        if (mode == "crash-at-step-1" and step == 1) or (mode == "crash-second" and served == 2):
+            print("boom", file=sys.stderr)
+            sys.exit(3)
+        if mode == "sleep-at-step-1" and step == 1:
+            time.sleep(10)
+        if mode == "stderr":
+            sys.stderr.write("x" * 100_000)
+            sys.stderr.flush()
+        if mode == "junk-before":
+            print("junk")
+        rule = {"predicates": [{"kind": "phone_set", "phones": ["a"]}], "change_pos": [0],
+                "mappings": [{"kind": "substitute", "map": {"a": ["e"]}}], "name": f"step-{step}"}
+        print(json.dumps({"v": 1, "programs": [rule]}), flush=True)
+        if mode == "junk-after":
+            print("junk", flush=True)
+"""
+
+
+def session_stub(tmp_path, mode, tag=""):
+    command = write_stub(tmp_path, "session_stub.py", SESSION_STUB)
+    log = tmp_path / f"pids-{mode}{tag}.log"
+    return command + [str(log), mode], log
+
+
+def logged_pids(log):
+    return [int(pid) for pid in log.read_text().split()] if log.exists() else []
+
+
+def assert_reaped(pids):
+    assert pids
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def step_request(inv, step, words=(("aj", "ej"),)):
+    return ProposalRequest(pairs(inv, *words), 4, step_index=step)
+
+
+def ask_steps(inv, handle, steps, timeouts=None):
+    """One request per step through one session set."""
+    timeouts = timeouts or {}
+    with ProposerSessions() as sessions:
+        return [
+            propose(handle, step_request(inv, step), inv, timeouts.get(step), sessions)
+            for step in range(steps)
+        ]
+
+
+def names(result):
+    return [rule.name for rule in result.rules]
+
+
+def search_dataset(inv):
+    items = [("aj", "ej"), ("kaj", "kej"), ("tu", "tu")]
+    return Dataset([ExamplePair(tokenize(s, inv), tokenize(t, inv), f"p{i}") for i, (s, t) in enumerate(items)])
+
+
+NO_EARLY_STOP = SearchConfig(beam_width=3, samples_per_step=1, max_steps=3, early_stop_on_perfect=False)
+
+
+def test_search_reuses_one_process_per_command(tmp_path, tiny_inv):
+    command, log = session_stub(tmp_path, "serve")
+    diagnostics = []
+    beam_search_cascade(
+        external_proposer(command), search_dataset(tiny_inv), NO_EARLY_STOP, tiny_inv,
+        diagnostics=diagnostics,
+    )
+    pids = logged_pids(log)
+    assert diagnostics == []
+    assert len(pids) >= 3 and len(set(pids)) == 1
+    assert_reaped(pids)
+
+
+def test_ensemble_of_distinct_commands_gets_one_process_each(tmp_path, tiny_inv):
+    first, first_log = session_stub(tmp_path, "serve", "-a")
+    second, second_log = session_stub(tmp_path, "serve", "-b")
+    handle = ensemble_proposer([external_proposer(first), external_proposer(second)])
+    beam_search_cascade(handle, search_dataset(tiny_inv), NO_EARLY_STOP, tiny_inv)
+    first_pids, second_pids = logged_pids(first_log), logged_pids(second_log)
+    assert len(first_pids) >= 3 and len(set(first_pids)) == 1
+    assert len(second_pids) == len(first_pids) and len(set(second_pids)) == 1
+    assert len(set(first_pids) | set(second_pids)) == 2
+    assert_reaped(first_pids + second_pids)
+
+
+def test_one_shot_proposer_gives_the_beams_of_its_programs(tmp_path, tiny_inv):
+    programs = [VALID_RULE_OBJ, rule_to_obj(sub_rule("u", 0, "u", "i"))]
+    command = write_stub(tmp_path, "one_shot.py", f"""
+        import json, sys
+        request = json.loads(sys.stdin.readline())
+        print(json.dumps({{"v": 1, "programs": {json.dumps(programs)}[: request["num_samples"]]}}))
+    """)
+    config = SearchConfig(beam_width=3, samples_per_step=2, max_steps=3, early_stop_on_perfect=False)
+    dataset = search_dataset(tiny_inv)
+    diagnostics = []
+    exec_beams = beam_search_cascade(
+        external_proposer(command), dataset, config, tiny_inv, diagnostics=diagnostics
+    )
+    rules = [sub_rule("a", 0, "a", "e"), sub_rule("u", 0, "u", "i")]
+    same_beams = beam_search_cascade(callable_proposer(lambda r: rules), dataset, config, tiny_inv)
+    assert diagnostics == []
+    assert [hypothesis_to_obj(b) for b in exec_beams] == [hypothesis_to_obj(b) for b in same_beams]
+    assert max(b.step for b in exec_beams) == 3
+
+
+def test_session_crash_is_reported_and_the_next_request_answered(tmp_path, tiny_inv):
+    command, log = session_stub(tmp_path, "crash-at-step-1")
+    first, second, third = ask_steps(tiny_inv, external_proposer(command), 3)
+    assert names(first) == ["step-0"] and first.diagnostics == []
+    # the reused process crashes, and so does the fresh one it is retried in
+    assert second.rules == []
+    assert second.diagnostics[-1] == "proposer produced no response line"
+    exits = [d for d in second.diagnostics if d.startswith("proposer exited with status 3")]
+    assert len(exits) == 2 and all(d.endswith("boom") for d in exits)
+    assert names(third) == ["step-2"] and third.diagnostics == []
+    assert len(set(logged_pids(log))) == 3
+    assert_reaped(logged_pids(log))
+
+
+def test_session_retries_a_crashed_reused_process_once(tmp_path, tiny_inv):
+    command, log = session_stub(tmp_path, "crash-second")
+    results = ask_steps(tiny_inv, external_proposer(command), 3)
+    assert [names(r) for r in results] == [["step-0"], ["step-1"], ["step-2"]]
+    assert results[0].diagnostics == []
+    for result in results[1:]:
+        assert len(result.diagnostics) == 1
+        assert result.diagnostics[0].startswith("proposer exited with status 3")
+    assert len(set(logged_pids(log))) == 3
+
+
+def test_session_timeout_kills_and_the_next_request_is_answered(tmp_path, tiny_inv):
+    command, log = session_stub(tmp_path, "sleep-at-step-1")
+    started = time.monotonic()
+    first, second, third = ask_steps(tiny_inv, external_proposer(command), 3, {1: 400})
+    assert time.monotonic() - started < 8
+    assert names(first) == ["step-0"]
+    assert second.rules == [] and any("timed out" in d for d in second.diagnostics)
+    assert names(third) == ["step-2"] and third.diagnostics == []
+    assert_reaped(logged_pids(log))
+
+
+def test_session_child_writing_lots_of_stderr_does_not_block(tmp_path, tiny_inv):
+    command, log = session_stub(tmp_path, "stderr")
+    results = ask_steps(tiny_inv, external_proposer(command), 3, {0: 20_000, 1: 5_000, 2: 5_000})
+    assert [names(r) for r in results] == [["step-0"], ["step-1"], ["step-2"]]
+    assert all(r.diagnostics == [] for r in results)
+    assert len(set(logged_pids(log))) == 1
+
+
+def test_request_larger_than_the_pipe_to_a_deaf_proposer_times_out(tmp_path, tiny_inv):
+    command, _ = session_stub(tmp_path, "deaf")
+    request = ProposalRequest(pairs(tiny_inv, *[("kaj", "kej")] * 2000), 4)
+    assert len(json.dumps(request_to_obj(request))) > 64 * 1024
+    started = time.monotonic()
+    result = propose(external_proposer(command), request, tiny_inv, timeout_ms=400)
+    assert time.monotonic() - started < 8
+    assert result.rules == [] and any("timed out" in d for d in result.diagnostics)
+
+
+@pytest.mark.parametrize("mode", ["junk-before", "junk-after"])
+def test_session_replies_never_cross_requests(tmp_path, tiny_inv, mode):
+    command, _ = session_stub(tmp_path, mode)
+    results = ask_steps(tiny_inv, external_proposer(command), 3)
+    for step, result in enumerate(results):
+        assert all(name == f"step-{step}" for name in names(result))
+        if step or mode == "junk-before":
+            assert result.diagnostics
+    assert names(results[0]) == ([] if mode == "junk-before" else ["step-0"])
+
+
+def test_search_that_raises_still_reaps_its_proposers(tmp_path, tiny_inv):
+    command, log = session_stub(tmp_path, "serve")
+
+    def failing(request):
+        if request.step_index == 1:
+            raise RuntimeError("callable proposer failed")
+        return []
+
+    handle = ensemble_proposer([external_proposer(command), callable_proposer(failing)])
+    with pytest.raises(RuntimeError, match="callable proposer failed"):
+        beam_search_cascade(handle, search_dataset(tiny_inv), NO_EARLY_STOP, tiny_inv)
+    assert_reaped(logged_pids(log))
+
+
+# Runs a search and the failure paths of a session under ``-X dev`` with
+# ResourceWarning as an error; any pipe, file or child left open fails it.
+DEV_MODE_SCRIPT = """
+import gc, sys
+caught = []
+sys.unraisablehook = lambda info: caught.append(repr(info.exc_value))
+from cascade_forge.metrics import Dataset, ExamplePair
+from cascade_forge.phonology import load_inventory, tokenize
+from cascade_forge.proposers import ProposalRequest, ProposerSessions, external_proposer, propose
+from cascade_forge.search import SearchConfig, beam_search_cascade
+
+inv = load_inventory("!feature syllabic\\na\\t1\\ne\\t1\\nj\\t0\\n")
+stub = sys.argv[1:]
+pairs = [ExamplePair(tokenize("aj", inv), tokenize("ej", inv), "p0")]
+config = SearchConfig(beam_width=2, max_steps=2, early_stop_on_perfect=False)
+beam_search_cascade(external_proposer(stub + ["serve"]), Dataset(pairs), config, inv)
+request = lambda step: ProposalRequest([(pairs[0].source, pairs[0].target)], 1, step_index=step)
+for mode in ("crash-at-step-1", "sleep-at-step-1", "junk-after"):
+    with ProposerSessions() as sessions:
+        for step in range(3):
+            timeout_ms = 400 if (mode, step) == ("sleep-at-step-1", 1) else None
+            propose(external_proposer(stub + [mode]), request(step), inv, timeout_ms, sessions)
+propose(external_proposer(["/nonexistent/prog"]), request(0), inv)
+gc.collect()
+sys.exit(1 if caught else 0)
+"""
+
+
+def test_sessions_leak_nothing_under_dev_mode(tmp_path):
+    command = write_stub(tmp_path, "session_stub.py", SESSION_STUB)
+    log = tmp_path / "pids.log"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", DEV_MODE_SCRIPT,
+         *command, str(log)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "ResourceWarning" not in done.stderr

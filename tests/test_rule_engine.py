@@ -392,6 +392,24 @@ def test_parse_errors_carry_paths():
         parse_rule('{"predicates":[{"kind":"phone_set","phones":[]}],"change_pos":[0],"mappings":[{"kind":"delete"}]}')
 
 
+
+@pytest.mark.parametrize("value", ["true", "false", "1.0", "0.0"])
+def test_feature_requirement_value_must_be_int_bit(value):
+    # True == 1 and 1.0 == 1, so these once parsed to a rule equal to its
+    # 0/1 twin that serialized differently.
+    text = (
+        '{"predicates":[{"kind":"feature_req","reqs":{"0":%s}}],'
+        '"change_pos":[0],"mappings":[{"kind":"delete"}]}' % value
+    )
+    with pytest.raises(RuleParseError, match="/predicates/0/reqs/0: requirement value"):
+        parse_rule(text)
+
+
+@pytest.mark.parametrize("value", [True, 1.0])
+def test_feature_requirement_value_validated_when_built_in_code(value):
+    with pytest.raises(RuleError, match="feature requirement value"):
+        Rule([FeatureReq({0: value})], [0], [Delete()]).validate()
+
 def test_random_rules_roundtrip(default_inv):
     spec = SmpSpec()
     ling_spec = LingSpec(min_applicable=2, protoforms_per_language=15)
