@@ -132,7 +132,7 @@ def read_pairs(path: str, inv: Inventory) -> Dataset:
         pairs.append(ExamplePair(source, target, f"L{lineno:04d}"))
     if not pairs:
         raise CliError(f"{path}: no pairs", EXIT_PARSE)
-    return Dataset(pairs, name=os.path.basename(path), provenance=path)
+    return Dataset(pairs, name=os.path.basename(path))
 
 
 def read_words(path: str, inv: Inventory) -> list:
@@ -235,7 +235,15 @@ def _report_obj(dataset: Dataset, preds) -> dict:
 def cmd_eval(args) -> int:
     inv, cascade = _load_cascade(args)
     dataset = read_pairs(args.pairs, inv)
-    preds = [apply_cascade(cascade, p.source, inv)[0] for p in dataset.pairs]
+    # Score each prediction as its surface reads back, the way the target was
+    # read: output phones t,s read back as the one phone ts where it exists.
+    preds = [
+        _tokenize(
+            apply_cascade(cascade, p.source, inv)[0].surface, inv,
+            f"{args.pairs}: prediction for pair {p.id} ({p.source.surface!r})",
+        )
+        for p in dataset.pairs
+    ]
     obj = _report_obj(dataset, preds)
     if args.out:
         manifest = _manifest(args, {"mode": "eval"}, [args.pairs, args.inventory or "", args.cascade or args.rule])

@@ -32,18 +32,14 @@ class ExamplePair:
 
 @dataclass(frozen=True)
 class Dataset:
-    """An ordered collection of example pairs with provenance metadata."""
+    """An ordered, named collection of example pairs."""
 
     pairs: tuple[ExamplePair, ...]
     name: str = ""
-    language: str = ""
-    provenance: str = ""
 
-    def __init__(self, pairs, name="", language="", provenance=""):
+    def __init__(self, pairs, name=""):
         object.__setattr__(self, "pairs", tuple(pairs))
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "language", language)
-        object.__setattr__(self, "provenance", provenance)
         if not self.pairs:
             raise ValueError("dataset has no pairs")
         ids = [p.id for p in self.pairs]
@@ -107,15 +103,8 @@ def reward(
     preds: Sequence[TokenizedWord],
     targets: Sequence[TokenizedWord],
 ) -> float:
-    if not (len(sources) == len(preds) == len(targets)):
-        raise ValueError(
-            f"length mismatch: {len(sources)} sources, {len(preds)} predictions, {len(targets)} targets"
-        )
-    remaining = dist(preds, targets)
-    original = dist(sources, targets)
-    if original == 0:
-        return 1.0 if remaining == 0 else 1.0 - remaining
-    return 1.0 - remaining / original
+    """The reward alone; see ``reward_report``."""
+    return reward_report(sources, preds, targets).reward
 
 
 def reward_report(

@@ -96,7 +96,6 @@ class Inventory:
         self._symbol_lengths: tuple[int, ...] = tuple(
             sorted({len(s) for s in self._by_symbol}, reverse=True)
         )
-        self._index: dict[str, int] = {p.symbol: i for i, p in enumerate(self.phones)}
         self._req_cache: dict[tuple[tuple[int, int], ...], frozenset[str]] = {}
 
     def __contains__(self, symbol: str) -> bool:
@@ -105,17 +104,11 @@ class Inventory:
     def __len__(self) -> int:
         return len(self.phones)
 
-    def get(self, symbol: str) -> Phone | None:
-        return self._by_symbol.get(symbol)
-
     def phone(self, symbol: str) -> Phone:
         try:
             return self._by_symbol[symbol]
         except KeyError:
             raise InventoryError(f"unknown phone {symbol!r}") from None
-
-    def index(self, symbol: str) -> int:
-        return self._index[symbol]
 
     @property
     def symbols(self) -> tuple[str, ...]:

@@ -31,8 +31,6 @@ from cascade_forge.metrics import EditOp, edit_script, reward
 from cascade_forge.phonology import Inventory, TokenizedWord
 from cascade_forge.rule_engine import (
     Delete,
-    Insert,
-    IsNothing,
     MappingFn,
     Not,
     PhoneSet,
@@ -44,6 +42,7 @@ from cascade_forge.rule_engine import (
     WordEnd,
     WordStart,
     apply_rule,
+    layout_rule,
     rule_from_obj,
     serialize_rule,
 )
@@ -54,6 +53,7 @@ DEFAULT_TIMEOUT_MS = 120_000
 CLOSE_GRACE_S = 1.0
 _READ_SIZE = 65536
 _STDERR_TAIL_CHARS = 200
+_STDERR_TAIL_BYTES = 4 * _STDERR_TAIL_CHARS  # enough for 200 characters of UTF-8
 
 # Caps for the builtin candidate grammar: edit groups may span at most
 # MAX_SPAN source phones and carry up to MAX_CONTEXT context phones per side.
@@ -218,51 +218,30 @@ def extract_edit_candidates(
 def candidate_to_rule(candidate: EditCandidate) -> Rule:
     """Realize an edit candidate as a rule over the canonical token layout."""
     preds: list[Predicate] = []
-    changes: list[tuple[int, MappingFn]] = []
-    inserts: dict[int, tuple[str, ...]] = {}
-    edits: dict[int, MappingFn] = {}
-    for op in candidate.ops:
-        if op.kind == "ins":
-            existing = inserts.get(op.pos, ())
-            inserts[op.pos] = existing + op.new
-        elif op.kind == "del":
-            edits[op.pos] = Delete()
-        else:
-            edits[op.pos] = Substitute({op.old: op.new})
-
-    def push_unit(pred: Predicate, mapping: MappingFn | None = None) -> None:
-        if preds and not isinstance(preds[-1], IsNothing):
-            preds.append(IsNothing())
-        preds.append(pred)
-        if mapping is not None:
-            changes.append((len(preds) - 1, mapping))
-
-    def push_gap(insert_phones: tuple[str, ...] | None) -> None:
-        if insert_phones is None:
-            return
-        preds.append(IsNothing())
-        changes.append((len(preds) - 1, Insert(insert_phones)))
-
     if candidate.left_edge == EDGE_AT:
-        push_unit(WordStart())
+        preds.append(WordStart())
     elif candidate.left_edge == EDGE_NOT_AT:
-        push_unit(Not(WordStart()))
-    for phone in candidate.left:
-        push_unit(PhoneSet({phone}))
-    for offset, phone in enumerate(candidate.covered):
-        push_gap(inserts.get(offset))
-        push_unit(PhoneSet({phone}), edits.get(offset))
-    push_gap(inserts.get(len(candidate.covered)))
-    for phone in candidate.right:
-        push_unit(PhoneSet({phone}))
+        preds.append(Not(WordStart()))
+    preds += [PhoneSet({phone}) for phone in candidate.left]
+    first = len(preds)  # unit of the first covered phone
+    preds += [PhoneSet({phone}) for phone in candidate.covered]
+    preds += [PhoneSet({phone}) for phone in candidate.right]
     if candidate.right_edge == EDGE_AT:
-        push_unit(WordEnd())
+        preds.append(WordEnd())
     elif candidate.right_edge == EDGE_NOT_AT:
-        push_unit(Not(WordEnd()))
+        preds.append(Not(WordEnd()))
 
-    positions = tuple(pos for pos, _ in changes)
-    mappings = tuple(fn for _, fn in changes)
-    return Rule(preds, positions, mappings)
+    changes: dict[int, MappingFn] = {}
+    inserts: dict[int, tuple[str, ...]] = {}
+    for op in candidate.ops:
+        unit = first + op.pos
+        if op.kind == "ins":
+            inserts[unit] = inserts.get(unit, ()) + op.new
+        elif op.kind == "del":
+            changes[unit] = Delete()
+        else:
+            changes[unit] = Substitute({op.old: op.new})
+    return layout_rule([(pred, changes.get(i)) for i, pred in enumerate(preds)], inserts)
 
 
 def builtin_enumerative_propose(
@@ -350,6 +329,7 @@ class _Session:
         self.command = command
         self._proc: subprocess.Popen | None = None
         self._stderr: IO[bytes] | None = None
+        self._stderr_kept = b""  # stderr tail from before the file was last truncated
         self._pending = b""  # stdout bytes read but not yet taken as a reply
         self._eof = False
         self._answered = False  # the current process has replied before
@@ -412,7 +392,7 @@ class _Session:
             return f"proposer spawn failed: {exc}"
         os.set_blocking(proc.stdin.fileno(), False)
         os.set_blocking(proc.stdout.fileno(), False)
-        self._proc, self._stderr = proc, stderr
+        self._proc, self._stderr, self._stderr_kept = proc, stderr, b""
         self._pending, self._eof, self._answered = b"", False, False
         return None
 
@@ -427,8 +407,9 @@ class _Session:
         elif self._eof:
             self.close(diagnostics)
         else:
-            # Keep one request's stderr, the part a diagnostic quotes.
+            # Bound the file, but keep the tail a diagnostic quotes.
             self._pending = b""
+            self._stderr_kept = self._stderr_bytes()
             os.ftruncate(self._stderr.fileno(), 0)
             os.lseek(self._stderr.fileno(), 0, os.SEEK_SET)
 
@@ -498,10 +479,14 @@ class _Session:
         self._stderr.close()
         self._stderr, self._pending = None, b""
 
-    def _stderr_tail(self) -> str:
+    def _stderr_bytes(self) -> bytes:
+        """The last bytes the process wrote to stderr, across truncations."""
         fd = self._stderr.fileno()
-        start = max(0, os.fstat(fd).st_size - 4 * _STDERR_TAIL_CHARS)
-        text = os.pread(fd, 4 * _STDERR_TAIL_CHARS, start).decode("utf-8", "replace")
+        start = max(0, os.fstat(fd).st_size - _STDERR_TAIL_BYTES)
+        return (self._stderr_kept + os.pread(fd, _STDERR_TAIL_BYTES, start))[-_STDERR_TAIL_BYTES:]
+
+    def _stderr_tail(self) -> str:
+        text = self._stderr_bytes().decode("utf-8", "replace")
         return text.strip()[-_STDERR_TAIL_CHARS:]
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Mapping, Sequence
 
 from cascade_forge.phonology import (
     BOUNDARY,
@@ -233,6 +233,41 @@ def _validate_predicate(pred: Predicate, position: int, inv: Inventory | None) -
         _validate_predicate(pred.inner, position, inv)
 
 
+def layout_rule(
+    units: Sequence[tuple[Predicate, MappingFn | None]],
+    inserts: Mapping[int, Sequence[str]],
+    name: str | None = None,
+) -> Rule:
+    """Lay a rule out over the canonical ``# @ p @ … #`` token layout.
+
+    ``units`` holds one ``(predicate, delete/substitute mapping or None)``
+    per phone or word-edge position, in order.  ``inserts`` maps a gap
+    (0 before the first unit, ``len(units)`` after the last) to the phones
+    inserted there.  Adjacent units are separated by an ``is_nothing``
+    predicate; an outer gap gets one only when it inserts.  Change
+    positions ascend.  The rule is not validated.
+    """
+    if any(not 0 <= gap <= len(units) for gap in inserts):
+        raise RuleError(f"insert gaps {sorted(inserts)} outside 0..{len(units)}")
+    predicates: list[Predicate] = []
+    change_pos: list[int] = []
+    mappings: list[MappingFn] = []
+    for gap in range(len(units) + 1):
+        phones = inserts.get(gap)
+        if phones:
+            change_pos.append(len(predicates))
+            mappings.append(Insert(phones))
+        if phones or 0 < gap < len(units):
+            predicates.append(IsNothing())
+        if gap < len(units):
+            pred, fn = units[gap]
+            if fn is not None:
+                change_pos.append(len(predicates))
+                mappings.append(fn)
+            predicates.append(pred)
+    return Rule(predicates, change_pos, mappings, name)
+
+
 @dataclass(frozen=True)
 class Cascade:
     """An ordered sequence of rules; order is significant, empty is identity."""
@@ -321,7 +356,7 @@ def apply_rule(
         if diagnostics is not None:
             diagnostics.append(message)
 
-    edits: dict[int, tuple[str, tuple[str, ...]]] = {}
+    edits: dict[int, tuple[str, ...]] = {}  # token index -> its replacement phones
     for site in sites:
         for pos, fn in zip(rule.change_pos, rule.mappings):
             target = site + pos
@@ -333,12 +368,12 @@ def apply_rule(
                 if token != SEPARATOR:
                     note(f"site {site}: insert aimed at non-separator token {token!r}; skipped")
                     continue
-                edits[target] = ("insert", fn.phones)
+                edits[target] = fn.phones
             elif isinstance(fn, Delete):
                 if token == BOUNDARY or token == SEPARATOR:
                     note(f"site {site}: delete aimed at structural token {token!r}; skipped")
                     continue
-                edits[target] = ("delete", ())
+                edits[target] = ()
             elif isinstance(fn, Substitute):
                 if token == BOUNDARY or token == SEPARATOR:
                     note(f"site {site}: substitute aimed at structural token {token!r}; skipped")
@@ -347,7 +382,7 @@ def apply_rule(
                 if replacement is None:
                     note(f"site {site}: no substitute entry for {token!r}; left unchanged")
                     continue
-                edits[target] = ("sub", replacement)
+                edits[target] = replacement
             else:
                 raise RuleError(f"unknown mapping function {fn!r}")
 
@@ -356,15 +391,10 @@ def apply_rule(
         if token == BOUNDARY:
             continue
         edit = edits.get(idx)
-        if token == SEPARATOR:
-            if edit is not None:
-                phones.extend(edit[1])
-            continue
-        if edit is None:
+        if edit is not None:
+            phones.extend(edit)
+        elif token != SEPARATOR:
             phones.append(token)
-        elif edit[0] == "sub":
-            phones.extend(edit[1])
-        # deletes contribute nothing
     return TokenizedWord.from_phones(phones)
 
 

@@ -12,7 +12,8 @@ dataset, config, and proposer transcript reproduce identical beams.
 Scoring always uses the full dataset; example selection only narrows
 what the proposer sees.  Each search call keeps one process per external
 proposer command for all of its requests and closes them all when it
-returns or raises.
+returns or raises; a non-zero exit status they end with is reported to
+the search's diagnostics.
 """
 
 from __future__ import annotations
@@ -117,6 +118,7 @@ def induce_single_law(
     )
     with ProposerSessions() as sessions:
         result = propose(handle, request, inv, sessions=sessions)
+        sessions.close(result.diagnostics)
     if diagnostics is not None:
         diagnostics.extend(result.diagnostics)
     sources = dataset.sources
@@ -218,6 +220,7 @@ def beam_search_cascade(
             if config.early_stop_on_perfect and best.reward == 1.0:
                 log_lines.append(f"step {step}: perfect reward reached, stopping early")
                 break
+        sessions.close(diagnostics)
 
     beams = sorted(beams, key=_rank_key)
     if run_dir:

@@ -39,8 +39,6 @@ from cascade_forge.rule_engine import (
     Cascade,
     Delete,
     FeatureReq,
-    Insert,
-    IsNothing,
     MappingFn,
     Not,
     PhoneSet,
@@ -53,6 +51,7 @@ from cascade_forge.rule_engine import (
     apply_rule,
     cascade_to_obj,
     find_sites,
+    layout_rule,
     rule_to_obj,
 )
 from cascade_forge.resources import atomic_write, dumps
@@ -160,44 +159,34 @@ def gen_smp_law(inv: Inventory, spec: SmpSpec, rng: Random, name: str | None = N
     positions = sorted(rng.sample(range(env_size), num_changes))
     ops = [rng.choice(("add", "del", "sub")) for _ in range(num_changes)]
 
-    predicates: list[Predicate] = []
+    preds: list[Predicate] = []
     if boundary == "S":
-        predicates += [WordStart(), IsNothing()]
+        preds.append(WordStart())
     elif boundary == "NS":
-        predicates += [Not(WordStart()), IsNothing()]
-    base = len(predicates)
-    for i, phone in enumerate(env_phones):
-        if i:
-            predicates.append(IsNothing())
-        predicates.append(PhoneSet({phone}))
+        preds.append(Not(WordStart()))
+    first = len(preds)  # unit of the first environment phone
+    preds += [PhoneSet({phone}) for phone in env_phones]
     if boundary == "E":
-        predicates += [IsNothing(), WordEnd()]
+        preds.append(WordEnd())
     elif boundary == "NE":
-        predicates += [IsNothing(), Not(WordEnd())]
+        preds.append(Not(WordEnd()))
 
-    changes: list[tuple[int, MappingFn]] = []
+    changes: dict[int, MappingFn] = {}
+    inserts: dict[int, tuple[str, ...]] = {}
     for pos, op in zip(positions, ops):
-        token_index = base + 2 * pos
+        unit = first + pos
         if op == "del":
-            changes.append((token_index, Delete()))
+            changes[unit] = Delete()
         elif op == "sub":
             source = env_phones[pos]
             target = rng.choice(symbols)
             while target == source and len(symbols) > 1:
                 target = rng.choice(symbols)
-            changes.append((token_index, Substitute({source: (target,)})))
-        else:  # add: insert on the separator slot after this phone
-            slot = token_index + 1
-            if slot >= len(predicates):
-                predicates.append(IsNothing())
-            changes.append((slot, Insert((rng.choice(symbols),))))
+            changes[unit] = Substitute({source: (target,)})
+        else:  # add: insert in the gap after this phone
+            inserts[unit + 1] = (rng.choice(symbols),)
 
-    rule = Rule(
-        predicates,
-        [pos for pos, _ in changes],
-        [fn for _, fn in changes],
-        name=name,
-    )
+    rule = layout_rule([(pred, changes.get(i)) for i, pred in enumerate(preds)], inserts, name)
     rule.validate(inv)
     return rule
 
@@ -271,7 +260,7 @@ def gen_smp_examples(
             pairs.append(ExamplePair(source, target, f"{group}-{i:03d}"))
     case = SynthCase(
         Cascade([rule]),
-        Dataset(pairs, name=name, provenance="smp"),
+        Dataset(pairs, name=name),
         {"generator": "smp", "environment": env, "n": n},
     )
     verify_case(case, inv)
@@ -297,9 +286,6 @@ class SlotOps:
     substitute: bool
     ins_before: bool
     ins_after: bool
-
-    def any(self) -> bool:
-        return self.delete or self.substitute or self.ins_before or self.ins_after
 
 
 @dataclass
@@ -407,39 +393,31 @@ def gen_ling_rule(
         inserts: dict[int, list[str]] = {}
         effective = False
         for i, slot in enumerate(slots):
-            phone_token = 2 * (pre_len + i)
+            unit = pre_len + i
             if slot.delete:
-                changes[phone_token] = Delete()
+                changes[unit] = Delete()
                 effective = True
             elif slot.substitute:
                 target_features = _changeto_features(inv.num_features, rng)
                 if target_features:
-                    matching = sorted(inv.matching_phones(position_reqs[pre_len + i]))
+                    matching = sorted(inv.matching_phones(position_reqs[unit]))
                     mapping = {
                         sym: (realize_feature_change(inv.phone(sym), target_features, inv).symbol,)
                         for sym in matching
                     }
                     if mapping:
-                        changes[phone_token] = Substitute(mapping)
+                        changes[unit] = Substitute(mapping)
                         effective = True
             if slot.ins_before:
-                inserts.setdefault(phone_token - 1, []).append(rng.choice(symbols))
+                inserts.setdefault(unit, []).append(rng.choice(symbols))
                 effective = True
             if slot.ins_after:
-                inserts.setdefault(phone_token + 1, []).append(rng.choice(symbols))
+                inserts.setdefault(unit + 1, []).append(rng.choice(symbols))
                 effective = True
         if not effective:
             continue
-        for slot_index, phones in inserts.items():
-            changes[slot_index] = Insert(phones)
-
-        predicates: list[Predicate] = []
-        for i, reqs in enumerate(position_reqs):
-            if i:
-                predicates.append(IsNothing())
-            predicates.append(FeatureReq(reqs))
-        ordered = sorted(changes.items())
-        rule = Rule(predicates, [p for p, _ in ordered], [fn for _, fn in ordered], name=name)
+        units = [(FeatureReq(reqs), changes.get(i)) for i, reqs in enumerate(position_reqs)]
+        rule = layout_rule(units, inserts, name)
         rule.validate(inv)
 
         applies = sum(1 for w in protos if find_sites(rule, w, inv))
@@ -471,7 +449,7 @@ def gen_ling_language(
     ]
     case = SynthCase(
         Cascade(rules),
-        Dataset(pairs, name=name, language=profile_name, provenance="ling"),
+        Dataset(pairs, name=name),
         {"generator": "ling", "profile": profile_name},
     )
     verify_case(case, inv)
@@ -551,7 +529,7 @@ def gen_multilaw_evalset(
             pairs.append(ExamplePair(source, target, f"w{len(pairs):03d}"))
         case = SynthCase(
             cascade,
-            Dataset(pairs, name=f"set-{set_index:02d}", language=profile_name, provenance="multilaw"),
+            Dataset(pairs, name=f"set-{set_index:02d}"),
             {
                 "generator": "multilaw",
                 "set": set_index,

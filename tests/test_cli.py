@@ -162,6 +162,37 @@ def test_eval_writes_report(workdir, capsys):
     assert any(k.endswith("pairs.tsv") for k in manifest["inputs"])
 
 
+def insert_after_final_a(phones):
+    return {
+        "predicates": [{"kind": "phone_set", "phones": ["a"]}, {"kind": "is_nothing"},
+                       {"kind": "word_end"}],
+        "change_pos": [1],
+        "mappings": [{"kind": "insert", "phones": phones}],
+    }
+
+
+def test_eval_scores_a_prediction_as_its_surface_reads_back(workdir, capsys):
+    # The bundled inventory has the phone ts, so the output phones t,s read back as it.
+    (workdir / "ts.json").write_text(json.dumps(insert_after_final_a(["t", "s"])), encoding="utf-8")
+    (workdir / "pats.tsv").write_text("pa\tpats\n", encoding="utf-8")
+    code, out, _ = run(capsys, "eval", "--rule", "ts.json", "--pairs", "pats.tsv", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["pairs"][0]["dist"] == 0
+    assert report["reward"] == 1.0 and report["pass"] is True
+
+
+def test_eval_prediction_that_does_not_segment_exits_3(workdir, capsys):
+    # a + bc reads as ab + c, and c is no phone.
+    (workdir / "inv.tsv").write_text("!feature f\na\t1\nab\t0\nbc\t1\n", encoding="utf-8")
+    (workdir / "bc.json").write_text(json.dumps(insert_after_final_a(["bc"])), encoding="utf-8")
+    (workdir / "abc.tsv").write_text("a\tab\n", encoding="utf-8")
+    code, out, err = run(capsys, "eval", "--rule", "bc.json", "--pairs", "abc.tsv",
+                         "--inventory", "inv.tsv", "--json")
+    assert code == 3 and out == ""
+    assert "prediction for pair L0001 ('a')" in err
+
+
 # --- induce -----------------------------------------------------------------------
 
 

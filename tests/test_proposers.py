@@ -39,7 +39,7 @@ from cascade_forge.rule_engine import (
     rule_to_obj,
     serialize_rule,
 )
-from cascade_forge.search import SearchConfig, beam_search_cascade, hypothesis_to_obj
+from cascade_forge.search import SearchConfig, beam_search_cascade, hypothesis_to_obj, induce_single_law
 from cascade_forge.synthgen import SmpSpec, gen_smp_examples, gen_smp_law, task_rng
 
 
@@ -411,7 +411,8 @@ def test_request_wire_format(tiny_inv):
 # --- proposer sessions -----------------------------------------------------------------
 
 # Serves requests until EOF, logs its PID per request, and names each reply
-# after the request's step.  argv: PID log, mode.
+# after the request's step.  The "exit-3" modes write "boom" to stderr, reply
+# once and exit with status 3, at once or 0.3 s later.  argv: PID log, mode.
 SESSION_STUB = """
     import json, os, sys, time
     log, mode = sys.argv[1], sys.argv[2]
@@ -435,9 +436,14 @@ SESSION_STUB = """
             sys.stderr.flush()
         if mode == "junk-before":
             print("junk")
+        if mode.startswith("exit-3"):
+            print("boom", file=sys.stderr, flush=True)
         rule = {"predicates": [{"kind": "phone_set", "phones": ["a"]}], "change_pos": [0],
                 "mappings": [{"kind": "substitute", "map": {"a": ["e"]}}], "name": f"step-{step}"}
         print(json.dumps({"v": 1, "programs": [rule]}), flush=True)
+        if mode.startswith("exit-3"):
+            time.sleep(0.3 if mode == "exit-3-late" else 0)
+            sys.exit(3)
         if mode == "junk-after":
             print("junk", flush=True)
 """
@@ -565,6 +571,43 @@ def test_session_timeout_kills_and_the_next_request_is_answered(tmp_path, tiny_i
     assert second.rules == [] and any("timed out" in d for d in second.diagnostics)
     assert names(third) == ["step-2"] and third.diagnostics == []
     assert_reaped(logged_pids(log))
+
+
+BOOM = "proposer exited with status 3: boom"
+
+
+def test_single_law_search_reports_its_proposer_exit_status(tmp_path, tiny_inv):
+    command, log = session_stub(tmp_path, "exit-3")
+    handle = external_proposer(command)
+    assert propose(handle, step_request(tiny_inv, 0), tiny_inv).diagnostics == [BOOM]
+    diagnostics = []
+    ranked = induce_single_law(
+        handle, search_dataset(tiny_inv), samples=4, inv=tiny_inv, diagnostics=diagnostics
+    )
+    assert [rule.name for rule, _ in ranked] == ["step-0"]
+    assert diagnostics == [BOOM]
+    assert_reaped(logged_pids(log))
+
+
+def test_beam_search_reports_the_exit_status_of_every_proposer_process(tmp_path, tiny_inv):
+    command, log = session_stub(tmp_path, "exit-3")
+    diagnostics = []
+    beam_search_cascade(
+        external_proposer(command), search_dataset(tiny_inv), NO_EARLY_STOP, tiny_inv,
+        diagnostics=diagnostics,
+    )
+    requests = logged_pids(log)  # one process per request
+    assert len(requests) >= 3 and len(set(requests)) == len(requests)
+    assert diagnostics == [BOOM] * len(requests)
+
+
+def test_exit_diagnostic_quotes_stderr_written_before_the_last_request(tmp_path, tiny_inv):
+    # The process is still alive when the second request comes, exits without
+    # answering it, and the request is retried in a fresh process.
+    command, _ = session_stub(tmp_path, "exit-3-late")
+    first, second = ask_steps(tiny_inv, external_proposer(command), 2)
+    assert names(first) == ["step-0"] and first.diagnostics == []
+    assert names(second) == ["step-1"] and second.diagnostics == [BOOM]
 
 
 def test_session_child_writing_lots_of_stderr_does_not_block(tmp_path, tiny_inv):

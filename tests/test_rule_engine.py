@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -20,13 +21,24 @@ from cascade_forge.rule_engine import (
     apply_cascade,
     apply_rule,
     find_sites,
+    layout_rule,
     match_predicate,
     parse_cascade,
     parse_rule,
     serialize_cascade,
     serialize_rule,
 )
-from cascade_forge.synthgen import LingSpec, SmpSpec, gen_ling_rule, gen_smp_law, nonce_word, PROFILES, task_rng
+from cascade_forge.proposers import candidate_to_rule, extract_edit_candidates
+from cascade_forge.synthgen import (
+    LingSpec,
+    SmpSpec,
+    gen_ling_rule,
+    gen_smp_examples,
+    gen_smp_law,
+    nonce_word,
+    PROFILES,
+    task_rng,
+)
 
 from oracles import reference_apply, scan_sites
 
@@ -433,3 +445,64 @@ def test_cascade_roundtrip(tiny_inv):
     cascade = Cascade([A_TO_E_BEFORE_J, sub_rule("e", 0, "e", "i")])
     text = serialize_cascade(cascade)
     assert parse_cascade(text) == cascade
+
+
+# --- rule layout ----------------------------------------------------------------
+
+
+def test_layout_rule_separates_inner_gaps_and_pads_outer_gaps_only_to_insert():
+    a, b = PhoneSet({"a"}), PhoneSet({"b"})
+    rule = layout_rule([(WordStart(), None), (a, None), (b, Delete())], {})
+    assert rule.predicates == (WordStart(), IsNothing(), a, IsNothing(), b)
+    assert rule.change_pos == (4,) and rule.mappings == (Delete(),)
+
+    sub = Substitute({"a": ("e",)})
+    rule = layout_rule([(a, sub), (b, None)], {0: ("k",), 1: ["t", "s"], 2: ("u",)}, name="n")
+    assert rule.predicates == (IsNothing(), a, IsNothing(), b, IsNothing())
+    assert rule.change_pos == (0, 1, 2, 4)
+    assert rule.mappings == (Insert(("k",)), sub, Insert(("t", "s")), Insert(("u",)))
+    assert rule.name == "n"
+
+
+def test_layout_rule_without_units_is_one_inserting_gap():
+    rule = layout_rule([], {0: ("a",)})
+    assert rule.predicates == (IsNothing(),)
+    assert rule.change_pos == (0,) and rule.mappings == (Insert(("a",)),)
+
+
+@pytest.mark.parametrize("gap", [-1, 2])
+def test_layout_rule_rejects_gaps_outside_the_units(gap):
+    with pytest.raises(RuleError, match="insert gaps"):
+        layout_rule([(PhoneSet({"a"}), None)], {gap: ("e",)})
+
+
+def _serialization_digest(rules):
+    for rule in rules:
+        assert list(rule.change_pos) == sorted(rule.change_pos)
+    text = "\n".join(serialize_rule(rule) for rule in rules)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_built_rules_keep_their_serialization(default_inv):
+    """The generators and the builtin proposer lay rules out token for token
+    as they did before ``layout_rule`` owned the layout."""
+    inv = default_inv
+    smp = [gen_smp_law(inv, SmpSpec(), task_rng(0, "golden-smp", i), name=f"g{i}") for i in range(300)]
+    assert _serialization_digest(smp) == "a55ebac3e15fe23ef3a2574656caac32442bef2fc039d6d8fde1362eef4afd74"
+
+    spec = LingSpec(min_applicable=2, protoforms_per_language=20)
+    ling = []
+    for profile in ("deu", "ita", "vie"):
+        rng = task_rng(0, "golden-ling", profile)
+        protos = [nonce_word(inv, PROFILES[profile], rng) for _ in range(20)]
+        ling += [gen_ling_rule(inv, protos, spec, rng) for _ in range(4)]
+    assert _serialization_digest(ling) == "6d7e1b5d4e2921aa4dc052b23f93f628f96d6f2bf7ae2b72f24764a9f627d289"
+
+    candidates = []
+    for i in range(20):
+        rng = task_rng(0, "golden-candidates", i)
+        case = gen_smp_examples(inv, gen_smp_law(inv, SmpSpec(), rng), 10, rng)
+        pairs = [(p.source, p.target) for p in case.dataset.pairs]
+        candidates += [candidate_to_rule(c) for c in extract_edit_candidates(pairs)]
+    assert len(candidates) == 2060
+    assert _serialization_digest(candidates) == "3671d8e0e01c78d5857631fe41def798d34457963c519eda214d6811290d5de9"
