@@ -5,7 +5,7 @@ command that takes ``--seed`` is bit-reproducible for its data artifacts
 (manifest and log files carry wall-clock timestamps and are excluded
 from that contract).  Output files are written atomically.
 
-Exit codes: 0 success, 2 parse error, 3 tokenization error, 4 proposer
+Exit codes: 0 success, 2 parse or usage error, 3 tokenization error, 4 proposer
 failure, 5 generation budget exhausted.
 """
 
@@ -367,7 +367,21 @@ def cmd_induce(args) -> int:
     return EXIT_OK
 
 
+def _refuse_stale_cases(out_dir: str, count: int) -> None:
+    """Exit 2 if ``out_dir`` holds a ``case_*`` entry beyond the ``count`` this run writes.
+
+    The manifest would not count it, and deleting it could delete a user's file.
+    """
+    names = os.listdir(out_dir) if os.path.isdir(out_dir) else []
+    written = {f"case_{index:04d}" for index in range(count)}
+    stale = sorted(n for n in names if n.startswith("case_") and n not in written)
+    if stale:
+        raise CliError(f"--out {out_dir} holds {stale[0]}, which this run would not write", EXIT_PARSE)
+
+
 def cmd_generate(args) -> int:
+    count = getattr(args, {"smp": "laws", "ling": "langs", "multilaw": "sets"}[args.generator])
+    _refuse_stale_cases(args.out, count)
     inv = _load_inventory(args.inventory)
     if args.generator == "smp":
         spec = SmpSpec(examples_per_law=args.n, seed=args.seed)

@@ -64,8 +64,8 @@ class Phone:
 class Inventory:
     """A closed, ordered set of phones sharing one feature geometry.
 
-    Immutable after construction; all lookups are pure, so instances can be
-    shared freely across threads.
+    Immutable after construction: no lookup stores anything on the
+    instance, so instances can be shared freely across threads.
     """
 
     def __init__(self, phones: Iterable[Phone], feature_names: Iterable[str] | None = None):
@@ -96,7 +96,6 @@ class Inventory:
         self._symbol_lengths: tuple[int, ...] = tuple(
             sorted({len(s) for s in self._by_symbol}, reverse=True)
         )
-        self._req_cache: dict[tuple[tuple[int, int], ...], frozenset[str]] = {}
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._by_symbol
@@ -117,16 +116,11 @@ class Inventory:
     def matching_phones(self, requirements: tuple[tuple[int, int], ...]) -> frozenset[str]:
         """Symbols of all phones satisfying the partial feature requirements.
 
-        ``requirements`` is the sorted ``(index, value)`` tuple that
-        ``FeatureReq.reqs`` holds, and is the memo key as given.  The cache
-        is append-only, so concurrent readers stay consistent.
+        ``requirements`` holds ``(index, value)`` pairs, as ``FeatureReq.reqs``
+        does.  The answer is computed on every call.
         """
-        cached = self._req_cache.get(requirements)
-        if cached is None:
-            reqs = dict(requirements)
-            cached = frozenset(p.symbol for p in self.phones if feature_match(p, reqs))
-            self._req_cache[requirements] = cached
-        return cached
+        reqs = dict(requirements)
+        return frozenset(p.symbol for p in self.phones if feature_match(p, reqs))
 
 
 @dataclass(frozen=True)

@@ -260,17 +260,13 @@ def builtin_enumerative_propose(
         return []
 
     support: dict[EditCandidate, int] = {}
-    order: dict[EditCandidate, int] = {}
     for source, target in changed:
         for candidate in extract_edit_candidates([(source, target)]):
-            if candidate not in order:
-                order[candidate] = len(order)
-                support[candidate] = 0
-            support[candidate] += 1
+            support[candidate] = support.get(candidate, 0) + 1
 
     min_support = min(2, len(changed))
-    pool = [c for c in order if support[c] >= min_support]
-    pool.sort(key=lambda c: (-support[c], order[c]))
+    pool = [c for c in support if support[c] >= min_support]
+    pool.sort(key=lambda c: -support[c])  # stable: ties keep discovery order
     pool = pool[:MAX_POOL]
 
     rules: dict[str, Rule] = {}
@@ -494,27 +490,26 @@ class ProposerSessions:
     """The external proposer processes of one search, one per distinct command.
 
     Use it as a context manager: leaving the block closes and reaps every
-    child, whether the search returned or raised.
+    child, whether the search returned or raised, and reports each
+    non-zero exit status a child ends with to ``diagnostics``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, diagnostics: list[str] | None = None) -> None:
         self._sessions: dict[tuple[str, ...], _Session] = {}
+        self._diagnostics = diagnostics
 
     def __enter__(self) -> "ProposerSessions":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        for session in self._sessions.values():
+            session.close(self._diagnostics)
 
     def session(self, command: Sequence[str]) -> _Session:
         key = tuple(command)
         if key not in self._sessions:
             self._sessions[key] = _Session(key)
         return self._sessions[key]
-
-    def close(self, diagnostics: list[str] | None = None) -> None:
-        for session in self._sessions.values():
-            session.close(diagnostics)
 
 
 def external_propose(
@@ -533,9 +528,10 @@ def external_propose(
     """
     if sessions is not None:
         return _ask(sessions.session(command), request, inv, timeout_ms)
-    with ProposerSessions() as own:
+    exits: list[str] = []
+    with ProposerSessions(exits) as own:
         result = _ask(own.session(command), request, inv, timeout_ms)
-        own.close(result.diagnostics)
+    result.diagnostics += exits
     return result
 
 

@@ -26,6 +26,7 @@ from cascade_forge.phonology import (
     SEPARATOR,
     Inventory,
     TokenizedWord,
+    feature_match,
 )
 
 
@@ -79,7 +80,8 @@ class FeatureReq(Predicate):
     """Matches phone tokens whose features satisfy the partial requirements.
 
     Needs an inventory at match time to resolve symbols to feature vectors;
-    boundary and separator tokens never satisfy it.
+    boundary and separator tokens, and tokens the inventory lacks, never
+    satisfy it.
     """
 
     reqs: tuple[tuple[int, int], ...]  # sorted (feature index, value) pairs
@@ -305,7 +307,7 @@ def match_predicate(
             return False
         if inv is None:
             raise RuleError("feature predicates require an inventory to match")
-        return token in inv.matching_phones(pred.reqs)
+        return token in inv and feature_match(inv.phone(token), dict(pred.reqs))
     if isinstance(pred, Not):
         return not match_predicate(pred.inner, token, is_first, is_last, inv)
     raise RuleError(f"unknown predicate {pred!r}")

@@ -116,11 +116,10 @@ def induce_single_law(
     request = ProposalRequest(
         [(p.source, p.target) for p in view], num_samples=samples, step_index=0
     )
-    with ProposerSessions() as sessions:
+    with ProposerSessions(diagnostics) as sessions:
         result = propose(handle, request, inv, sessions=sessions)
-        sessions.close(result.diagnostics)
-    if diagnostics is not None:
-        diagnostics.extend(result.diagnostics)
+        if diagnostics is not None:
+            diagnostics.extend(result.diagnostics)
     sources = dataset.sources
     targets = dataset.targets
     scored: list[tuple[Rule, RewardReport, str]] = []
@@ -170,7 +169,7 @@ def beam_search_cascade(
     initial = reward_report(sources, sources, targets)
     beams = [Hypothesis(Cascade(), tuple(sources), initial.reward, 0)]
 
-    with ProposerSessions() as sessions:
+    with ProposerSessions(diagnostics) as sessions:
         for step in range(1, config.max_steps + 1):
             candidates: list[Hypothesis] = [replace(beam, step=step) for beam in beams]
             proposed_any = False
@@ -220,7 +219,6 @@ def beam_search_cascade(
             if config.early_stop_on_perfect and best.reward == 1.0:
                 log_lines.append(f"step {step}: perfect reward reached, stopping early")
                 break
-        sessions.close(diagnostics)
 
     beams = sorted(beams, key=_rank_key)
     if run_dir:

@@ -130,11 +130,7 @@ def task_rng(seed: int, *parts) -> Random:
 def _canonical_word(inv: Inventory, phones: Sequence[str]) -> TokenizedWord | None:
     """Build a word from phones if its surface re-tokenizes to the same phones."""
     word = TokenizedWord.from_phones(phones)
-    try:
-        again = tokenize(word.surface, inv)
-    except TokenizeError:
-        return None
-    return word if again == word else None
+    return word if _roundtrips(inv, word) else None
 
 
 def _roundtrips(inv: Inventory, word: TokenizedWord) -> bool:
@@ -361,7 +357,6 @@ def gen_ling_rule(
     protos: Sequence[TokenizedWord],
     spec: LingSpec,
     rng: Random,
-    stats: LingStats | None = None,
     name: str | None = None,
 ) -> Rule:
     """One feature-conditioned law applying to at least ``min_applicable`` protoforms.
@@ -387,7 +382,7 @@ def gen_ling_rule(
             _gated_requirements(inv.phone(phone).features, rng) for phone in window
         ]
 
-        slots = sample_change_ops(chg_len, spec, rng, stats)
+        slots = sample_change_ops(chg_len, spec, rng)
 
         changes: dict[int, MappingFn] = {}
         inserts: dict[int, list[str]] = {}
@@ -431,7 +426,6 @@ def gen_ling_language(
     spec: LingSpec,
     rng: Random,
     name: str = "ling",
-    stats: LingStats | None = None,
 ) -> SynthCase:
     """Nonce protoforms plus a cascade of rules, each conditioned on the last."""
     profile_name = rng.choice(sorted(PROFILES))
@@ -440,7 +434,7 @@ def gen_ling_language(
     rules: list[Rule] = []
     current = list(protos)
     for k in range(spec.rules_per_language):
-        rule = gen_ling_rule(inv, current, spec, rng, stats, name=f"{name}-r{k}")
+        rule = gen_ling_rule(inv, current, spec, rng, name=f"{name}-r{k}")
         rules.append(rule)
         current = [apply_rule(rule, w, inv) for w in current]
     pairs = [
@@ -456,16 +450,14 @@ def gen_ling_language(
     return case
 
 
-def gen_ling_corpus(
-    inv: Inventory, spec: LingSpec, stats: LingStats | None = None
-) -> list[SynthCase]:
+def gen_ling_corpus(inv: Inventory, spec: LingSpec) -> list[SynthCase]:
     """One language per task stream; regenerates a language only when its
     targets would not survive a file round-trip."""
     cases = []
     for i in range(spec.num_languages):
         for retry in range(50):
             rng = task_rng(spec.seed, "ling", i, retry)
-            case = gen_ling_language(inv, spec, rng, name=f"ling-{i:04d}", stats=stats)
+            case = gen_ling_language(inv, spec, rng, name=f"ling-{i:04d}")
             if all(_roundtrips(inv, p.target) for p in case.dataset.pairs):
                 break
         else:

@@ -281,6 +281,22 @@ def test_generate_smp_deterministic(workdir, capsys):
     assert manifest["cases"] == 3 and manifest["finished_at_utc"]
 
 
+def test_generate_refuses_an_out_dir_holding_cases_it_would_not_write(workdir, capsys):
+    code, _, _ = run(capsys, "generate", "smp", "--laws", "3", "--n", "10", "--out", "d")
+    assert code == 0
+    (workdir / "d" / "notes.txt").write_text("mine\n", encoding="utf-8")
+    before = tree_bytes(workdir / "d", exclude=())
+    code, _, err = run(capsys, "generate", "smp", "--laws", "2", "--n", "10", "--out", "d")
+    assert code == 2
+    assert "case_0002" in err
+    assert tree_bytes(workdir / "d", exclude=()) == before
+    # a run that rewrites every case present may reuse the directory
+    code, _, _ = run(capsys, "generate", "smp", "--laws", "4", "--n", "10", "--out", "d")
+    assert code == 0
+    assert json.loads((workdir / "d" / "manifest.json").read_text())["cases"] == 4
+    assert (workdir / "d" / "notes.txt").read_text() == "mine\n"
+
+
 def test_generate_multilaw_counts(workdir, capsys):
     code, _, _ = run(capsys, "generate", "multilaw", "--sets", "2", "--rules-per-set", "3",
                      "--words", "10", "--pool-laws", "8", "--seed", "2", "--out", "ml")

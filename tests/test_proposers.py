@@ -589,6 +589,22 @@ def test_single_law_search_reports_its_proposer_exit_status(tmp_path, tiny_inv):
     assert_reaped(logged_pids(log))
 
 
+def test_single_law_search_that_raises_still_reports_its_proposer_exit_status(tmp_path, tiny_inv):
+    command, log = session_stub(tmp_path, "exit-3-late")
+
+    def failing(request):
+        raise RuntimeError("callable proposer failed")
+
+    handle = ensemble_proposer([external_proposer(command), callable_proposer(failing)])
+    diagnostics = []
+    with pytest.raises(RuntimeError, match="callable proposer failed"):
+        induce_single_law(
+            handle, search_dataset(tiny_inv), samples=4, inv=tiny_inv, diagnostics=diagnostics
+        )
+    assert diagnostics == [BOOM]
+    assert_reaped(logged_pids(log))
+
+
 def test_beam_search_reports_the_exit_status_of_every_proposer_process(tmp_path, tiny_inv):
     command, log = session_stub(tmp_path, "exit-3")
     diagnostics = []

@@ -3,7 +3,15 @@ import random
 
 import pytest
 
-from cascade_forge.phonology import BOUNDARY, SEPARATOR, TokenizedWord, detokenize, tokenize, validate_word
+from cascade_forge.phonology import (
+    BOUNDARY,
+    SEPARATOR,
+    InventoryError,
+    TokenizedWord,
+    detokenize,
+    tokenize,
+    validate_word,
+)
 from cascade_forge.rule_engine import (
     Cascade,
     Delete,
@@ -121,6 +129,12 @@ def test_find_sites_window_never_past_end(tiny_inv):
     rule = sub_rule("aaaa", 0, "a", "e")
     word = tokenize("aa", tiny_inv)  # 7 tokens < env of 7 fits exactly once? env covers 4 phones
     assert find_sites(rule, word) == []
+
+
+def test_find_sites_raises_on_an_unvalidated_feature_index_out_of_range(tiny_inv):
+    rule = Rule([FeatureReq({tiny_inv.num_features: 1})], [0], [Delete()])
+    with pytest.raises(InventoryError, match="out of range"):
+        find_sites(rule, tokenize("ka", tiny_inv), tiny_inv)
 
 
 def test_find_sites_matches_window_scan_oracle(tiny_inv):
@@ -285,21 +299,33 @@ def _random_feature_rule(inv, rng):
     return rule, kinds
 
 
+FOREIGN = "ʘ"
+
+
 @pytest.mark.parametrize("inv_fixture", ["tiny_inv", "default_inv"])
 def test_feature_predicates_match_oracles_on_random_rules(inv_fixture, request):
     inv = request.getfixturevalue(inv_fixture)
     rng = random.Random(f"feature-oracle-{inv_fixture}")
+    # One word in four carries "ʘ", a phone neither inventory has: it
+    # satisfies no feature requirement, so only a negation matches it.
+    assert FOREIGN not in inv
     seen_kinds = set()
+    foreign_words = 0
     for _ in range(300):
         rule, kinds = _random_feature_rule(inv, rng)
         seen_kinds.update(kinds)
         for _ in range(4):
-            word = TokenizedWord.from_phones(rng.choice(inv.symbols) for _ in range(rng.randint(0, 6)))
+            phones = [rng.choice(inv.symbols) for _ in range(rng.randint(0, 6))]
+            if rng.random() < 0.25:
+                phones.insert(rng.randint(0, len(phones)), FOREIGN)
+                foreign_words += 1
+            word = TokenizedWord.from_phones(phones)
             assert find_sites(rule, word, inv) == scan_sites(rule, word, inv)
             out = apply_rule(rule, word, inv)
             assert out == reference_apply(rule, word, inv)
-            validate_word(out, inv)
+            validate_word(out, None if FOREIGN in phones else inv)
     assert seen_kinds == {"req", "not_req", "empty_req", "phone_set"}
+    assert foreign_words > 100
 
 
 # --- cascades ---------------------------------------------------------------------

@@ -1,9 +1,10 @@
+import copy
 import json
 import os
 
 import pytest
 
-from cascade_forge.phonology import tokenize
+from cascade_forge.phonology import default_inventory, tokenize
 from cascade_forge.rule_engine import (
     Cascade,
     FeatureReq,
@@ -24,6 +25,7 @@ from cascade_forge.synthgen import (
     PROFILES,
     SmpSpec,
     environment_phones,
+    gen_ling_corpus,
     gen_ling_language,
     gen_ling_rule,
     gen_multilaw_evalset,
@@ -218,6 +220,15 @@ def test_ling_language_deterministic(default_inv):
     two = gen_ling_language(default_inv, spec, task_rng(13, "det"), name="x")
     assert one.ground_truth == two.ground_truth
     assert [p.source for p in one.dataset.pairs] == [p.source for p in two.dataset.pairs]
+
+
+def test_ling_generation_leaves_the_inventory_unchanged():
+    # Feature predicates resolve against the inventory on every match and
+    # store nothing on it, so it does not grow with the corpus.
+    inv = default_inventory()
+    before = copy.deepcopy(vars(inv))
+    assert len(gen_ling_corpus(inv, LingSpec(num_languages=3, seed=4))) == 3
+    assert vars(inv) == before
 
 
 def test_ling_rule_requires_protoforms(default_inv):
