@@ -233,6 +233,8 @@ def _report_obj(dataset: Dataset, preds) -> dict:
 
 
 def cmd_eval(args) -> int:
+    if args.out:
+        _check_out_dir(args.out)
     inv, cascade = _load_cascade(args)
     dataset = read_pairs(args.pairs, inv)
     # Score each prediction as its surface reads back, the way the target was
@@ -281,6 +283,7 @@ def _proposer_from_spec(spec: str) -> ProposerHandle:
 
 
 def cmd_induce(args) -> int:
+    _check_out_dir(args.out)
     inv = _load_inventory(args.inventory)
     dataset = read_pairs(args.pairs, inv)
     handles = [_proposer_from_spec(args.proposer)]
@@ -367,6 +370,12 @@ def cmd_induce(args) -> int:
     return EXIT_OK
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Exit 2 before anything is written if ``out_dir`` exists but is not a directory."""
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise CliError(f"--out {out_dir} exists and is not a directory", EXIT_PARSE)
+
+
 def _refuse_stale_cases(out_dir: str, count: int) -> None:
     """Exit 2 if ``out_dir`` holds a ``case_*`` entry beyond the ``count`` this run writes.
 
@@ -381,6 +390,7 @@ def _refuse_stale_cases(out_dir: str, count: int) -> None:
 
 def cmd_generate(args) -> int:
     count = getattr(args, {"smp": "laws", "ling": "langs", "multilaw": "sets"}[args.generator])
+    _check_out_dir(args.out)
     _refuse_stale_cases(args.out, count)
     inv = _load_inventory(args.inventory)
     if args.generator == "smp":

@@ -11,6 +11,17 @@ negative when a prediction moves words further from the targets than the
 sources already were.  When the sources already equal the targets the
 denominator is replaced by 1, keeping "perfect implies 1" while still
 penalizing regressions.
+
+Distances are computed with bit-parallel Levenshtein (Myers 1999, in
+Hyyrö's 2001 formulation): a target becomes one phone -> bitmask table
+and each prediction phone then costs a handful of integer operations.  A
+``Scorer`` holds those tables and each pair's source distance for one
+fixed set of pairs, and is built once per request or search.  Its
+``report`` re-measures only the predictions that changed: a prediction
+that *is* the prior form of its pair (the source itself unless a prior is
+given) reuses that pair's known distance, which is what ``apply_rule``
+returning its input object unchanged makes common.  ``reward_report`` is
+a one-off ``Scorer``, so every reward goes through the same path.
 """
 
 from __future__ import annotations
@@ -29,6 +40,13 @@ class ExamplePair:
     target: TokenizedWord
     id: str
 
+    def __post_init__(self) -> None:
+        for side, word in (("source", self.source), ("target", self.target)):
+            if not isinstance(word, TokenizedWord):
+                raise TypeError(
+                    f"pair {self.id!r}: {side} is a {type(word).__name__}, not a TokenizedWord"
+                )
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -42,6 +60,9 @@ class Dataset:
         object.__setattr__(self, "name", name)
         if not self.pairs:
             raise ValueError("dataset has no pairs")
+        for i, pair in enumerate(self.pairs):
+            if not isinstance(pair, ExamplePair):
+                raise TypeError(f"dataset item {i} is a {type(pair).__name__}, not an ExamplePair")
         ids = [p.id for p in self.pairs]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate pair ids")
@@ -75,20 +96,54 @@ def edit_distance(a: TokenizedWord, b: TokenizedWord) -> int:
 
 
 def _phone_distance(src: Sequence[str], tgt: Sequence[str]) -> int:
-    m, n = len(src), len(tgt)
-    if m == 0:
-        return n
-    if n == 0:
-        return m
-    previous = list(range(n + 1))
-    for i in range(1, m + 1):
-        current = [i] + [0] * n
-        s = src[i - 1]
-        for j in range(1, n + 1):
-            cost = 0 if s == tgt[j - 1] else 1
-            current[j] = min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
-        previous = current
-    return previous[n]
+    return _Target(tgt).distance(src)
+
+
+class _Target:
+    """One target's phone -> bitmask table for bit-parallel Levenshtein.
+
+    Bit ``i`` of ``masks[phone]`` is set where the target's phone ``i`` is
+    ``phone``.  Python integers have no width limit, so targets of any
+    length take the same path.
+    """
+
+    __slots__ = ("length", "masks")
+
+    def __init__(self, phones: Sequence[str]) -> None:
+        masks: dict[str, int] = {}
+        for i, phone in enumerate(phones):
+            masks[phone] = masks.get(phone, 0) | (1 << i)
+        self.length = len(phones)
+        self.masks = masks
+
+    def distance(self, phones: Sequence[str]) -> int:
+        """Levenshtein distance from ``phones`` to this target.
+
+        Runs one column of the DP per phone of ``phones``, keeping the
+        vertical deltas (+1/-1) of the column as the bit vectors ``vp``/``vn``
+        and the score of the target's last row.
+        """
+        m = self.length
+        if m == 0:
+            return len(phones)
+        full = (1 << m) - 1
+        last = 1 << (m - 1)
+        masks = self.masks
+        vp, vn, score = full, 0, m
+        for phone in phones:
+            eq = masks.get(phone, 0)
+            xv = eq | vn
+            xh = (((eq & vp) + vp) ^ vp) | eq
+            hp = vn | ~(xh | vp)
+            hn = vp & xh
+            if hp & last:
+                score += 1
+            elif hn & last:
+                score -= 1
+            hp = (hp << 1) | 1  # row 0 of the DP grows by 1 per column
+            vp = ((hn << 1) | ~(xv | hp)) & full
+            vn = hp & xv
+        return score
 
 
 def dist(preds: Sequence[TokenizedWord], targets: Sequence[TokenizedWord]) -> int:
@@ -96,6 +151,56 @@ def dist(preds: Sequence[TokenizedWord], targets: Sequence[TokenizedWord]) -> in
     if len(preds) != len(targets):
         raise ValueError(f"length mismatch: {len(preds)} predictions vs {len(targets)} targets")
     return sum(edit_distance(p, t) for p, t in zip(preds, targets))
+
+
+_LENGTH_MISMATCH = "length mismatch between sources, predictions and targets"
+
+
+class Scorer:
+    """Rewards of any number of prediction lists against one fixed set of pairs.
+
+    Built once per request or search, it holds each target's bitmask table
+    and each pair's source-to-target distance, so neither is recomputed.
+    """
+
+    def __init__(
+        self, sources: Sequence[TokenizedWord], targets: Sequence[TokenizedWord]
+    ) -> None:
+        if len(sources) != len(targets):
+            raise ValueError(_LENGTH_MISMATCH)
+        self.sources = tuple(sources)
+        self._targets = tuple(_Target(t.phones) for t in targets)
+        self._base = tuple(t.distance(s.phones) for t, s in zip(self._targets, self.sources))
+        self._original = sum(self._base)
+
+    def report(
+        self,
+        preds: Sequence[TokenizedWord],
+        prior: tuple[Sequence[TokenizedWord], Sequence[int]] | None = None,
+    ) -> RewardReport:
+        """The reward report of ``preds``.
+
+        ``prior`` is an earlier ``(forms, per_pair)`` of the same pairs; a
+        prediction that is the very object of its prior form reuses that
+        pair's distance.  Without a prior, the sources and their distances
+        serve.
+        """
+        forms, known = prior if prior is not None else (self.sources, self._base)
+        if len(preds) != len(self._targets):
+            raise ValueError(_LENGTH_MISMATCH)
+        per_pair = tuple(
+            distance if pred is form else target.distance(pred.phones)
+            for pred, form, distance, target in zip(
+                preds, forms, known, self._targets, strict=True
+            )
+        )
+        remaining = sum(per_pair)
+        original = self._original
+        if original == 0:
+            value = 1.0 if remaining == 0 else 1.0 - remaining
+        else:
+            value = 1.0 - remaining / original
+        return RewardReport(per_pair, original, remaining, value, remaining == 0)
 
 
 def reward(
@@ -112,16 +217,8 @@ def reward_report(
     preds: Sequence[TokenizedWord],
     targets: Sequence[TokenizedWord],
 ) -> RewardReport:
-    per_pair = tuple(edit_distance(p, t) for p, t in zip(preds, targets))
-    if len(per_pair) != len(sources) or len(preds) != len(targets):
-        raise ValueError("length mismatch between sources, predictions and targets")
-    remaining = sum(per_pair)
-    original = dist(sources, targets)
-    if original == 0:
-        value = 1.0 if remaining == 0 else 1.0 - remaining
-    else:
-        value = 1.0 - remaining / original
-    return RewardReport(per_pair, original, remaining, value, remaining == 0)
+    """The reward report of one prediction list; a ``Scorer`` used once."""
+    return Scorer(sources, targets).report(preds)
 
 
 def reward_at_m(instance_rewards: Sequence[Sequence[float]], m: int) -> float:

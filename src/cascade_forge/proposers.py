@@ -27,7 +27,8 @@ import time
 from dataclasses import dataclass, field
 from typing import IO, Any, Callable, Iterable, Sequence
 
-from cascade_forge.metrics import EditOp, edit_script, reward
+from cascade_forge.metrics import EditOp, Scorer, edit_script
+from cascade_forge.metrics import reward  # noqa: F401  (a binding perfbench/tracing.WRAPPED counts)
 from cascade_forge.phonology import Inventory, TokenizedWord
 from cascade_forge.rule_engine import (
     Delete,
@@ -276,10 +277,11 @@ def builtin_enumerative_propose(
         if key not in rules:
             rules[key] = rule
 
+    scorer = Scorer(sources, targets)
     scored: list[tuple[float, int, str, Rule]] = []
     for key, rule in rules.items():
         preds = [apply_rule(rule, s, inv) for s in sources]
-        scored.append((reward(sources, preds, targets), rule.environment_size(), key, rule))
+        scored.append((scorer.report(preds).reward, rule.environment_size(), key, rule))
     scored.sort(key=lambda item: (-item[0], item[1], item[2]))
     return [rule for _, _, _, rule in scored[: request.num_samples]]
 
@@ -311,14 +313,33 @@ def _timeout_seconds(timeout_ms: int | None) -> float:
     return max(timeout_ms, 1) / 1000.0
 
 
+_STALE_OUTPUT = "proposer wrote output that answers no request; restarted it"
+
+
+def _programs(reply: bytes) -> tuple[list | None, str | None]:
+    """The ``programs`` list of a reply line, or None and what is wrong with it."""
+    try:
+        obj = json.loads(reply.decode("utf-8"))
+    except ValueError as exc:
+        return None, f"malformed proposer response: {exc}"
+    programs = obj.get("programs") if isinstance(obj, dict) else None
+    if not isinstance(programs, list):
+        return None, "proposer response has no 'programs' list"
+    return programs, None
+
+
 class _Session:
     """One external proposer command and the child process serving it.
 
     The process is spawned at the command's first request and kept for
     later ones.  It is replaced whenever it has exited, timed out, sent a
     malformed reply or written output that answers no request, so a reply
-    never reaches any request but its own.  The child's stderr goes to a
-    temporary file, never to a pipe that nobody drains.
+    never reaches any request but its own.  A reused process whose first
+    line for a request is not a reply is taken to have written that line
+    after its last reply, whenever it arrived, so the request is retried in
+    a fresh process just as when the process ends without replying.  The
+    child's stderr goes to a temporary file, never to a pipe that nobody
+    drains.
     """
 
     def __init__(self, command: tuple[str, ...]) -> None:
@@ -330,12 +351,12 @@ class _Session:
         self._eof = False
         self._answered = False  # the current process has replied before
 
-    def exchange(self, line: bytes, timeout_s: float) -> tuple[bytes | None, list[str]]:
-        """Send one request line; return its reply line (None if none) and diagnostics.
+    def exchange(self, line: bytes, timeout_s: float) -> tuple[list | None, list[str]]:
+        """Send one request line; return its reply's programs (None if none) and diagnostics.
 
         One deadline covers writing the request and reading the reply,
         including the one retry in a fresh process that a reused process
-        gets when it ends without replying.
+        gets when it ends without replying or its first line is not a reply.
         """
         deadline = time.monotonic() + timeout_s
         diagnostics: list[str] = []
@@ -353,12 +374,20 @@ class _Session:
                 self.kill()
                 diagnostics.append(f"proposer timed out: {' '.join(self.command)}")
                 return None, diagnostics
-            if reply is not None:
+            if reply is None:
+                self.close(diagnostics)
+                if not reused:
+                    break
+                continue
+            programs, problem = _programs(reply)
+            if problem is None:
                 self._answered = True
-                return reply, diagnostics
-            self.close(diagnostics)
+                return programs, diagnostics
+            self.kill()
             if not reused:
-                break
+                diagnostics.append(problem)
+                return None, diagnostics
+            diagnostics.append(_STALE_OUTPUT)
         diagnostics.append("proposer produced no response line")
         return None, diagnostics
 
@@ -399,7 +428,7 @@ class _Session:
         self._read()
         if self._pending.strip():
             self.kill()
-            diagnostics.append("proposer wrote output that answers no request; restarted it")
+            diagnostics.append(_STALE_OUTPUT)
         elif self._eof:
             self.close(diagnostics)
         else:
@@ -539,19 +568,8 @@ def _ask(
     session: _Session, request: ProposalRequest, inv: Inventory | None, timeout_ms: int | None
 ) -> ProposeResult:
     line = json.dumps(request_to_obj(request), ensure_ascii=False) + "\n"
-    reply, diagnostics = session.exchange(line.encode("utf-8"), _timeout_seconds(timeout_ms))
-    if reply is None:
-        return ProposeResult([], diagnostics)
-    try:
-        obj = json.loads(reply.decode("utf-8"))
-    except ValueError as exc:
-        session.kill()
-        diagnostics.append(f"malformed proposer response: {exc}")
-        return ProposeResult([], diagnostics)
-    programs = obj.get("programs") if isinstance(obj, dict) else None
-    if not isinstance(programs, list):
-        session.kill()
-        diagnostics.append("proposer response has no 'programs' list")
+    programs, diagnostics = session.exchange(line.encode("utf-8"), _timeout_seconds(timeout_ms))
+    if programs is None:
         return ProposeResult([], diagnostics)
     rules: list[Rule] = []
     for i, program in enumerate(programs):

@@ -19,13 +19,14 @@ the search's diagnostics.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 from cascade_forge.metrics import (
     Dataset,
     ExamplePair,
     RewardReport,
+    Scorer,
     edit_script,
     reward_report,
 )
@@ -57,12 +58,17 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """A cascade plus the forms and reward it produces on the dataset."""
+    """A cascade plus the forms and reward it produces on the dataset.
+
+    ``per_pair`` holds each form's distance to its target, so a successor
+    re-measures only the forms its rule changed.
+    """
 
     cascade: Cascade
     forms: tuple[TokenizedWord, ...]
     reward: float
     step: int
+    per_pair: tuple[int, ...] = field(default=(), compare=False)
 
 
 def select_examples_ites(
@@ -120,8 +126,7 @@ def induce_single_law(
         result = propose(handle, request, inv, sessions=sessions)
         if diagnostics is not None:
             diagnostics.extend(result.diagnostics)
-    sources = dataset.sources
-    targets = dataset.targets
+    scorer = Scorer(dataset.sources, dataset.targets)
     scored: list[tuple[Rule, RewardReport, str]] = []
     seen: set[str] = set()
     for rule in result.rules:
@@ -129,8 +134,8 @@ def induce_single_law(
         if key in seen:
             continue
         seen.add(key)
-        preds = [apply_rule(rule, s, inv) for s in sources]
-        scored.append((rule, reward_report(sources, preds, targets), key))
+        preds = [apply_rule(rule, s, inv) for s in scorer.sources]
+        scored.append((rule, scorer.report(preds), key))
     scored.sort(key=lambda item: (-item[1].reward, len(item[2]), item[2]))
     return [(rule, report) for rule, report, _ in scored]
 
@@ -166,8 +171,9 @@ def beam_search_cascade(
         config_obj["use_ites"] = use_ites
         atomic_write(os.path.join(run_dir, "config.json"), dumps(config_obj))
 
+    scorer = Scorer(sources, targets)
     initial = reward_report(sources, sources, targets)
-    beams = [Hypothesis(Cascade(), tuple(sources), initial.reward, 0)]
+    beams = [Hypothesis(Cascade(), tuple(sources), initial.reward, 0, initial.per_pair)]
 
     with ProposerSessions(diagnostics) as sessions:
         for step in range(1, config.max_steps + 1):
@@ -190,9 +196,11 @@ def beam_search_cascade(
                 for rule in result.rules:
                     proposed_any = True
                     forms = tuple(apply_rule(rule, form, inv) for form in beam.forms)
-                    report = reward_report(sources, forms, targets)
+                    report = scorer.report(forms, (beam.forms, beam.per_pair))
                     cascade = Cascade(beam.cascade.rules + (rule,))
-                    candidates.append(Hypothesis(cascade, forms, report.reward, step))
+                    candidates.append(
+                        Hypothesis(cascade, forms, report.reward, step, report.per_pair)
+                    )
             candidates.sort(key=_rank_key)
             deduped: list[Hypothesis] = []
             seen_forms = set()

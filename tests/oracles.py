@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
-These deliberately avoid the library's internals: the Levenshtein oracle
-is a plain recursion, the rule-application oracle detects sites with a
+These deliberately avoid the library's internals: the Levenshtein oracles
+are a plain recursion and a full-matrix dynamic programme (for words too
+long for the recursion), the rule-application oracle detects sites with a
 naive window scan and then splices a mutable token list right to left.
 They exist to check the production code against a second, differently
 shaped computation.
@@ -27,6 +28,19 @@ def brute_distance(a: tuple[str, ...], b: tuple[str, ...]) -> int:
         brute_distance(a[1:], b),      # delete
         brute_distance(a, b[1:]),      # insert
     )
+
+
+def dp_distance(a: tuple[str, ...], b: tuple[str, ...]) -> int:
+    """Textbook Levenshtein: the full (len(a)+1) x (len(b)+1) table."""
+    table = [[i + j if i == 0 or j == 0 else 0 for j in range(len(b) + 1)] for i in range(len(a) + 1)]
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            table[i][j] = min(
+                table[i - 1][j] + 1,
+                table[i][j - 1] + 1,
+                table[i - 1][j - 1] + (a[i - 1] != b[j - 1]),
+            )
+    return table[len(a)][len(b)]
 
 
 def _pred_holds(pred, token, first, last, inv) -> bool:

@@ -297,6 +297,25 @@ def test_generate_refuses_an_out_dir_holding_cases_it_would_not_write(workdir, c
     assert (workdir / "d" / "notes.txt").read_text() == "mine\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "smp", "--laws", "1", "--n", "10"),
+        ("induce", "--pairs", "pairs.tsv"),
+        ("eval", "--pairs", "pairs.tsv", "--cascade", "cascade.json"),
+    ],
+    ids=["generate", "induce", "eval"],
+)
+def test_out_naming_a_regular_file_exits_2_before_writing(workdir, capsys, argv):
+    (workdir / "afile").write_text("mine\n", encoding="utf-8")
+    before = tree_bytes(workdir, exclude=())
+    code, out, err = run(capsys, *argv, "--out", "afile")
+    assert code == 2
+    assert err == "error: --out afile exists and is not a directory\n"
+    assert out == ""
+    assert tree_bytes(workdir, exclude=()) == before
+
+
 def test_generate_multilaw_counts(workdir, capsys):
     code, _, _ = run(capsys, "generate", "multilaw", "--sets", "2", "--rules-per-set", "3",
                      "--words", "10", "--pool-laws", "8", "--seed", "2", "--out", "ml")

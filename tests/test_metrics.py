@@ -5,6 +5,8 @@ import pytest
 from cascade_forge.metrics import (
     Dataset,
     ExamplePair,
+    RewardReport,
+    Scorer,
     dist,
     edit_distance,
     edit_script,
@@ -14,8 +16,9 @@ from cascade_forge.metrics import (
     reward_report,
 )
 from cascade_forge.phonology import TokenizedWord
+from cascade_forge.rule_engine import Delete, PhoneSet, Substitute, apply_rule, layout_rule
 
-from oracles import brute_distance, replay_script
+from oracles import brute_distance, dp_distance, replay_script
 
 
 def word(*phones):
@@ -50,6 +53,22 @@ def test_edit_distance_matches_brute_force():
     for _ in range(500):
         a, b = random_word(rng), random_word(rng)
         assert edit_distance(a, b) == brute_distance(a.phones, b.phones)
+
+
+def test_bit_parallel_distance_matches_the_full_dp():
+    # Lengths around and past 64 phones, empty words, and phones of several
+    # codepoints that share codepoints with single-codepoint phones.
+    rng = random.Random(47)
+    alphabet = ("a", "t", "s", "ts", "tʃʰ", "ŋ̊")
+    lengths = (0, 1, 2, 63, 64, 65, 128, 130)
+    for trial in range(300):
+        length_a = rng.choice(lengths) if trial % 3 == 0 else rng.randint(0, 9)
+        length_b = rng.choice(lengths) if trial % 4 == 0 else rng.randint(0, 9)
+        letters = alphabet[: rng.randint(1, len(alphabet))]
+        a = tuple(rng.choice(letters) for _ in range(length_a))
+        b = tuple(rng.choice(letters) for _ in range(length_b))
+        assert edit_distance(word(*a), word(*b)) == dp_distance(a, b), (a, b)
+    assert edit_distance(word("ts"), word("t", "s")) == 2
 
 
 def test_edit_distance_is_a_metric():
@@ -162,6 +181,90 @@ def test_reward_report_fields():
     assert perfect.passed and perfect.reward == 1.0
 
 
+# --- Scorer ---------------------------------------------------------------------------
+
+PHONES = ("a", "b", "c", "ts", "tʃʰ")
+
+
+def random_phone_word(rng, max_len=7):
+    return word(*(rng.choice(PHONES) for _ in range(rng.randint(0, max_len))))
+
+
+def random_rule(rng):
+    """A phone-set rule of 1-3 units with random deletes, substitutions and inserts."""
+    units = []
+    for _ in range(rng.randint(1, 3)):
+        phone = rng.choice(PHONES)
+        kind = rng.choice([None, None, "del", "sub"])
+        if kind == "del":
+            units.append((PhoneSet({phone}), Delete()))
+        elif kind == "sub":
+            new = tuple(rng.choice(PHONES) for _ in range(rng.randint(1, 2)))
+            units.append((PhoneSet({phone}), Substitute({phone: new})))
+        else:
+            units.append((PhoneSet({phone}), None))
+    inserts = {}
+    if rng.random() < 0.3 or all(fn is None for _, fn in units):
+        inserts[rng.randint(0, len(units))] = (rng.choice(PHONES),)
+    return layout_rule(units, inserts)
+
+
+def dp_report(sources, preds, targets):
+    """The reward report recomputed from scratch with the full-matrix DP."""
+    per_pair = tuple(dp_distance(p.phones, t.phones) for p, t in zip(preds, targets))
+    original = sum(dp_distance(s.phones, t.phones) for s, t in zip(sources, targets))
+    remaining = sum(per_pair)
+    if original == 0:
+        value = 1.0 if remaining == 0 else 1.0 - remaining
+    else:
+        value = 1.0 - remaining / original
+    return RewardReport(per_pair, original, remaining, value, remaining == 0)
+
+
+def test_scorer_report_matches_a_from_scratch_dp_reward():
+    rng = random.Random(61)
+    reused = 0
+    for trial in range(300):
+        n = rng.randint(1, 6)
+        sources = [random_phone_word(rng) for _ in range(n)]
+        if trial % 5 == 0:
+            targets = [word(*s.phones) for s in sources]  # sources equal targets
+        else:
+            targets = [random_phone_word(rng) for _ in range(n)]
+        scorer = Scorer(sources, targets)
+        forms, prior = sources, None
+        for _ in range(3):  # a short cascade, each step scored against the last
+            rule = random_rule(rng)
+            preds = [apply_rule(rule, form) for form in forms]
+            reused += sum(pred is form for pred, form in zip(preds, forms))
+            report = scorer.report(preds, prior)
+            assert repr(report) == repr(dp_report(sources, preds, targets))
+            assert report == reward_report(sources, preds, targets)
+            forms, prior = preds, (preds, report.per_pair)
+        # equal to the sources, but other objects: measured, not reused
+        copies = [TokenizedWord(s.tokens) for s in sources]
+        assert scorer.report(copies) == dp_report(sources, copies, targets)
+    assert reused > 100  # the identity path was exercised
+
+
+def test_scorer_reuses_a_distance_only_for_the_very_prior_object():
+    sources = [word("k", "a"), word("t")]
+    targets = [word("k", "e"), word("t")]
+    scorer = Scorer(sources, targets)
+    stale = (sources, (7, 7))  # known distances that are deliberately wrong
+    assert scorer.report([sources[0], word("t")], stale).per_pair == (7, 0)
+    assert scorer.report([word("k", "a"), sources[1]]).per_pair == (1, 0)
+
+
+def test_scorer_length_mismatch():
+    with pytest.raises(ValueError, match="length mismatch"):
+        Scorer([word("a")], [word("a"), word("b")])
+    with pytest.raises(ValueError, match="length mismatch"):
+        Scorer([word("a")], [word("b")]).report([])
+    with pytest.raises(ValueError, match="length mismatch"):
+        reward_report([word("a")], [word("a"), word("b")], [word("b")])
+
+
 # --- reward@m and pass rate ---------------------------------------------------------
 
 
@@ -223,6 +326,20 @@ def test_dataset_requires_unique_ids():
         Dataset([pair, pair])
     with pytest.raises(ValueError, match="no pairs"):
         Dataset([])
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_example_pair_rejects_a_raw_string_naming_the_pair(side):
+    words = {"source": word("k", "a"), "target": word("k", "e")}
+    words[side] = "ka"
+    with pytest.raises(TypeError, match=f"pair 'p7': {side} is a str"):
+        ExamplePair(words["source"], words["target"], "p7")
+
+
+def test_dataset_rejects_an_item_that_is_not_a_pair():
+    pair = ExamplePair(word("a"), word("b"), "x")
+    with pytest.raises(TypeError, match="dataset item 1 is a tuple"):
+        Dataset([pair, (word("a"), word("b"))])
 
 
 # --- edit scripts ----------------------------------------------------------------------

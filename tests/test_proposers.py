@@ -412,7 +412,9 @@ def test_request_wire_format(tiny_inv):
 
 # Serves requests until EOF, logs its PID per request, and names each reply
 # after the request's step.  The "exit-3" modes write "boom" to stderr, reply
-# once and exit with status 3, at once or 0.3 s later.  argv: PID log, mode.
+# once and exit with status 3, at once or 0.3 s later.  "junk-after" and
+# "junk-late" write a line that is not a reply after each reply, at once or
+# 0.2 s later, which is after the next request has been sent.  argv: PID log, mode.
 SESSION_STUB = """
     import json, os, sys, time
     log, mode = sys.argv[1], sys.argv[2]
@@ -444,7 +446,8 @@ SESSION_STUB = """
         if mode.startswith("exit-3"):
             time.sleep(0.3 if mode == "exit-3-late" else 0)
             sys.exit(3)
-        if mode == "junk-after":
+        if mode in ("junk-after", "junk-late"):
+            time.sleep(0.2 if mode == "junk-late" else 0)
             print("junk", flush=True)
 """
 
@@ -644,7 +647,7 @@ def test_request_larger_than_the_pipe_to_a_deaf_proposer_times_out(tmp_path, tin
     assert result.rules == [] and any("timed out" in d for d in result.diagnostics)
 
 
-@pytest.mark.parametrize("mode", ["junk-before", "junk-after"])
+@pytest.mark.parametrize("mode", ["junk-before", "junk-after", "junk-late"])
 def test_session_replies_never_cross_requests(tmp_path, tiny_inv, mode):
     command, _ = session_stub(tmp_path, mode)
     results = ask_steps(tiny_inv, external_proposer(command), 3)
@@ -686,7 +689,7 @@ pairs = [ExamplePair(tokenize("aj", inv), tokenize("ej", inv), "p0")]
 config = SearchConfig(beam_width=2, max_steps=2, early_stop_on_perfect=False)
 beam_search_cascade(external_proposer(stub + ["serve"]), Dataset(pairs), config, inv)
 request = lambda step: ProposalRequest([(pairs[0].source, pairs[0].target)], 1, step_index=step)
-for mode in ("crash-at-step-1", "sleep-at-step-1", "junk-after"):
+for mode in ("crash-at-step-1", "sleep-at-step-1", "junk-after", "junk-late"):
     with ProposerSessions() as sessions:
         for step in range(3):
             timeout_ms = 400 if (mode, step) == ("sleep-at-step-1", 1) else None

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cascade_forge.metrics import Dataset, ExamplePair
+from cascade_forge.metrics import Dataset, ExamplePair, reward_report
 from cascade_forge.phonology import tokenize
 from cascade_forge.proposers import builtin_proposer, callable_proposer
 from cascade_forge.rule_engine import (
@@ -22,9 +22,15 @@ from cascade_forge.search import (
     pick_best,
     select_examples_ites,
 )
-from cascade_forge.synthgen import SmpSpec, gen_smp_examples, gen_smp_law, task_rng
+from cascade_forge.synthgen import (
+    SmpSpec,
+    gen_multilaw_evalset,
+    gen_smp_examples,
+    gen_smp_law,
+    task_rng,
+)
 
-from oracles import make_ground_truth_proposer
+from oracles import dp_distance, make_ground_truth_proposer
 
 
 def sub_rule(env, pos, old, new):
@@ -266,6 +272,24 @@ def test_beam_search_deterministic(default_inv):
         beams = beam_search(builtin_proposer(), case.dataset, cfg, inv=default_inv)
         runs.append([(serialize_cascade(b.cascade), b.reward) for b in beams])
     assert runs[0] == runs[1]
+
+
+def test_beam_search_scores_every_final_hypothesis_as_a_fresh_report(default_inv):
+    # Successors are scored against their parent's forms and distances; the
+    # result must be what scoring the final forms from scratch gives.
+    rng = task_rng(37, "beamscore", 0)
+    pool = Cascade([gen_smp_law(default_inv, SmpSpec(), rng, f"law-{k}") for k in range(3)])
+    (case,) = gen_multilaw_evalset(default_inv, pool, 3, 1, 16, rng)
+    sources, targets = case.dataset.sources, case.dataset.targets
+    config = SearchConfig(beam_width=6, samples_per_step=3, max_steps=3, early_stop_on_perfect=False)
+    beams = beam_search(builtin_proposer(), case.dataset, config, inv=default_inv)
+    assert len(beams) > 1 and max(len(b.cascade) for b in beams) == 3
+    for beam in beams:
+        fresh = reward_report(sources, beam.forms, targets)
+        assert (beam.reward, beam.per_pair) == (fresh.reward, fresh.per_pair)
+        assert beam.per_pair == tuple(
+            dp_distance(f.phones, t.phones) for f, t in zip(beam.forms, targets)
+        )
 
 
 # --- pick_best ------------------------------------------------------------------------
