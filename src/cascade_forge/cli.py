@@ -5,8 +5,9 @@ command that takes ``--seed`` is bit-reproducible for its data artifacts
 (manifest and log files carry wall-clock timestamps and are excluded
 from that contract).  Output files are written atomically.
 
-Exit codes: 0 success, 2 parse or usage error, 3 tokenization error, 4 proposer
-failure, 5 generation budget exhausted.
+Exit codes: 0 success, 2 parse or usage error or an output file that cannot
+be written, 3 tokenization error, 4 proposer failure, 5 generation budget
+exhausted.
 """
 
 from __future__ import annotations
@@ -297,7 +298,6 @@ def cmd_induce(args) -> int:
         beam_width=args.beams,
         samples_per_step=args.samples if args.mode == "cascade" else 1,
         max_steps=args.max_steps,
-        seed=args.seed,
     )
     config_obj = {
         "mode": args.mode,
@@ -575,6 +575,9 @@ def main(argv: list[str] | None = None) -> int:
     except GenerationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -92,11 +92,7 @@ class RewardReport:
 
 def edit_distance(a: TokenizedWord, b: TokenizedWord) -> int:
     """Levenshtein distance over phone tokens with unit costs."""
-    return _phone_distance(a.phones, b.phones)
-
-
-def _phone_distance(src: Sequence[str], tgt: Sequence[str]) -> int:
-    return _Target(tgt).distance(src)
+    return _Target(b.phones).distance(a.phones)
 
 
 class _Target:
@@ -144,13 +140,6 @@ class _Target:
             vp = ((hn << 1) | ~(xv | hp)) & full
             vn = hp & xv
         return score
-
-
-def dist(preds: Sequence[TokenizedWord], targets: Sequence[TokenizedWord]) -> int:
-    """Sum of per-pair edit distances."""
-    if len(preds) != len(targets):
-        raise ValueError(f"length mismatch: {len(preds)} predictions vs {len(targets)} targets")
-    return sum(edit_distance(p, t) for p, t in zip(preds, targets))
 
 
 _LENGTH_MISMATCH = "length mismatch between sources, predictions and targets"

@@ -281,7 +281,7 @@ def builtin_enumerative_propose(
     scored: list[tuple[float, int, str, Rule]] = []
     for key, rule in rules.items():
         preds = [apply_rule(rule, s, inv) for s in sources]
-        scored.append((scorer.report(preds).reward, rule.environment_size(), key, rule))
+        scored.append((scorer.report(preds).reward, len(rule.predicates), key, rule))
     scored.sort(key=lambda item: (-item[0], item[1], item[2]))
     return [rule for _, _, _, rule in scored[: request.num_samples]]
 
@@ -300,17 +300,14 @@ def request_to_obj(request: ProposalRequest) -> dict[str, Any]:
     }
 
 
-def _timeout_seconds(timeout_ms: int | None) -> float:
-    if timeout_ms is None:
-        raw = os.environ.get(TIMEOUT_ENV_VAR)
-        if raw is not None:
-            try:
-                timeout_ms = int(raw)
-            except ValueError:
-                timeout_ms = DEFAULT_TIMEOUT_MS
-        else:
-            timeout_ms = DEFAULT_TIMEOUT_MS
-    return max(timeout_ms, 1) / 1000.0
+def _timeout_seconds() -> float:
+    """The request timeout: ``TIMEOUT_ENV_VAR`` milliseconds, or DEFAULT_TIMEOUT_MS when unset."""
+    raw = os.environ.get(TIMEOUT_ENV_VAR)
+    if raw is None:
+        return DEFAULT_TIMEOUT_MS / 1000.0
+    if not (raw.isascii() and raw.isdigit() and int(raw) > 0):
+        raise ValueError(f"{TIMEOUT_ENV_VAR} must be a positive integer of milliseconds, got {raw!r}")
+    return int(raw) / 1000.0
 
 
 _STALE_OUTPUT = "proposer wrote output that answers no request; restarted it"
@@ -545,30 +542,29 @@ def external_propose(
     command: Sequence[str],
     request: ProposalRequest,
     inv: Inventory | None = None,
-    timeout_ms: int | None = None,
     sessions: ProposerSessions | None = None,
 ) -> ProposeResult:
     """One request line out, one response line in, within the timeout.
 
-    The request goes to the command's process in ``sessions``; without
-    sessions, a process is started for this one request and closed after
-    it.  Every failure mode (spawn error, timeout, crash, malformed reply,
-    invalid program) degrades to dropped candidates plus a diagnostic.
+    ``TIMEOUT_ENV_VAR`` sets the timeout and is read for each request; a
+    value that is not a positive integer raises ValueError.  The request
+    goes to the command's process in ``sessions``; without sessions, a
+    process is started for this one request and closed after it.  Every
+    failure mode (spawn error, timeout, crash, malformed reply, invalid
+    program) degrades to dropped candidates plus a diagnostic.
     """
     if sessions is not None:
-        return _ask(sessions.session(command), request, inv, timeout_ms)
+        return _ask(sessions.session(command), request, inv)
     exits: list[str] = []
     with ProposerSessions(exits) as own:
-        result = _ask(own.session(command), request, inv, timeout_ms)
+        result = _ask(own.session(command), request, inv)
     result.diagnostics += exits
     return result
 
 
-def _ask(
-    session: _Session, request: ProposalRequest, inv: Inventory | None, timeout_ms: int | None
-) -> ProposeResult:
+def _ask(session: _Session, request: ProposalRequest, inv: Inventory | None) -> ProposeResult:
     line = json.dumps(request_to_obj(request), ensure_ascii=False) + "\n"
-    programs, diagnostics = session.exchange(line.encode("utf-8"), _timeout_seconds(timeout_ms))
+    programs, diagnostics = session.exchange(line.encode("utf-8"), _timeout_seconds())
     if programs is None:
         return ProposeResult([], diagnostics)
     rules: list[Rule] = []
@@ -587,7 +583,6 @@ def propose(
     handle: ProposerHandle,
     request: ProposalRequest,
     inv: Inventory | None = None,
-    timeout_ms: int | None = None,
     sessions: ProposerSessions | None = None,
 ) -> ProposeResult:
     """Run a proposer; ensembles return the pooled, deduplicated union.
@@ -612,14 +607,14 @@ def propose(
             rules.append(rule)
         return ProposeResult(rules[: request.num_samples], diagnostics)
     if handle.kind == "external":
-        result = external_propose(handle.command, request, inv, timeout_ms, sessions)
+        result = external_propose(handle.command, request, inv, sessions)
         result.rules = result.rules[: request.num_samples]
         return result
     if handle.kind == "ensemble":
         pooled: dict[str, Rule] = {}
         diagnostics = []
         for member in handle.members:
-            sub = propose(member, request, inv, timeout_ms, sessions)
+            sub = propose(member, request, inv, sessions)
             diagnostics.extend(sub.diagnostics)
             for rule in sub.rules:
                 pooled.setdefault(serialize_rule(rule), rule)

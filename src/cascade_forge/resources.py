@@ -9,6 +9,7 @@ are ordinary phones of the corpus inventory.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass
@@ -59,11 +60,20 @@ def dumps(obj) -> str:
 
 
 def atomic_write(path: str, text: str) -> None:
-    """Write ``text`` through a temporary file, creating parent directories."""
+    """Write ``text`` through a temporary file, creating parent directories.
+
+    The temporary file is removed when the write or the final rename fails.
+    """
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

@@ -203,9 +203,6 @@ class Rule:
         for i, pred in enumerate(self.predicates):
             _validate_predicate(pred, i, inv)
 
-    def environment_size(self) -> int:
-        return len(self.predicates)
-
 
 def _check_phone(symbol: str, where: str, inv: Inventory | None) -> None:
     if not symbol or symbol in RESERVED_TOKENS:
@@ -404,13 +401,12 @@ def apply_cascade(
     cascade: Cascade,
     word: TokenizedWord,
     inv: Inventory | None = None,
-    diagnostics: list[str] | None = None,
 ) -> tuple[TokenizedWord, list[TokenizedWord]]:
     """Fold the rules over the word in order; the trace has one entry per rule."""
     trace: list[TokenizedWord] = []
     current = word
     for rule in cascade.rules:
-        current = apply_rule(rule, current, inv, diagnostics)
+        current = apply_rule(rule, current, inv)
         trace.append(current)
     return current, trace
 
@@ -489,13 +485,12 @@ def predicate_from_obj(obj: Any, path: str = "") -> Predicate:
         reqs_obj = _expect(obj.get("reqs"), dict, f"{path}/reqs", "an object")
         reqs: dict[int, int] = {}
         for key, value in reqs_obj.items():
-            try:
-                idx = int(key)
-            except (TypeError, ValueError):
-                raise RuleParseError(f"non-integer feature index {key!r}", f"{path}/reqs") from None
+            # int() would also read "1_0", "+5", " 5" and non-ASCII digits.
+            if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+                raise RuleParseError(f"feature index must be decimal digits, got {key!r}", f"{path}/reqs")
             if not _is_bit(value):
                 raise RuleParseError(f"requirement value must be 0 or 1, got {value!r}", f"{path}/reqs/{key}")
-            reqs[idx] = value
+            reqs[int(key)] = value
         return FeatureReq(reqs)
     if kind == "not":
         return Not(predicate_from_obj(obj.get("inner"), f"{path}/inner"))

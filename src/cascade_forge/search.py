@@ -45,10 +45,15 @@ from cascade_forge.rule_engine import (
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Beam-search limits.
+
+    There is no seed: the search draws no random numbers, so the dataset,
+    this config and the proposer's replies fix its result.
+    """
+
     beam_width: int = 20
     samples_per_step: int = 1
     max_steps: int = 10
-    seed: int = 0
     early_stop_on_perfect: bool = True
 
     def __post_init__(self) -> None:

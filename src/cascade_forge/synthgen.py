@@ -9,10 +9,10 @@ sources reproduces its targets exactly.
   condition, and protoform quotas that guarantee the environment occurs.
 * ``ling``: feature-driven laws.  Context and change lengths come from
   Gaussian draws, per-position feature requirements are Gaussian-gated,
-  and each changing phone independently risks deletion (1/8),
-  substitution (1/8), and insertion on either side (1/16 each).  Rules
-  are rejection-sampled until they apply to a minimum number of the
-  nonce protoforms.
+  and each changing phone independently risks deletion (``P_DELETE``,
+  1/8), substitution (``P_SUBSTITUTE``, 1/8), and insertion on either
+  side (``P_INSERT``, 1/16 each).  Rules are rejection-sampled until they
+  apply to a minimum number of the nonce protoforms.
 * ``multilaw``: subsamples ordered rule subsets from a pool and builds
   word sets of which at least half stay unchanged under the cascade.
 
@@ -86,15 +86,9 @@ class LingSpec:
     rules_per_language: int = 3
     protoforms_per_language: int = 50
     min_applicable: int = 3
-    p_delete: float = 1 / 8
-    p_substitute: float = 1 / 8
-    p_insert: float = 1 / 16
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for p in (self.p_delete, self.p_substitute, self.p_insert):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"probability {p} outside [0, 1]")
         if self.min_applicable > self.protoforms_per_language:
             raise ValueError("min_applicable exceeds protoforms_per_language")
 
@@ -276,6 +270,11 @@ def gen_smp_corpus(inv: Inventory, spec: SmpSpec, laws: int) -> list[SynthCase]:
 # --- feature-driven laws --------------------------------------------------------
 
 
+P_DELETE = 1 / 8
+P_SUBSTITUTE = 1 / 8
+P_INSERT = 1 / 16  # on each side
+
+
 @dataclass
 class SlotOps:
     delete: bool
@@ -284,37 +283,17 @@ class SlotOps:
     ins_after: bool
 
 
-@dataclass
-class LingStats:
-    """Counts of sampled change operations, for conformance checks."""
-
-    slots: int = 0
-    deletions: int = 0
-    substitutions: int = 0
-    ins_before: int = 0
-    ins_after: int = 0
-
-
-def sample_change_ops(
-    n_slots: int, spec: LingSpec, rng: Random, stats: LingStats | None = None
-) -> list[SlotOps]:
+def sample_change_ops(n_slots: int, rng: Random) -> list[SlotOps]:
     """Independent per-slot draws: delete, substitute, insert before/after."""
-    slots = []
-    for _ in range(n_slots):
-        ops = SlotOps(
-            rng.random() < spec.p_delete,
-            rng.random() < spec.p_substitute,
-            rng.random() < spec.p_insert,
-            rng.random() < spec.p_insert,
+    return [
+        SlotOps(
+            rng.random() < P_DELETE,
+            rng.random() < P_SUBSTITUTE,
+            rng.random() < P_INSERT,
+            rng.random() < P_INSERT,
         )
-        if stats is not None:
-            stats.slots += 1
-            stats.deletions += ops.delete
-            stats.substitutions += ops.substitute
-            stats.ins_before += ops.ins_before
-            stats.ins_after += ops.ins_after
-        slots.append(ops)
-    return slots
+        for _ in range(n_slots)
+    ]
 
 
 def _gaussian_length(rng: Random) -> int:
@@ -382,16 +361,14 @@ def gen_ling_rule(
             _gated_requirements(inv.phone(phone).features, rng) for phone in window
         ]
 
-        slots = sample_change_ops(chg_len, spec, rng)
+        slots = sample_change_ops(chg_len, rng)
 
         changes: dict[int, MappingFn] = {}
         inserts: dict[int, list[str]] = {}
-        effective = False
         for i, slot in enumerate(slots):
             unit = pre_len + i
             if slot.delete:
                 changes[unit] = Delete()
-                effective = True
             elif slot.substitute:
                 target_features = _changeto_features(inv.num_features, rng)
                 if target_features:
@@ -402,14 +379,11 @@ def gen_ling_rule(
                     }
                     if mapping:
                         changes[unit] = Substitute(mapping)
-                        effective = True
             if slot.ins_before:
                 inserts.setdefault(unit, []).append(rng.choice(symbols))
-                effective = True
             if slot.ins_after:
                 inserts.setdefault(unit + 1, []).append(rng.choice(symbols))
-                effective = True
-        if not effective:
+        if not (changes or inserts):
             continue
         units = [(FeatureReq(reqs), changes.get(i)) for i, reqs in enumerate(position_reqs)]
         rule = layout_rule(units, inserts, name)

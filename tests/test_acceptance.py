@@ -47,7 +47,6 @@ from cascade_forge.search import (
 )
 from cascade_forge.synthgen import (
     LingSpec,
-    LingStats,
     SmpSpec,
     gen_ling_language,
     gen_multilaw_evalset,
@@ -208,13 +207,11 @@ def test_c05_statistical_conformance(inv):
     assert within(sizes[3], 0.1, n_laws), sizes
     assert within(boundary, 0.25, n_laws), boundary
 
-    ling_spec = LingSpec(seed=5)
-    stats = LingStats()
-    sample_change_ops(10_000, ling_spec, task_rng(5, "c5ops"), stats)
-    assert within(stats.deletions, 1 / 8, stats.slots), stats
-    assert within(stats.substitutions, 1 / 8, stats.slots), stats
-    assert within(stats.ins_before, 1 / 16, stats.slots), stats
-    assert within(stats.ins_after, 1 / 16, stats.slots), stats
+    slots = sample_change_ops(10_000, task_rng(5, "c5ops"))
+    rates = {"delete": 1 / 8, "substitute": 1 / 8, "ins_before": 1 / 16, "ins_after": 1 / 16}
+    for op, p in rates.items():
+        count = sum(getattr(s, op) for s in slots)
+        assert within(count, p, len(slots)), (op, count)
     verdict(5, "statistical conformance (3-sigma)", started)
 
 
@@ -329,7 +326,7 @@ def _write_stub(tmp_path, name, body):
     return [sys.executable, str(path)]
 
 
-def test_c10_external_proposer_protocol(tmp_path, inv):
+def test_c10_external_proposer_protocol(tmp_path, inv, monkeypatch):
     started = time.monotonic()
     word_pairs = ((tokenize("aj", inv), tokenize("ej", inv)),)
     request = ProposalRequest(word_pairs, 8)
@@ -379,7 +376,8 @@ def test_c10_external_proposer_protocol(tmp_path, inv):
         sys.stdin.readline()
         time.sleep(30)
     """)
-    late = propose(external_proposer(stub_slow), request, inv, timeout_ms=400)
+    monkeypatch.setenv("CASCADE_FORGE_PROPOSER_TIMEOUT_MS", "400")
+    late = propose(external_proposer(stub_slow), request, inv)
     assert late.rules == []
     assert any("timed out" in d for d in late.diagnostics)
     scenarios += 1

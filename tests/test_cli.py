@@ -233,7 +233,8 @@ def test_induce_with_ites_flag(workdir, capsys):
     assert manifest["config"]["ites"] is True
 
 
-def test_induce_ensemble_with_exec_stub(workdir, capsys):
+def empty_exec_stub(workdir):
+    """An ``exec:`` proposer spec for a stub that answers one request with no programs."""
     import stat as stat_mod
     import sys as sys_mod
     stub = workdir / "stub.py"
@@ -244,11 +245,23 @@ def test_induce_ensemble_with_exec_stub(workdir, capsys):
         encoding="utf-8",
     )
     stub.chmod(stub.stat().st_mode | stat_mod.S_IEXEC)
+    return f"exec:{sys_mod.executable} {stub}"
+
+
+def test_induce_ensemble_with_exec_stub(workdir, capsys):
     code, out, _ = run(capsys, "induce", "--pairs", "pairs.tsv", "--mode", "single",
-                       "--proposer", f"exec:{sys_mod.executable} {stub}",
+                       "--proposer", empty_exec_stub(workdir),
                        "--ensemble", "builtin", "--out", "ens", "--json")
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+def test_induce_with_a_bad_proposer_timeout_exits_2(workdir, capsys, monkeypatch):
+    monkeypatch.setenv("CASCADE_FORGE_PROPOSER_TIMEOUT_MS", "abc")
+    code, _, err = run(capsys, "induce", "--pairs", "pairs.tsv",
+                       "--proposer", empty_exec_stub(workdir), "--out", "bad")
+    assert code == 2
+    assert err.startswith("error: CASCADE_FORGE_PROPOSER_TIMEOUT_MS") and "'abc'" in err
 
 
 def test_induce_missing_proposer_exits_4(workdir, capsys):
@@ -297,7 +310,8 @@ def test_generate_refuses_an_out_dir_holding_cases_it_would_not_write(workdir, c
     assert (workdir / "d" / "notes.txt").read_text() == "mine\n"
 
 
-@pytest.mark.parametrize(
+# The commands taking an output directory, before their --out argument.
+out_dir_commands = pytest.mark.parametrize(
     "argv",
     [
         ("generate", "smp", "--laws", "1", "--n", "10"),
@@ -306,6 +320,9 @@ def test_generate_refuses_an_out_dir_holding_cases_it_would_not_write(workdir, c
     ],
     ids=["generate", "induce", "eval"],
 )
+
+
+@out_dir_commands
 def test_out_naming_a_regular_file_exits_2_before_writing(workdir, capsys, argv):
     (workdir / "afile").write_text("mine\n", encoding="utf-8")
     before = tree_bytes(workdir, exclude=())
@@ -313,6 +330,16 @@ def test_out_naming_a_regular_file_exits_2_before_writing(workdir, capsys, argv)
     assert code == 2
     assert err == "error: --out afile exists and is not a directory\n"
     assert out == ""
+    assert tree_bytes(workdir, exclude=()) == before
+
+
+@out_dir_commands
+def test_out_below_a_regular_file_exits_2(workdir, capsys, argv):
+    (workdir / "afile").write_text("mine\n", encoding="utf-8")
+    before = tree_bytes(workdir, exclude=())
+    code, _, err = run(capsys, *argv, "--out", "afile/sub")
+    assert code == 2
+    assert err.startswith("error: ") and "afile/sub" in err
     assert tree_bytes(workdir, exclude=()) == before
 
 
@@ -378,6 +405,16 @@ def test_select_examples_all_identity_warns(workdir, capsys):
     assert code == 0
     assert (workdir / "sel3.tsv").read_text() == ""
     assert "warning" in err
+
+
+def test_select_examples_out_naming_a_directory_exits_2(workdir, capsys):
+    (workdir / "adir").mkdir()
+    before = sorted(os.listdir(workdir))
+    code, _, err = run(capsys, "select-examples", "--pairs", "pairs.tsv", "--out", "adir")
+    assert code == 2
+    assert err.startswith("error: ") and "adir" in err
+    assert sorted(os.listdir(workdir)) == before
+    assert os.listdir(workdir / "adir") == []
 
 
 # --- inventory check -------------------------------------------------------------------

@@ -7,7 +7,6 @@ from cascade_forge.metrics import (
     ExamplePair,
     RewardReport,
     Scorer,
-    dist,
     edit_distance,
     edit_script,
     pass_rate,
@@ -84,28 +83,30 @@ def test_edit_distance_is_a_metric():
         assert edit_distance(a, c) <= edit_distance(a, b) + edit_distance(b, c)
 
 
-# --- dist ----------------------------------------------------------------------
+# --- summed distance (RewardReport.dist_pred_target) ------------------------------
 
 
 def test_dist_identical_lists():
     words = [word("a"), word("b", "c")]
-    assert dist(words, words) == 0
+    report = Scorer(words, words).report(words)
+    assert report.per_pair == (0, 0) and report.dist_pred_target == 0
 
 
 def test_dist_sums_pairs():
     preds = [word("k", "a", "t"), word("i", "p")]
     targets = [word("k", "o", "t"), word("i")]
-    assert dist(preds, targets) == 2
+    report = Scorer(targets, targets).report(preds)
+    assert report.per_pair == (1, 1) and report.dist_pred_target == 2
 
 
 def test_dist_singleton_equals_edit_distance():
     a, b = word("a", "b"), word("b")
-    assert dist([a], [b]) == edit_distance(a, b)
+    assert Scorer([b], [b]).report([a]).dist_pred_target == edit_distance(a, b)
 
 
 def test_dist_length_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
-        dist([word("a")], [])
+        Scorer([word("a")], [word("b")]).report([word("a"), word("b")])
 
 
 # --- reward ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from cascade_forge.proposers import (
     EDGE_AT,
     EDGE_FREE,
     EDGE_NOT_AT,
+    TIMEOUT_ENV_VAR,
     EditCandidate,
     ProposalRequest,
     ProposerSessions,
@@ -343,18 +344,14 @@ def test_external_malformed_line(tmp_path, tiny_inv):
     assert any("malformed" in d for d in result.diagnostics)
 
 
-def test_external_timeout(tmp_path, tiny_inv):
+def test_external_timeout(tmp_path, tiny_inv, monkeypatch):
     command = write_stub(tmp_path, "sleepy.py", """
         import sys, time
         sys.stdin.readline()
         time.sleep(10)
     """)
-    result = propose(
-        external_proposer(command),
-        ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 4),
-        tiny_inv,
-        timeout_ms=400,
-    )
+    monkeypatch.setenv("CASCADE_FORGE_PROPOSER_TIMEOUT_MS", "400")
+    result = propose(external_proposer(command), ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 4), tiny_inv)
     assert result.rules == []
     assert any("timed out" in d for d in result.diagnostics)
 
@@ -377,6 +374,16 @@ def test_timeout_env_var(tmp_path, tiny_inv, monkeypatch):
     assert any("timed out" in d for d in result.diagnostics)
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-5"])
+def test_timeout_env_var_that_is_not_a_positive_integer_raises(tiny_inv, monkeypatch, value):
+    monkeypatch.setenv("CASCADE_FORGE_PROPOSER_TIMEOUT_MS", value)
+    request = ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 4)
+    with pytest.raises(ValueError) as raised:
+        propose(external_proposer(["/nonexistent/prog"]), request, tiny_inv)
+    assert "CASCADE_FORGE_PROPOSER_TIMEOUT_MS" in str(raised.value)
+    assert repr(value) in str(raised.value)
+
+
 def test_external_boolean_feature_requirement_dropped(tmp_path, tiny_inv):
     bad = {
         "predicates": [{"kind": "feature_req", "reqs": {"0": True}}],
@@ -394,6 +401,25 @@ def test_external_boolean_feature_requirement_dropped(tmp_path, tiny_inv):
     assert len(result.diagnostics) == 1
     assert result.diagnostics[0].startswith("dropped invalid program 0")
     assert "/programs/0/predicates/0/reqs/0" in result.diagnostics[0]
+
+
+def test_external_feature_index_that_is_not_decimal_digits_dropped(tmp_path, tiny_inv):
+    bad = {
+        "predicates": [{"kind": "feature_req", "reqs": {"+0": 1}}],
+        "change_pos": [0],
+        "mappings": [{"kind": "delete"}],
+    }
+    reply = json.dumps({"v": 1, "programs": [bad, VALID_RULE_OBJ]})
+    command = write_stub(tmp_path, "plus_key.py", f"""
+        import sys
+        sys.stdin.readline()
+        print({reply!r})
+    """)
+    result = propose(external_proposer(command), ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 4), tiny_inv)
+    assert result.rules == [sub_rule("a", 0, "a", "e")]
+    assert len(result.diagnostics) == 1
+    assert result.diagnostics[0].startswith("dropped invalid program 0")
+    assert "/programs/0/predicates/0/reqs: feature index must be decimal digits" in result.diagnostics[0]
 
 
 def test_request_wire_format(tiny_inv):
@@ -474,13 +500,17 @@ def step_request(inv, step, words=(("aj", "ej"),)):
 
 
 def ask_steps(inv, handle, steps, timeouts=None):
-    """One request per step through one session set."""
+    """One request per step through one session set; ``timeouts`` maps a step to its timeout (ms)."""
     timeouts = timeouts or {}
-    with ProposerSessions() as sessions:
-        return [
-            propose(handle, step_request(inv, step), inv, timeouts.get(step), sessions)
-            for step in range(steps)
-        ]
+    results = []
+    with ProposerSessions() as sessions, pytest.MonkeyPatch.context() as env:
+        for step in range(steps):
+            if step in timeouts:
+                env.setenv(TIMEOUT_ENV_VAR, str(timeouts[step]))
+            else:
+                env.delenv(TIMEOUT_ENV_VAR, raising=False)
+            results.append(propose(handle, step_request(inv, step), inv, sessions))
+    return results
 
 
 def names(result):
@@ -637,12 +667,13 @@ def test_session_child_writing_lots_of_stderr_does_not_block(tmp_path, tiny_inv)
     assert len(set(logged_pids(log))) == 1
 
 
-def test_request_larger_than_the_pipe_to_a_deaf_proposer_times_out(tmp_path, tiny_inv):
+def test_request_larger_than_the_pipe_to_a_deaf_proposer_times_out(tmp_path, tiny_inv, monkeypatch):
     command, _ = session_stub(tmp_path, "deaf")
     request = ProposalRequest(pairs(tiny_inv, *[("kaj", "kej")] * 2000), 4)
     assert len(json.dumps(request_to_obj(request))) > 64 * 1024
+    monkeypatch.setenv("CASCADE_FORGE_PROPOSER_TIMEOUT_MS", "400")
     started = time.monotonic()
-    result = propose(external_proposer(command), request, tiny_inv, timeout_ms=400)
+    result = propose(external_proposer(command), request, tiny_inv)
     assert time.monotonic() - started < 8
     assert result.rules == [] and any("timed out" in d for d in result.diagnostics)
 
@@ -675,12 +706,14 @@ def test_search_that_raises_still_reaps_its_proposers(tmp_path, tiny_inv):
 # Runs a search and the failure paths of a session under ``-X dev`` with
 # ResourceWarning as an error; any pipe, file or child left open fails it.
 DEV_MODE_SCRIPT = """
-import gc, sys
+import gc, os, sys
 caught = []
 sys.unraisablehook = lambda info: caught.append(repr(info.exc_value))
 from cascade_forge.metrics import Dataset, ExamplePair
 from cascade_forge.phonology import load_inventory, tokenize
-from cascade_forge.proposers import ProposalRequest, ProposerSessions, external_proposer, propose
+from cascade_forge.proposers import (
+    TIMEOUT_ENV_VAR, ProposalRequest, ProposerSessions, external_proposer, propose,
+)
 from cascade_forge.search import SearchConfig, beam_search_cascade
 
 inv = load_inventory("!feature syllabic\\na\\t1\\ne\\t1\\nj\\t0\\n")
@@ -692,8 +725,11 @@ request = lambda step: ProposalRequest([(pairs[0].source, pairs[0].target)], 1, 
 for mode in ("crash-at-step-1", "sleep-at-step-1", "junk-after", "junk-late"):
     with ProposerSessions() as sessions:
         for step in range(3):
-            timeout_ms = 400 if (mode, step) == ("sleep-at-step-1", 1) else None
-            propose(external_proposer(stub + [mode]), request(step), inv, timeout_ms, sessions)
+            if (mode, step) == ("sleep-at-step-1", 1):
+                os.environ[TIMEOUT_ENV_VAR] = "400"
+            else:
+                os.environ.pop(TIMEOUT_ENV_VAR, None)
+            propose(external_proposer(stub + [mode]), request(step), inv, sessions)
 propose(external_proposer(["/nonexistent/prog"]), request(0), inv)
 gc.collect()
 sys.exit(1 if caught else 0)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import pytest
@@ -440,6 +441,18 @@ def test_feature_requirement_value_must_be_int_bit(value):
         '"change_pos":[0],"mappings":[{"kind":"delete"}]}' % value
     )
     with pytest.raises(RuleParseError, match="/predicates/0/reqs/0: requirement value"):
+        parse_rule(text)
+
+
+@pytest.mark.parametrize("key", ["1_0", "+5", " 5", "\u0663"])
+def test_feature_index_must_be_ascii_decimal_digits(key):
+    # int() reads these as 10, 5, 5 and 3.
+    text = json.dumps({
+        "predicates": [{"kind": "feature_req", "reqs": {key: 1}}],
+        "change_pos": [0],
+        "mappings": [{"kind": "delete"}],
+    })
+    with pytest.raises(RuleParseError, match="/predicates/0/reqs: feature index must be decimal digits"):
         parse_rule(text)
 
 

@@ -21,7 +21,6 @@ from cascade_forge.rule_engine import (
 from cascade_forge.synthgen import (
     GenerationError,
     LingSpec,
-    LingStats,
     PROFILES,
     SmpSpec,
     environment_phones,
@@ -170,14 +169,12 @@ def test_environment_phones_requires_phone_predicate():
 
 
 def test_change_op_rates_are_plausible():
-    spec = LingSpec()
-    stats = LingStats()
-    rng = task_rng(9, "rates")
-    sample_change_ops(20000, spec, rng, stats)
-    assert abs(stats.deletions / stats.slots - 1 / 8) < 0.01
-    assert abs(stats.substitutions / stats.slots - 1 / 8) < 0.01
-    assert abs(stats.ins_before / stats.slots - 1 / 16) < 0.008
-    assert abs(stats.ins_after / stats.slots - 1 / 16) < 0.008
+    slots = sample_change_ops(20000, task_rng(9, "rates"))
+    assert len(slots) == 20000
+    assert abs(sum(s.delete for s in slots) / len(slots) - 1 / 8) < 0.01
+    assert abs(sum(s.substitute for s in slots) / len(slots) - 1 / 8) < 0.01
+    assert abs(sum(s.ins_before for s in slots) / len(slots) - 1 / 16) < 0.008
+    assert abs(sum(s.ins_after for s in slots) / len(slots) - 1 / 16) < 0.008
 
 
 def test_ling_rule_applies_to_min_protoforms(default_inv):
