@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import datetime as _dt
 import hashlib
-import json
 import os
 import shlex
 import shutil
@@ -42,7 +41,6 @@ from cascade_forge.rule_engine import (
     Cascade,
     RuleError,
     apply_cascade,
-    cascade_from_obj,
     parse_cascade,
     parse_rule,
     rule_to_obj,
@@ -54,7 +52,6 @@ from cascade_forge.search import (
     select_examples_ites,
 )
 from cascade_forge.synthgen import (
-    GENERATOR_VERSION,
     GenerationError,
     LingSpec,
     SmpSpec,
@@ -148,18 +145,20 @@ def read_words(path: str, inv: Inventory) -> list:
     return words
 
 
+def _parse_file(parse, path: str, what: str, inv: Inventory):
+    """``parse`` applied to the file's text; a rule error names the file."""
+    try:
+        return parse(_read_text(path), inv)
+    except RuleError as exc:
+        raise CliError(f"{what} {path}: {exc}", EXIT_PARSE) from None
+
+
 def _load_cascade(args) -> tuple[Inventory, Cascade]:
     """The inventory, and the --rule or --cascade file checked against it."""
     inv = _load_inventory(args.inventory)
     if args.rule:
-        try:
-            return inv, Cascade([parse_rule(_read_text(args.rule), inv)])
-        except RuleError as exc:
-            raise CliError(f"rule {args.rule}: {exc}", EXIT_PARSE) from None
-    try:
-        return inv, parse_cascade(_read_text(args.cascade), inv)
-    except RuleError as exc:
-        raise CliError(f"cascade {args.cascade}: {exc}", EXIT_PARSE) from None
+        return inv, Cascade([_parse_file(parse_rule, args.rule, "rule", inv)])
+    return inv, _parse_file(parse_cascade, args.cascade, "cascade", inv)
 
 
 def _manifest(args, config: dict, inputs: list[str]) -> dict:
@@ -371,9 +370,15 @@ def cmd_induce(args) -> int:
 
 
 def _check_out_dir(out_dir: str) -> None:
-    """Exit 2 before anything is written if ``out_dir`` exists but is not a directory."""
+    """Exit 2 before any work if ``out_dir``, or its nearest existing
+    ancestor, exists but is not a directory."""
     if os.path.exists(out_dir) and not os.path.isdir(out_dir):
         raise CliError(f"--out {out_dir} exists and is not a directory", EXIT_PARSE)
+    ancestor = os.path.dirname(os.path.normpath(out_dir))
+    while ancestor and not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if ancestor and not os.path.isdir(ancestor):
+        raise CliError(f"--out {out_dir}: {ancestor} is not a directory", EXIT_PARSE)
 
 
 def _refuse_stale_cases(out_dir: str, count: int) -> None:
@@ -388,15 +393,23 @@ def _refuse_stale_cases(out_dir: str, count: int) -> None:
         raise CliError(f"--out {out_dir} holds {stale[0]}, which this run would not write", EXIT_PARSE)
 
 
+# Each generator's options recorded in the manifest; the first is its case count.
+_GENERATE_OPTIONS = {
+    "smp": ("laws", "n", "seed"),
+    "ling": ("langs", "rules", "protoforms", "min_applicable", "seed"),
+    "multilaw": ("sets", "rules_per_set", "words", "pool", "pool_laws", "seed"),
+}
+
+
 def cmd_generate(args) -> int:
-    count = getattr(args, {"smp": "laws", "ling": "langs", "multilaw": "sets"}[args.generator])
+    options = _GENERATE_OPTIONS[args.generator]
     _check_out_dir(args.out)
-    _refuse_stale_cases(args.out, count)
+    _refuse_stale_cases(args.out, getattr(args, options[0]))
     inv = _load_inventory(args.inventory)
+    config = {"generator": args.generator, **{name: getattr(args, name) for name in options}}
+    manifest = _manifest(args, config, [args.inventory or "", getattr(args, "pool", None) or ""])
     if args.generator == "smp":
-        spec = SmpSpec(examples_per_law=args.n, seed=args.seed)
-        config = {"generator": "smp", "laws": args.laws, "n": args.n, "seed": args.seed}
-        cases = gen_smp_corpus(inv, spec, args.laws)
+        cases = gen_smp_corpus(inv, SmpSpec(examples_per_law=args.n, seed=args.seed), args.laws)
     elif args.generator == "ling":
         spec = LingSpec(
             num_languages=args.langs,
@@ -405,40 +418,21 @@ def cmd_generate(args) -> int:
             min_applicable=args.min_applicable,
             seed=args.seed,
         )
-        config = {
-            "generator": "ling", "langs": args.langs, "rules": args.rules,
-            "protoforms": args.protoforms, "min_applicable": args.min_applicable,
-            "seed": args.seed,
-        }
         cases = gen_ling_corpus(inv, spec)
     else:
         if args.pool:
-            pool = cascade_from_obj(json.loads(_read_text(args.pool)), inv)
+            pool = _parse_file(parse_cascade, args.pool, "pool", inv)
         else:
             smp_spec = SmpSpec(seed=args.seed)
             pool = Cascade([
                 gen_smp_law(inv, smp_spec, task_rng(args.seed, "pool", i), name=f"pool-{i:03d}")
                 for i in range(args.pool_laws)
             ])
-        config = {
-            "generator": "multilaw", "sets": args.sets, "rules_per_set": args.rules_per_set,
-            "words": args.words, "pool": args.pool, "pool_laws": args.pool_laws,
-            "seed": args.seed,
-        }
         cases = gen_multilaw_evalset(
             inv, pool, args.rules_per_set, args.sets, args.words, task_rng(args.seed, "multilaw")
         )
-    inputs = [args.inventory or ""]
-    if getattr(args, "pool", None):
-        inputs.append(args.pool)
-    manifest = _manifest(args, config, inputs)
-    manifest["spec"] = config
-    manifest["generator_version"] = GENERATOR_VERSION
-    _write_manifest(args.out, manifest)
-    write_corpus(args.out, cases, manifest)
-    manifest["cases"] = len(cases)
     manifest["finished_at_utc"] = _now()
-    _write_manifest(args.out, manifest)
+    write_corpus(args.out, cases, manifest)
     print(f"wrote {len(cases)} cases to {args.out}")
     return EXIT_OK
 
@@ -569,7 +563,7 @@ def main(argv: list[str] | None = None) -> int:
     except TokenizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOKENIZE
-    except (InventoryError, RuleError, json.JSONDecodeError, ValueError) as exc:
+    except (InventoryError, RuleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except GenerationError as exc:

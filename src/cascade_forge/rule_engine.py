@@ -9,7 +9,7 @@ environment ("suppression of self-feeding"): inserting ``a`` after ``a``
 in ``ba`` yields ``baa``, not an unbounded run of ``a``.
 
 When two recorded sites would edit the same token index, the leftmost
-site wins and the conflicting mapping is skipped with a diagnostic.
+site wins and the conflicting mapping is skipped.
 Rules and cascades are immutable after construction and application is
 pure, so everything here is safe for unrestricted concurrent use.
 """
@@ -336,50 +336,40 @@ def apply_rule(
     rule: Rule,
     word: TokenizedWord,
     inv: Inventory | None = None,
-    diagnostics: list[str] | None = None,
 ) -> TokenizedWord:
     """Apply one rule with two-stage semantics and return the canonical result.
 
     Stage 1 records all sites on the input; stage 2 applies every mapping at
     every recorded site against the original token indices, then the output
-    is rebuilt in canonical layout.  Skipped mappings (site conflicts,
-    substitutions with no entry for the matched phone, mapping kind and token
-    kind disagreeing) are reported through ``diagnostics`` when given.
+    is rebuilt in canonical layout.  A mapping is skipped where an earlier
+    site already edits its token, where a substitution has no entry for the
+    matched phone, and where its kind does not fit the token.
     """
     tokens = word.tokens
     sites = find_sites(rule, word, inv)
     if not sites:
         return word
 
-    def note(message: str) -> None:
-        if diagnostics is not None:
-            diagnostics.append(message)
-
     edits: dict[int, tuple[str, ...]] = {}  # token index -> its replacement phones
     for site in sites:
         for pos, fn in zip(rule.change_pos, rule.mappings):
             target = site + pos
             if target in edits:
-                note(f"site {site}: change at token {target} conflicts with an earlier site; skipped")
                 continue
             token = tokens[target]
             if isinstance(fn, Insert):
                 if token != SEPARATOR:
-                    note(f"site {site}: insert aimed at non-separator token {token!r}; skipped")
                     continue
                 edits[target] = fn.phones
             elif isinstance(fn, Delete):
                 if token == BOUNDARY or token == SEPARATOR:
-                    note(f"site {site}: delete aimed at structural token {token!r}; skipped")
                     continue
                 edits[target] = ()
             elif isinstance(fn, Substitute):
                 if token == BOUNDARY or token == SEPARATOR:
-                    note(f"site {site}: substitute aimed at structural token {token!r}; skipped")
                     continue
                 replacement = fn.get(token)
                 if replacement is None:
-                    note(f"site {site}: no substitute entry for {token!r}; left unchanged")
                     continue
                 edits[target] = replacement
             else:
@@ -412,9 +402,6 @@ def apply_cascade(
 
 
 # --- serialization ----------------------------------------------------------
-
-_PREDICATE_KINDS = ("phone_set", "is_nothing", "word_start", "word_end", "feature_req", "not")
-_MAPPING_KINDS = ("delete", "substitute", "insert")
 
 
 def predicate_to_obj(pred: Predicate) -> dict[str, Any]:
@@ -485,9 +472,13 @@ def predicate_from_obj(obj: Any, path: str = "") -> Predicate:
         reqs_obj = _expect(obj.get("reqs"), dict, f"{path}/reqs", "an object")
         reqs: dict[int, int] = {}
         for key, value in reqs_obj.items():
-            # int() would also read "1_0", "+5", " 5" and non-ASCII digits.
-            if not (isinstance(key, str) and key.isascii() and key.isdigit()):
-                raise RuleParseError(f"feature index must be decimal digits, got {key!r}", f"{path}/reqs")
+            # int() would also read "1_0", "+5", " 5" and non-ASCII digits, and
+            # a leading zero would let "5" and "05" name one feature.
+            if not (isinstance(key, str) and key.isascii() and key.isdigit() and (key == "0" or key[0] != "0")):
+                raise RuleParseError(
+                    f"feature index must be decimal digits without a leading zero, got {key!r}",
+                    f"{path}/reqs",
+                )
             if not _is_bit(value):
                 raise RuleParseError(f"requirement value must be 0 or 1, got {value!r}", f"{path}/reqs/{key}")
             reqs[int(key)] = value

@@ -73,7 +73,7 @@ class Hypothesis:
     forms: tuple[TokenizedWord, ...]
     reward: float
     step: int
-    per_pair: tuple[int, ...] = field(default=(), compare=False)
+    per_pair: tuple[int, ...] = field(compare=False)
 
 
 def select_examples_ites(
@@ -162,7 +162,9 @@ def beam_search_cascade(
     run_dir: str | None = None,
     diagnostics: list[str] | None = None,
 ) -> list[Hypothesis]:
-    """Induce a rule cascade; returns the final beams sorted by reward.
+    """Induce a rule cascade; returns the final beams, best first.
+
+    Beams rank by reward; ties prefer fewer rules, then serialization order.
 
     With ``run_dir``, writes ``config.json``, ``beams/step_<i>.json`` after
     each step, and ``best.json`` and ``log.txt`` at the end there.
@@ -233,18 +235,10 @@ def beam_search_cascade(
                 log_lines.append(f"step {step}: perfect reward reached, stopping early")
                 break
 
-    beams = sorted(beams, key=_rank_key)
     if run_dir:
         atomic_write(os.path.join(run_dir, "best.json"), dumps(hypothesis_to_obj(beams[0])))
         atomic_write(os.path.join(run_dir, "log.txt"), "\n".join(log_lines) + "\n")
     return beams
-
-
-def pick_best(hypotheses: Sequence[Hypothesis]) -> Hypothesis:
-    """Highest reward; ties prefer fewer rules, then serialization order."""
-    if not hypotheses:
-        raise ValueError("no hypotheses")
-    return min(hypotheses, key=_rank_key)
 
 
 def hypothesis_to_obj(hypothesis: Hypothesis) -> dict:

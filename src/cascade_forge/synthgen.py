@@ -67,17 +67,13 @@ class GenerationError(RuntimeError):
 class SmpSpec:
     examples_per_law: int = 50
     env_weights: tuple[float, float, float] = (0.7, 0.2, 0.1)
-    boundary_weights: tuple[float, float, float, float, float] = (
-        1 / 16, 1 / 16, 1 / 16, 1 / 16, 3 / 4,
-    )
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.examples_per_law % 10 != 0 or self.examples_per_law <= 0:
             raise ValueError("examples_per_law must be a positive multiple of 10")
-        for weights in (self.env_weights, self.boundary_weights):
-            if abs(sum(weights) - 1.0) > 1e-9:
-                raise ValueError(f"weights {weights} do not sum to 1")
+        if abs(sum(self.env_weights) - 1.0) > 1e-9:
+            raise ValueError(f"weights {self.env_weights} do not sum to 1")
 
 
 @dataclass(frozen=True)
@@ -99,7 +95,6 @@ class SynthCase:
 
     ground_truth: Cascade
     dataset: Dataset
-    provenance: dict
 
 
 def verify_case(case: SynthCase, inv: Inventory) -> None:
@@ -136,14 +131,16 @@ def _roundtrips(inv: Inventory, word: TokenizedWord) -> bool:
 
 # --- string-manipulation laws --------------------------------------------------
 
+# Word start, word end, not word start, not word end, no boundary condition.
 _BOUNDARY_KINDS = ("S", "E", "NS", "NE", "none")
+BOUNDARY_WEIGHTS = (1 / 16, 1 / 16, 1 / 16, 1 / 16, 3 / 4)
 
 
 def gen_smp_law(inv: Inventory, spec: SmpSpec, rng: Random, name: str | None = None) -> Rule:
     """Sample one law: environment size, boundary condition, phones, changes."""
     symbols = inv.symbols
     env_size = rng.choices((1, 2, 3), weights=spec.env_weights)[0]
-    boundary = rng.choices(_BOUNDARY_KINDS, weights=spec.boundary_weights)[0]
+    boundary = rng.choices(_BOUNDARY_KINDS, weights=BOUNDARY_WEIGHTS)[0]
     env_phones = [rng.choice(symbols) for _ in range(env_size)]
     num_changes = rng.randint(1, env_size)
     positions = sorted(rng.sample(range(env_size), num_changes))
@@ -248,11 +245,7 @@ def gen_smp_examples(
             else:
                 raise GenerationError(f"could not build a stable {group} word for {name}")
             pairs.append(ExamplePair(source, target, f"{group}-{i:03d}"))
-    case = SynthCase(
-        Cascade([rule]),
-        Dataset(pairs, name=name),
-        {"generator": "smp", "environment": env, "n": n},
-    )
+    case = SynthCase(Cascade([rule]), Dataset(pairs, name=name))
     verify_case(case, inv)
     return case
 
@@ -402,8 +395,7 @@ def gen_ling_language(
     name: str = "ling",
 ) -> SynthCase:
     """Nonce protoforms plus a cascade of rules, each conditioned on the last."""
-    profile_name = rng.choice(sorted(PROFILES))
-    profile = PROFILES[profile_name]
+    profile = PROFILES[rng.choice(sorted(PROFILES))]
     protos = [nonce_word(inv, profile, rng) for _ in range(spec.protoforms_per_language)]
     rules: list[Rule] = []
     current = list(protos)
@@ -415,11 +407,7 @@ def gen_ling_language(
         ExamplePair(source, target, f"w{i:03d}")
         for i, (source, target) in enumerate(zip(protos, current))
     ]
-    case = SynthCase(
-        Cascade(rules),
-        Dataset(pairs, name=name),
-        {"generator": "ling", "profile": profile_name},
-    )
+    case = SynthCase(Cascade(rules), Dataset(pairs, name=name))
     verify_case(case, inv)
     return case
 
@@ -463,8 +451,8 @@ def gen_multilaw_evalset(
     for set_index in range(sets):
         indices = sorted(rng.sample(range(len(cascade_pool.rules)), rules_per_set))
         cascade = Cascade(cascade_pool.rules[i] for i in indices)
-        profile_name = rng.choice(sorted(PROFILES))
-        profile = PROFILES[profile_name]
+        envs = [_environment_or_none(rule, inv) for rule in cascade.rules]
+        profile = PROFILES[rng.choice(sorted(PROFILES))]
         unchanged_quota = (words_per_set + 1) // 2
         changed_quota = words_per_set - unchanged_quota
         pairs: list[ExamplePair] = []
@@ -478,7 +466,7 @@ def gen_multilaw_evalset(
                     f"({changed}/{changed_quota} changed, {unchanged}/{unchanged_quota} unchanged)"
                 )
             if changed < changed_quota:
-                source = _seeded_word(inv, cascade, profile, rng)
+                source = _seeded_word(inv, envs, profile, rng)
             else:
                 source = nonce_word(inv, profile, rng)
             target, _ = apply_cascade(cascade, source, inv)
@@ -493,29 +481,29 @@ def gen_multilaw_evalset(
                     continue
                 changed += 1
             pairs.append(ExamplePair(source, target, f"w{len(pairs):03d}"))
-        case = SynthCase(
-            cascade,
-            Dataset(pairs, name=f"set-{set_index:02d}"),
-            {
-                "generator": "multilaw",
-                "set": set_index,
-                "pool_indices": indices,
-                "profile": profile_name,
-            },
-        )
+        case = SynthCase(cascade, Dataset(pairs, name=f"set-{set_index:02d}"))
         verify_case(case, inv)
         cases.append(case)
     return cases
 
 
-def _seeded_word(
-    inv: Inventory, cascade: Cascade, profile: "NonceProfile", rng: Random
-) -> TokenizedWord:
-    """A nonce word with one rule's environment string embedded, when possible."""
-    rule = rng.choice(cascade.rules)
+def _environment_or_none(rule: Rule, inv: Inventory) -> list[str] | None:
     try:
-        env = environment_phones(rule, inv)
+        return environment_phones(rule, inv)
     except GenerationError:
+        return None
+
+
+def _seeded_word(
+    inv: Inventory, envs: Sequence[list[str] | None], profile: "NonceProfile", rng: Random
+) -> TokenizedWord:
+    """A nonce word with one rule's environment string embedded, when possible.
+
+    ``envs`` holds each rule's environment phones, ``None`` for a rule with
+    no phone predicates.
+    """
+    env = rng.choice(envs)
+    if env is None:
         return nonce_word(inv, profile, rng)
     for _ in range(200):
         base = list(nonce_word(inv, profile, rng).phones)

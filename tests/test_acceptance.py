@@ -42,7 +42,6 @@ from cascade_forge.search import (
     SearchConfig,
     beam_search_cascade,
     induce_single_law,
-    pick_best,
     select_examples_ites,
 )
 from cascade_forge.synthgen import (
@@ -233,7 +232,7 @@ def test_c06_search_recovery_with_oracle_proposer(inv):
         handle = make_ground_truth_proposer(case.ground_truth, sources, inv)
         config = SearchConfig(beam_width=20, samples_per_step=1, max_steps=5)
         beams = beam_search_cascade(handle, case.dataset, config, inv=inv)
-        if pick_best(beams).reward == 1.0:
+        if beams[0].reward == 1.0:
             solved += 1
     assert solved == 10
     verdict(6, "beam search recovery with oracle proposer 10/10", started, budget=120.0)

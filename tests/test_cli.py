@@ -294,6 +294,38 @@ def test_generate_smp_deterministic(workdir, capsys):
     assert manifest["cases"] == 3 and manifest["finished_at_utc"]
 
 
+def test_generate_writes_one_manifest_stamped_before_generating(workdir, capsys, monkeypatch):
+    from cascade_forge import cli, synthgen
+
+    events = []
+    real_corpus, real_write = cli.gen_smp_corpus, synthgen.atomic_write
+
+    def corpus(*args):
+        events.append("generate")
+        return real_corpus(*args)
+
+    def write(path, text):
+        if os.path.basename(path) == "manifest.json":
+            events.append("manifest")
+        real_write(path, text)
+
+    def now():
+        events.append("clock")
+        return f"t{len(events)}"
+
+    monkeypatch.setattr(cli, "gen_smp_corpus", corpus)
+    monkeypatch.setattr(cli, "_now", now)
+    monkeypatch.setattr(cli, "atomic_write", write)
+    monkeypatch.setattr(synthgen, "atomic_write", write)
+    code, _, _ = run(capsys, "generate", "smp", "--laws", "2", "--n", "10", "--out", "g")
+    assert code == 0
+    assert events == ["clock", "generate", "clock", "manifest"]
+    manifest = json.loads((workdir / "g" / "manifest.json").read_text())
+    assert (manifest["started_at_utc"], manifest["finished_at_utc"]) == ("t1", "t3")
+    assert manifest["config"] == {"generator": "smp", "laws": 2, "n": 10, "seed": 0}
+    assert "spec" not in manifest
+
+
 def test_generate_refuses_an_out_dir_holding_cases_it_would_not_write(workdir, capsys):
     code, _, _ = run(capsys, "generate", "smp", "--laws", "3", "--n", "10", "--out", "d")
     assert code == 0
@@ -343,6 +375,19 @@ def test_out_below_a_regular_file_exits_2(workdir, capsys, argv):
     assert tree_bytes(workdir, exclude=()) == before
 
 
+@pytest.mark.parametrize("out", ["afile/sub", "afile/sub/deeper"])
+def test_generate_below_a_regular_file_exits_2_before_generating(workdir, capsys, monkeypatch, out):
+    from cascade_forge import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "gen_ling_corpus", lambda *args: calls.append(args) or [])
+    (workdir / "afile").write_text("mine\n", encoding="utf-8")
+    code, _, err = run(capsys, "generate", "ling", "--langs", "20", "--out", out)
+    assert code == 2
+    assert err == f"error: --out {out}: afile is not a directory\n"
+    assert calls == []
+
+
 def test_generate_multilaw_counts(workdir, capsys):
     code, _, _ = run(capsys, "generate", "multilaw", "--sets", "2", "--rules-per-set", "3",
                      "--words", "10", "--pool-laws", "8", "--seed", "2", "--out", "ml")
@@ -355,6 +400,24 @@ def test_generate_multilaw_counts(workdir, capsys):
     assert len(pairs) == 10
     unchanged = sum(1 for line in pairs if line.split("\t")[0] == line.split("\t")[1])
     assert unchanged >= 5
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[", "/: invalid JSON: "),
+        (json.dumps([{**A_TO_E_RULE, "mappings": [{"kind": "substitute", "map": {"a": ["Q"]}}]}]),
+         "/0: substitute at position 0: phone 'Q' not in inventory"),
+    ],
+    ids=["bad-json", "unknown-phone"],
+)
+def test_generate_multilaw_bad_pool_exits_2_naming_the_file(workdir, capsys, text, message):
+    (workdir / "pool.json").write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "generate", "multilaw", "--pool", "pool.json", "--out", "ml")
+    assert code == 2
+    assert err.startswith(f"error: pool pool.json: {message}")
+    assert out == ""
+    assert not (workdir / "ml").exists()
 
 
 def test_generate_budget_exhaustion_exits_5(workdir, capsys, monkeypatch):

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -249,6 +253,15 @@ def test_default_inventory_shape(default_inv):
     assert len(default_inv.feature_names) == 24
     vectors = {p.features for p in default_inv.phones}
     assert len(vectors) == len(default_inv)  # unique vectors
+
+
+def test_default_inventory_matches_its_generator():
+    root = Path(__file__).resolve().parent.parent
+    built = subprocess.run(
+        [sys.executable, str(root / "scripts" / "build_default_inventory.py")],
+        capture_output=True, check=True, env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+    ).stdout
+    assert built == (root / "src" / "cascade_forge" / "data" / "default_inventory.tsv").read_bytes()
 
 
 def test_inventory_requires_phones():

@@ -422,6 +422,27 @@ def test_external_feature_index_that_is_not_decimal_digits_dropped(tmp_path, tin
     assert "/programs/0/predicates/0/reqs: feature index must be decimal digits" in result.diagnostics[0]
 
 
+def test_external_feature_index_with_a_leading_zero_dropped(tmp_path, tiny_inv):
+    # "0" and "00" would name one feature with conflicting values.
+    bad = {
+        "predicates": [{"kind": "feature_req", "reqs": {"0": 1, "00": 0}}],
+        "change_pos": [0],
+        "mappings": [{"kind": "delete"}],
+    }
+    reply = json.dumps({"v": 1, "programs": [bad, VALID_RULE_OBJ]})
+    command = write_stub(tmp_path, "zero_key.py", f"""
+        import sys
+        sys.stdin.readline()
+        print({reply!r})
+    """)
+    result = propose(external_proposer(command), ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 4), tiny_inv)
+    assert result.rules == [sub_rule("a", 0, "a", "e")]
+    assert len(result.diagnostics) == 1
+    assert result.diagnostics[0].startswith("dropped invalid program 0")
+    assert "/programs/0/predicates/0/reqs: feature index must be decimal digits" in result.diagnostics[0]
+    assert "'00'" in result.diagnostics[0]
+
+
 def test_request_wire_format(tiny_inv):
     request = ProposalRequest(pairs(tiny_inv, ("kaj", "kej")), 20, step_index=2)
     obj = request_to_obj(request)

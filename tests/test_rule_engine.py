@@ -184,18 +184,14 @@ def test_apply_overlap_conflict_leftmost_wins(tiny_inv):
         [0, 2],
         [Delete(), Delete()],
     )
-    diagnostics = []
-    out = apply_rule(rule, tokenize("aaa", tiny_inv), diagnostics=diagnostics)
+    out = apply_rule(rule, tokenize("aaa", tiny_inv))
     assert detokenize(out) == ""
-    assert any("conflict" in d for d in diagnostics)
 
 
 def test_apply_partial_substitute_is_noop_with_diagnostic(tiny_inv):
     rule = Rule([PhoneSet({"a", "e"})], [0], [Substitute({"a": ("u",)})])
-    diagnostics = []
-    out = apply_rule(rule, tokenize("ea", tiny_inv), diagnostics=diagnostics)
+    out = apply_rule(rule, tokenize("ea", tiny_inv))
     assert detokenize(out) == "eu"
-    assert any("no substitute entry" in d for d in diagnostics)
 
 
 def test_apply_preserves_canonical_structure(tiny_inv):
@@ -444,9 +440,9 @@ def test_feature_requirement_value_must_be_int_bit(value):
         parse_rule(text)
 
 
-@pytest.mark.parametrize("key", ["1_0", "+5", " 5", "\u0663"])
+@pytest.mark.parametrize("key", ["1_0", "+5", " 5", "\u0663", "05"])
 def test_feature_index_must_be_ascii_decimal_digits(key):
-    # int() reads these as 10, 5, 5 and 3.
+    # int() reads these as 10, 5, 5, 3 and 5; "05" beside "5" would name one feature twice.
     text = json.dumps({
         "predicates": [{"kind": "feature_req", "reqs": {key: 1}}],
         "change_pos": [0],

@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from cascade_forge.metrics import Dataset, ExamplePair, reward_report
 from cascade_forge.phonology import tokenize
 from cascade_forge.proposers import builtin_proposer, callable_proposer
@@ -15,11 +13,9 @@ from cascade_forge.rule_engine import (
     serialize_cascade,
 )
 from cascade_forge.search import (
-    Hypothesis,
     SearchConfig,
     beam_search_cascade as beam_search,
     induce_single_law,
-    pick_best,
     select_examples_ites,
 )
 from cascade_forge.synthgen import (
@@ -178,7 +174,7 @@ def test_beam_search_recovers_three_rule_cascade(tiny_inv):
     handle = make_ground_truth_proposer(truth, sources, tiny_inv)
     cfg = SearchConfig(beam_width=4, samples_per_step=1, max_steps=5)
     beams = beam_search(handle, ds, cfg, inv=tiny_inv)
-    best = pick_best(beams)
+    best = beams[0]
     assert best.reward == 1.0
     assert len(best.cascade) <= 3
 
@@ -292,34 +288,24 @@ def test_beam_search_scores_every_final_hypothesis_as_a_fresh_report(default_inv
         )
 
 
-# --- pick_best ------------------------------------------------------------------------
+# --- beam order ------------------------------------------------------------------------
 
 
-def hyp(reward, n_rules, tiny_inv, phone="a"):
-    rules = tuple(sub_rule(phone, 0, phone, "e") for _ in range(n_rules))
-    forms = (tokenize("aj", tiny_inv),)
-    return Hypothesis(Cascade(rules), forms, reward, 0)
+def test_beam_order_tie_prefers_fewer_rules(tiny_inv):
+    # Every cascade below leaves "at" one edit from "et", so all rewards tie.
+    # [a>i, i>s] serializes before [a>u], yet the shorter cascades rank first.
+    a_to_u, a_to_i, i_to_s = sub_rule("a", 0, "a", "u"), sub_rule("a", 0, "a", "i"), sub_rule("i", 0, "i", "s")
 
+    def proposer(request):
+        return [a_to_u, a_to_i] if request.step_index == 0 else [i_to_s]
 
-def test_pick_best_by_reward(tiny_inv):
-    hs = [hyp(0.3, 1, tiny_inv), hyp(1.0, 2, tiny_inv), hyp(0.7, 1, tiny_inv)]
-    assert pick_best(hs).reward == 1.0
-
-
-def test_pick_best_tie_prefers_fewer_rules(tiny_inv):
-    short = hyp(1.0, 2, tiny_inv)
-    long = hyp(1.0, 3, tiny_inv)
-    assert pick_best([long, short]) is short
-
-
-def test_pick_best_singleton(tiny_inv):
-    only = hyp(0.2, 1, tiny_inv)
-    assert pick_best([only]) is only
-
-
-def test_pick_best_empty():
-    with pytest.raises(ValueError):
-        pick_best([])
+    ds = dataset(tiny_inv, ("at", "et"))
+    cfg = SearchConfig(beam_width=10, samples_per_step=2, max_steps=2, early_stop_on_perfect=False)
+    beams = beam_search(callable_proposer(proposer), ds, cfg, inv=tiny_inv)
+    assert serialize_cascade(Cascade([a_to_i, i_to_s])) < serialize_cascade(Cascade([a_to_u]))
+    assert len({b.reward for b in beams}) == 1
+    assert [b.cascade.rules for b in beams] == [(), (a_to_i,), (a_to_u,), (a_to_i, i_to_s)]
+    assert [b.forms[0].surface for b in beams] == ["at", "it", "ut", "st"]
 
 
 # --- ITES soundness on generated cases -----------------------------------------------

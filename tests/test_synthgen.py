@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from cascade_forge import synthgen
 from cascade_forge.phonology import default_inventory, tokenize
 from cascade_forge.rule_engine import (
     Cascade,
@@ -67,24 +68,27 @@ def test_smp_spec_validation():
 
 
 def test_smp_forced_env_size_one(default_inv):
-    spec = SmpSpec(env_weights=(1.0, 0.0, 0.0), boundary_weights=(0, 0, 0, 0, 1.0))
-    for i in range(20):
-        rule = gen_smp_law(default_inv, spec, task_rng(1, "e1", i))
-        assert env_size(rule) == 1
-        assert boundary_kind(rule) == "none"
+    spec = SmpSpec(env_weights=(1.0, 0.0, 0.0))
+    rules = [gen_smp_law(default_inv, spec, task_rng(1, "e1", i)) for i in range(40)]
+    assert all(env_size(rule) == 1 for rule in rules)
+    assert sum(boundary_kind(rule) == "none" for rule in rules) >= 20
 
 
 def test_smp_forced_word_end_boundary(default_inv):
-    spec = SmpSpec(boundary_weights=(0, 1.0, 0, 0, 0))
-    for i in range(20):
-        rule = gen_smp_law(default_inv, spec, task_rng(2, "be", i))
+    rules = [gen_smp_law(default_inv, SmpSpec(), task_rng(2, "be", i)) for i in range(400)]
+    word_end = [rule for rule in rules if boundary_kind(rule) == "E"]
+    assert len(word_end) >= 10
+    for rule in word_end:
         assert isinstance(rule.predicates[-1], WordEnd)
+        assert not any(isinstance(p, (WordStart, WordEnd, Not)) for p in rule.predicates[:-1])
 
 
 def test_smp_minimal_substitution_shape(default_inv):
-    spec = SmpSpec(env_weights=(1.0, 0.0, 0.0), boundary_weights=(0, 0, 0, 0, 1.0))
+    spec = SmpSpec(env_weights=(1.0, 0.0, 0.0))
     for i in range(200):
         rule = gen_smp_law(default_inv, spec, task_rng(3, "shape", i))
+        if boundary_kind(rule) != "none":
+            continue
         if len(rule.mappings) == 1 and isinstance(rule.mappings[0], Substitute):
             assert len(rule.predicates) == 1
             assert isinstance(rule.predicates[0], PhoneSet)
@@ -115,7 +119,7 @@ def test_smp_examples_quota_counts(default_inv):
     assert {k: len(v) for k, v in groups.items()} == {
         "rand": 30, "prefix": 5, "suffix": 5, "mid2": 5, "mid3": 5,
     }
-    env = tuple(case.provenance["environment"])
+    env = tuple(environment_phones(rule, default_inv))
     width = len(env)
 
     def occurrences(phones):
@@ -284,9 +288,24 @@ def test_multilaw_preserves_pool_order(default_inv):
     pool = make_pool(default_inv, 10)
     cases = gen_multilaw_evalset(default_inv, pool, 4, 5, 10, task_rng(18, "order"))
     for case in cases:
-        indices = case.provenance["pool_indices"]
-        assert indices == sorted(indices)
-        assert tuple(case.ground_truth.rules) == tuple(pool.rules[i] for i in indices)
+        positions = [
+            next(i for i, p in enumerate(pool.rules) if p is rule) for rule in case.ground_truth.rules
+        ]
+        assert positions == sorted(set(positions))
+
+
+def test_multilaw_resolves_each_environment_once_per_set(default_inv, monkeypatch):
+    calls = []
+
+    def counting(rule, inv=None):
+        calls.append(rule)
+        return environment_phones(rule, inv)
+
+    monkeypatch.setattr(synthgen, "environment_phones", counting)
+    pool = make_pool(default_inv, 8)
+    cases = gen_multilaw_evalset(default_inv, pool, 3, 2, 20, task_rng(23, "envs"))
+    assert len(cases) == 2
+    assert len(calls) <= 3 * 2
 
 
 def test_multilaw_rejects_small_pool(default_inv):
