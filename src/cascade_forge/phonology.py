@@ -13,17 +13,23 @@ word-edge insertions expressible.
 
 Feature vectors are ternary: +1 and 0 are real values, -1 means the
 feature is unspecified for that phone and never satisfies a requirement.
+Feature arithmetic runs on bit masks: bit ``i`` of a phone's ``ones``
+(``zeros``) is set where feature ``i`` is 1 (0), and requirements are
+turned into masks of the same shape by :func:`requirement_masks`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Mapping
 
 BOUNDARY = "#"
 SEPARATOR = "@"
 RESERVED_TOKENS = (BOUNDARY, SEPARATOR)
+# The widest feature geometry an inventory may declare.
+MAX_FEATURES = 1 << 16
 
 
 class InventoryError(ValueError):
@@ -44,28 +50,43 @@ class WordFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Phone:
-    """One segment: a symbol (possibly multi-codepoint) plus its feature vector."""
+    """One segment: a symbol (possibly multi-codepoint) plus its feature vector.
+
+    ``ones`` and ``zeros`` are the vector as bit masks (bit ``i`` set where
+    feature ``i`` is 1, resp. 0), built at construction and never written
+    after; they take no part in equality.
+    """
 
     symbol: str
     features: tuple[int, ...]
+    ones: int = field(init=False, repr=False, compare=False)
+    zeros: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.symbol:
             raise InventoryError("phone symbol is empty")
         if self.symbol in RESERVED_TOKENS:
             raise InventoryError(f"reserved symbol {self.symbol!r} declared as a phone")
-        for value in self.features:
-            if value not in (-1, 0, 1):
+        ones = zeros = 0
+        for i, value in enumerate(self.features):
+            if value == 1:
+                ones |= 1 << i
+            elif value == 0:
+                zeros |= 1 << i
+            elif value != -1:
                 raise InventoryError(
                     f"phone {self.symbol!r} has feature value {value!r}, expected -1, 0 or 1"
                 )
+        object.__setattr__(self, "ones", ones)
+        object.__setattr__(self, "zeros", zeros)
 
 
 class Inventory:
     """A closed, ordered set of phones sharing one feature geometry.
 
-    Immutable after construction: no lookup stores anything on the
-    instance, so instances can be shared freely across threads.
+    Immutable after construction: each phone's feature masks are built
+    when the phone is, and no lookup stores anything on the instance, so
+    instances can be shared freely across threads.
     """
 
     def __init__(self, phones: Iterable[Phone], feature_names: Iterable[str] | None = None):
@@ -76,6 +97,8 @@ class Inventory:
         if len(sizes) != 1:
             raise InventoryError(f"ragged feature vectors: lengths {sorted(sizes)}")
         self.num_features: int = sizes.pop()
+        if self.num_features > MAX_FEATURES:
+            raise InventoryError(f"{self.num_features} features, at most {MAX_FEATURES} allowed")
         if feature_names is None:
             names = tuple(f"f{i}" for i in range(self.num_features))
         else:
@@ -119,8 +142,20 @@ class Inventory:
         ``requirements`` holds ``(index, value)`` pairs, as ``FeatureReq.reqs``
         does.  The answer is computed on every call.
         """
-        reqs = dict(requirements)
-        return frozenset(p.symbol for p in self.phones if feature_match(p, reqs))
+        masks = requirement_masks(requirements)
+        return frozenset(p.symbol for p in self.phones if self.satisfies(p.symbol, masks))
+
+    def satisfies(self, symbol: str, masks: tuple[int, int, int]) -> bool:
+        """True iff ``symbol`` is a phone of this inventory meeting ``masks``.
+
+        ``masks`` comes from :func:`requirement_masks`; requirements reaching
+        past this inventory's features raise ``InventoryError``.
+        """
+        ones, zeros, span = masks
+        if span > self.num_features:
+            raise InventoryError(f"feature index out of range (F={self.num_features})")
+        phone = self._by_symbol.get(symbol)
+        return phone is not None and (phone.ones & ones) == ones and (phone.zeros & zeros) == zeros
 
 
 @dataclass(frozen=True)
@@ -235,16 +270,45 @@ def detokenize(word: TokenizedWord) -> str:
 def feature_match(phone: Phone, requirements: Mapping[int, int]) -> bool:
     """True iff every required feature index has exactly the required value.
 
-    Unspecified values (-1) never satisfy a requirement of 0 or 1; an empty
-    requirement map matches every phone.
+    Unspecified values (-1) never satisfy a requirement, and a required
+    value other than 0 or 1 matches no phone; an empty requirement map
+    matches every phone.
     """
     features = phone.features
     for idx, value in requirements.items():
         if idx < 0 or idx >= len(features):
             raise InventoryError(f"feature index {idx} out of range (F={len(features)})")
-        if features[idx] != value:
+        if value not in (0, 1) or features[idx] != value:
             return False
     return True
+
+
+def requirement_masks(requirements: Iterable[tuple[int, int]]) -> tuple[int, int, int]:
+    """``(ones, zeros, span)`` for partial requirements of ``(index, value)`` pairs.
+
+    Bit ``i`` of ``ones`` (``zeros``) is set where feature ``i`` must be 1
+    (0).  A value that is neither, or an index required to hold two values,
+    sets both bits, which no phone has.  ``span`` is one past the highest
+    index (0 without requirements) and unbounded if an index is negative or
+    at least :data:`MAX_FEATURES`, so no inventory narrower than ``span``
+    accepts the requirements; such an index gets no bit, so an index read
+    from untrusted input costs no memory before validation rejects it.
+    """
+    ones = zeros = span = 0
+    for idx, value in requirements:
+        if idx < 0 or idx >= MAX_FEATURES:
+            span = sys.maxsize
+            continue
+        bit = 1 << idx
+        if value == 1:
+            ones |= bit
+        elif value == 0:
+            zeros |= bit
+        else:
+            ones |= bit
+            zeros |= bit
+        span = max(span, idx + 1)
+    return ones, zeros, span
 
 
 def realize_feature_change(
@@ -254,29 +318,36 @@ def realize_feature_change(
 
     Distance is Hamming distance over the specified entries of the target
     vector; ties go to the earlier phone in inventory order.  An empty change
-    map returns the phone itself.
+    map returns the phone itself.  The target is held as masks ``t1``/``t0``
+    of its 1 and 0 entries, and the distance to a candidate is the count of
+    target bits missing from the candidate's masks, which every phone builds
+    at construction.
     """
     if not changes:
         return phone
-    target = list(phone.features)
+    width = len(phone.features)
+    set_ones = set_zeros = 0
     for idx, value in changes.items():
-        if idx < 0 or idx >= len(target):
-            raise InventoryError(f"feature index {idx} out of range (F={len(target)})")
+        if idx < 0 or idx >= width:
+            raise InventoryError(f"feature index {idx} out of range (F={width})")
         if value not in (0, 1):
             raise InventoryError(f"change value must be 0 or 1, got {value!r}")
-        target[idx] = value
-    specified = [i for i, v in enumerate(target) if v != -1]
-    best: Phone | None = None
-    best_distance = -1
+        if value:
+            set_ones |= 1 << idx
+        else:
+            set_zeros |= 1 << idx
+    kept = ~(set_ones | set_zeros)
+    t1 = (phone.ones & kept) | set_ones
+    t0 = (phone.zeros & kept) | set_zeros
+    best = phone
+    best_distance = width + 1
     for candidate in inv.phones:
-        distance = 0
-        for i in specified:
-            if candidate.features[i] != target[i]:
-                distance += 1
-        if best is None or distance < best_distance:
+        distance = (t1 & ~candidate.ones).bit_count() + (t0 & ~candidate.zeros).bit_count()
+        if distance < best_distance:
             best = candidate
             best_distance = distance
-    assert best is not None
+            if not distance:
+                break
     return best
 
 

@@ -22,11 +22,12 @@ from typing import Any, Mapping, Sequence
 
 from cascade_forge.phonology import (
     BOUNDARY,
+    MAX_FEATURES,
     RESERVED_TOKENS,
     SEPARATOR,
     Inventory,
     TokenizedWord,
-    feature_match,
+    requirement_masks,
 )
 
 
@@ -81,14 +82,18 @@ class FeatureReq(Predicate):
 
     Needs an inventory at match time to resolve symbols to feature vectors;
     boundary and separator tokens, and tokens the inventory lacks, never
-    satisfy it.
+    satisfy it.  ``masks`` holds the requirements as bit masks
+    (``phonology.requirement_masks``), built at construction so that
+    matching a token is two mask tests; it takes no part in equality.
     """
 
     reqs: tuple[tuple[int, int], ...]  # sorted (feature index, value) pairs
+    masks: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, reqs):
         items = tuple(sorted(dict(reqs).items())) if not isinstance(reqs, tuple) else tuple(sorted(reqs))
         object.__setattr__(self, "reqs", items)
+        object.__setattr__(self, "masks", requirement_masks(items))
 
 
 @dataclass(frozen=True)
@@ -195,6 +200,10 @@ class Rule:
             if isinstance(fn, Substitute):
                 if not fn.mapping:
                     raise RuleError("substitute map is empty")
+                keys = [key for key, _ in fn.mapping]
+                if len(set(keys)) != len(keys):
+                    # The JSON object keeps one target per key.
+                    raise RuleError(f"substitute at position {pos} maps a phone twice")
                 for key, value in fn.mapping:
                     if not value:
                         raise RuleError(f"substitute target for {key!r} is empty")
@@ -223,10 +232,14 @@ def _validate_predicate(pred: Predicate, position: int, inv: Inventory | None) -
         for symbol in sorted(pred.phones):
             _check_phone(symbol, f"phone set at position {position}", inv)
     elif isinstance(pred, FeatureReq):
+        indices = [idx for idx, _ in pred.reqs]
+        if len(set(indices)) != len(indices):
+            # The JSON object keeps one value per index.
+            raise RuleError(f"feature requirement at position {position} names an index twice")
         for idx, value in pred.reqs:
             if not _is_bit(value):
                 raise RuleError(f"feature requirement value {value!r} at position {position}")
-            if idx < 0 or (inv is not None and idx >= inv.num_features):
+            if not 0 <= idx < (MAX_FEATURES if inv is None else inv.num_features):
                 raise RuleError(f"feature index {idx} out of range at position {position}")
     elif isinstance(pred, Not):
         _validate_predicate(pred.inner, position, inv)
@@ -304,7 +317,7 @@ def match_predicate(
             return False
         if inv is None:
             raise RuleError("feature predicates require an inventory to match")
-        return token in inv and feature_match(inv.phone(token), dict(pred.reqs))
+        return inv.satisfies(token, pred.masks)
     if isinstance(pred, Not):
         return not match_predicate(pred.inner, token, is_first, is_last, inv)
     raise RuleError(f"unknown predicate {pred!r}")

@@ -334,7 +334,10 @@ def gen_ling_rule(
     """One feature-conditioned law applying to at least ``min_applicable`` protoforms.
 
     Rules that sample no change at all are vacuous and resampled.  Raises
-    after the attempt cap.
+    after the attempt cap.  Site detection reads only a rule's predicates,
+    so an attempt is tested for applicability before its substitutions are
+    realized: most attempts are rejected, and only a kept rule pays for
+    ``realize_feature_change`` on every phone its substitutions map.
     """
     if not protos:
         raise ValueError("no protoforms")
@@ -350,13 +353,13 @@ def gen_ling_rule(
         anchor = rng.choice(eligible)
         start = rng.randrange(len(anchor.phones) - total + 1)
         window = anchor.phones[start : start + total]
-        position_reqs = [
-            _gated_requirements(inv.phone(phone).features, rng) for phone in window
-        ]
+        preds = [FeatureReq(_gated_requirements(inv.phone(phone).features, rng)) for phone in window]
 
         slots = sample_change_ops(chg_len, rng)
 
         changes: dict[int, MappingFn] = {}
+        # unit -> (phones its predicate matches, target feature values)
+        substitutes: dict[int, tuple[list[str], dict[int, int]]] = {}
         inserts: dict[int, list[str]] = {}
         for i, slot in enumerate(slots):
             unit = pre_len + i
@@ -365,26 +368,28 @@ def gen_ling_rule(
             elif slot.substitute:
                 target_features = _changeto_features(inv.num_features, rng)
                 if target_features:
-                    matching = sorted(inv.matching_phones(position_reqs[unit]))
-                    mapping = {
-                        sym: (realize_feature_change(inv.phone(sym), target_features, inv).symbol,)
-                        for sym in matching
-                    }
-                    if mapping:
-                        changes[unit] = Substitute(mapping)
+                    matching = sorted(inv.matching_phones(preds[unit].reqs))
+                    if matching:
+                        substitutes[unit] = (matching, target_features)
             if slot.ins_before:
                 inserts.setdefault(unit, []).append(rng.choice(symbols))
             if slot.ins_after:
                 inserts.setdefault(unit + 1, []).append(rng.choice(symbols))
-        if not (changes or inserts):
+        if not (changes or substitutes or inserts):
             continue
-        units = [(FeatureReq(reqs), changes.get(i)) for i, reqs in enumerate(position_reqs)]
-        rule = layout_rule(units, inserts, name)
-        rule.validate(inv)
+        environment = layout_rule([(pred, None) for pred in preds], inserts)
+        applies = sum(1 for w in protos if find_sites(environment, w, inv))
+        if applies < spec.min_applicable:
+            continue
 
-        applies = sum(1 for w in protos if find_sites(rule, w, inv))
-        if applies >= spec.min_applicable:
-            return rule
+        for unit, (matching, target_features) in substitutes.items():
+            changes[unit] = Substitute({
+                sym: (realize_feature_change(inv.phone(sym), target_features, inv).symbol,)
+                for sym in matching
+            })
+        rule = layout_rule([(pred, changes.get(i)) for i, pred in enumerate(preds)], inserts, name)
+        rule.validate(inv)
+        return rule
     raise GenerationError(f"no applicable rule found after {MAX_RULE_ATTEMPTS} attempts")
 
 

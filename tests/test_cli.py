@@ -106,6 +106,11 @@ INVALID_RULES = {
          "mappings": [{"kind": "delete"}]},
         "'i' not in inventory",
     ),
+    "feature-index-past-any-inventory": (
+        {"predicates": [{"kind": "feature_req", "reqs": {"100000000000000000000": 1}}],
+         "change_pos": [0], "mappings": [{"kind": "delete"}]},
+        "feature index 100000000000000000000 out of range",
+    ),
 }
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from cascade_forge.phonology import (
     BOUNDARY,
+    MAX_FEATURES,
     SEPARATOR,
     Inventory,
     InventoryError,
@@ -19,6 +20,7 @@ from cascade_forge.phonology import (
     feature_match,
     load_inventory,
     realize_feature_change,
+    requirement_masks,
     tokenize,
     validate_word,
 )
@@ -172,6 +174,9 @@ def test_feature_match_unspecified_never_satisfies():
     phone = Phone("x", (-1, 0, 1))
     assert not feature_match(phone, {0: 0})
     assert not feature_match(phone, {0: 1})
+    # nor does requiring a value other than 0 or 1 match anything
+    assert not feature_match(phone, {0: -1})
+    assert not feature_match(phone, {2: 2})
 
 
 def test_feature_match_monotone_under_growing_requirements():
@@ -216,24 +221,82 @@ def test_realize_tie_breaks_by_inventory_order():
     assert realize_feature_change(tie_inv.phone("m"), {0: 1, 1: 1}, tie_inv).symbol == "n"
 
 
+def _random_inventory(rng):
+    """A small inventory with many unspecified values and repeated vectors,
+    so that distances tie often."""
+    width = rng.randint(1, 6)
+    phones = [
+        Phone(f"p{i}", tuple(rng.choice((-1, -1, 0, 1)) for _ in range(width)))
+        for i in range(rng.randint(1, 12))
+    ]
+    return Inventory(phones)
+
+
 def test_realize_brute_force_oracle(default_inv):
     rng = random.Random(17)
-    for _ in range(200):
-        phone = rng.choice(default_inv.phones)
-        changes = {rng.randrange(default_inv.num_features): rng.choice((0, 1))
+    inventories = [default_inv] * 200 + [_random_inventory(rng) for _ in range(400)]
+    ties = 0
+    for inv in inventories:
+        phone = rng.choice(inv.phones)
+        changes = {rng.randrange(inv.num_features): rng.choice((0, 1))
                    for _ in range(rng.randint(1, 4))}
-        got = realize_feature_change(phone, changes, default_inv)
+        got = realize_feature_change(phone, changes, inv)
         target = list(phone.features)
         for idx, value in changes.items():
             target[idx] = value
-        def distance(candidate):
-            return sum(
-                1 for i, v in enumerate(target) if v != -1 and candidate.features[i] != v
-            )
-        best = min(distance(c) for c in default_inv.phones)
-        assert distance(got) == best
-        first = next(c for c in default_inv.phones if distance(c) == best)
-        assert got == first
+        distances = [
+            sum(1 for i, v in enumerate(target) if v != -1 and c.features[i] != v)
+            for c in inv.phones
+        ]
+        best = min(distances)
+        ties += distances.count(best) > 1
+        # ties go to the first phone in inventory order
+        assert got is inv.phones[distances.index(best)]
+    assert ties > 100
+
+
+def test_matching_phones_agrees_with_feature_match(default_inv):
+    rng = random.Random(31)
+    inventories = [default_inv] + [_random_inventory(rng) for _ in range(60)]
+    for inv in inventories:
+        assert inv.matching_phones(()) == frozenset(inv.symbols)
+        for _ in range(20):
+            indices = rng.sample(range(inv.num_features), rng.randint(0, min(4, inv.num_features)))
+            reqs = tuple(sorted((i, rng.choice((0, 1, 0, 1, -1, 2))) for i in indices))
+            expected = frozenset(p.symbol for p in inv.phones if feature_match(p, dict(reqs)))
+            assert inv.matching_phones(reqs) == expected
+
+
+@pytest.mark.parametrize("reqs", [
+    ((3, 1),), ((0, 1), (3, 0)), ((-1, 1),), ((MAX_FEATURES, 1),), ((10**20, 1),),
+])
+def test_matching_phones_index_out_of_range(reqs):
+    inv = load_inventory("a\t0,1,0\nb\t1,1,0\n")
+    with pytest.raises(InventoryError, match="out of range"):
+        inv.matching_phones(reqs)
+
+
+def test_requirement_masks_give_an_unreachable_index_no_bit():
+    # An index no inventory can hold costs no memory, however large.
+    assert requirement_masks(((0, 1), (10**20, 1))) == (1, 0, sys.maxsize)
+    assert requirement_masks(((MAX_FEATURES - 1, 0),)) == (0, 1 << (MAX_FEATURES - 1), MAX_FEATURES)
+
+
+def test_inventory_rejects_more_than_max_features():
+    Inventory([Phone("a", (0,) * MAX_FEATURES)])
+    with pytest.raises(InventoryError, match="at most"):
+        Inventory([Phone("a", (0,) * (MAX_FEATURES + 1))])
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({3: 1}, "out of range"),
+    ({-1: 1}, "out of range"),
+    ({0: 2}, "0 or 1"),
+])
+def test_realize_rejects_bad_changes(changes, message):
+    inv = load_inventory("a\t0,1,0\nb\t1,1,0\n")
+    with pytest.raises(InventoryError, match=message):
+        realize_feature_change(inv.phone("a"), changes, inv)
 
 
 def test_realize_idempotent_when_changes_hold(default_inv):

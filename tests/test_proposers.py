@@ -30,6 +30,8 @@ from cascade_forge.proposers import (
     request_to_obj,
 )
 from cascade_forge.rule_engine import (
+    Delete,
+    FeatureReq,
     Insert,
     IsNothing,
     PhoneSet,
@@ -240,6 +242,21 @@ def test_callable_invalid_candidates_dropped_with_diagnostic(tiny_inv):
     assert len(result.diagnostics) == 1
 
 
+def test_callable_rules_serialization_would_change_are_dropped_with_diagnostic(tiny_inv):
+    # An ensemble dedups by serialization, which keeps one value per
+    # feature index and one target per substitute key.
+    twice_required = Rule([FeatureReq(((1, 1), (1, 0)))], [0], [Delete()])
+    twice_mapped = Rule([PhoneSet({"a"})], [0], [Substitute((("a", ("e",)), ("a", ("u",))))])
+    good = sub_rule("a", 0, "a", "e")
+    handle = callable_proposer(lambda req: [twice_required, twice_mapped, good], "stub")
+    request = ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 20)
+    result = propose(handle, request, tiny_inv)
+    assert result.rules == [good]
+    assert len(result.diagnostics) == 2
+    assert "dropped invalid candidate 0" in result.diagnostics[0] and "index twice" in result.diagnostics[0]
+    assert "dropped invalid candidate 1" in result.diagnostics[1] and "phone twice" in result.diagnostics[1]
+
+
 # Substitutes a into the separator token: no inventory can make this valid.
 RESERVED_TARGET_RULE = Rule([PhoneSet({"a"})], [0], [Substitute({"a": ("@",)})])
 
@@ -420,6 +437,27 @@ def test_external_feature_index_that_is_not_decimal_digits_dropped(tmp_path, tin
     assert len(result.diagnostics) == 1
     assert result.diagnostics[0].startswith("dropped invalid program 0")
     assert "/programs/0/predicates/0/reqs: feature index must be decimal digits" in result.diagnostics[0]
+
+
+@pytest.mark.parametrize("with_inventory", [True, False])
+def test_external_feature_index_past_any_inventory_dropped(tmp_path, tiny_inv, with_inventory):
+    bad = {
+        "predicates": [{"kind": "feature_req", "reqs": {"100000000000000000000": 1}}],
+        "change_pos": [0],
+        "mappings": [{"kind": "delete"}],
+    }
+    reply = json.dumps({"v": 1, "programs": [bad, VALID_RULE_OBJ]})
+    command = write_stub(tmp_path, "huge_key.py", f"""
+        import sys
+        sys.stdin.readline()
+        print({reply!r})
+    """)
+    inv = tiny_inv if with_inventory else None
+    result = propose(external_proposer(command), ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 4), inv)
+    assert result.rules == [sub_rule("a", 0, "a", "e")]
+    assert len(result.diagnostics) == 1
+    assert result.diagnostics[0].startswith("dropped invalid program 0")
+    assert "feature index 100000000000000000000 out of range" in result.diagnostics[0]
 
 
 def test_external_feature_index_with_a_leading_zero_dropped(tmp_path, tiny_inv):

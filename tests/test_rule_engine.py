@@ -374,6 +374,36 @@ def test_rule_validation_errors():
         Rule([PhoneSet({"a"})], [0], [Delete(), Delete()]).validate()
 
 
+def test_rule_validation_rejects_a_feature_index_required_twice(tiny_inv):
+    # Serialization keeps one value per index, so this rule could not be
+    # written out and read back as itself.
+    rule = Rule([FeatureReq(((1, 1), (1, 0)))], [0], [Delete()])
+    assert json.loads(serialize_rule(rule))["predicates"][0]["reqs"] == {"1": 1}
+    for inv in (None, tiny_inv):
+        with pytest.raises(RuleError, match="names an index twice"):
+            rule.validate(inv)
+
+
+def test_parse_rule_rejects_a_feature_index_past_any_inventory(tiny_inv):
+    text = json.dumps({
+        "predicates": [{"kind": "feature_req", "reqs": {"100000000000000000000": 1}}],
+        "change_pos": [0],
+        "mappings": [{"kind": "delete"}],
+    })
+    for inv in (None, tiny_inv):
+        with pytest.raises(RuleParseError, match="feature index 100000000000000000000 out of range"):
+            parse_rule(text, inv)
+
+
+def test_rule_validation_rejects_a_substitute_key_mapped_twice(tiny_inv):
+    # Applied, the first target wins; serialized, the last one does.
+    rule = Rule([PhoneSet({"a"})], [0], [Substitute((("a", ("e",)), ("a", ("u",))))])
+    assert json.loads(serialize_rule(rule))["mappings"][0]["map"] == {"a": ["u"]}
+    for inv in (None, tiny_inv):
+        with pytest.raises(RuleError, match="maps a phone twice"):
+            rule.validate(inv)
+
+
 def test_rule_validation_against_inventory(tiny_inv):
     rule = Rule([PhoneSet({"zz"})], [0], [Delete()])
     rule.validate()  # structurally fine

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 
@@ -18,6 +19,7 @@ from cascade_forge.rule_engine import (
     apply_cascade,
     apply_rule,
     find_sites,
+    serialize_cascade,
 )
 from cascade_forge.synthgen import (
     GenerationError,
@@ -230,6 +232,25 @@ def test_ling_generation_leaves_the_inventory_unchanged():
     before = copy.deepcopy(vars(inv))
     assert len(gen_ling_corpus(inv, LingSpec(num_languages=3, seed=4))) == 3
     assert vars(inv) == before
+
+
+LING_CORPUS_DIGESTS = {
+    2: "6198e7455d0a64eba254d0b4b2986950efc5c86ff5e53317f98af7930692aa8b",
+    3: "9d35b67c21d5017a6c8b4a73bc7c0cd3171849546a5bdab55422aaf7a946e218",
+}
+
+
+@pytest.mark.parametrize("min_applicable", sorted(LING_CORPUS_DIGESTS))
+def test_ling_corpus_bytes_are_pinned(default_inv, min_applicable):
+    # Every cascade and word pair of 30 languages: a change to how rules
+    # are drawn, realized or tested for applicability shows here.
+    spec = LingSpec(num_languages=30, min_applicable=min_applicable, seed=0)
+    h = hashlib.sha256()
+    for case in gen_ling_corpus(default_inv, spec):
+        h.update(serialize_cascade(case.ground_truth).encode("utf-8") + b"\n")
+        for pair in case.dataset.pairs:
+            h.update(f"{pair.source.surface}\t{pair.target.surface}\n".encode("utf-8"))
+    assert h.hexdigest() == LING_CORPUS_DIGESTS[min_applicable]
 
 
 def test_ling_rule_requires_protoforms(default_inv):
