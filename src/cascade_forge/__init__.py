@@ -38,7 +38,6 @@ from cascade_forge.rule_engine import (
     apply_cascade,
     apply_rule,
     find_sites,
-    match_predicate,
     parse_cascade,
     parse_rule,
     serialize_cascade,
@@ -69,7 +68,6 @@ __all__ = [
     "feature_match",
     "find_sites",
     "load_inventory",
-    "match_predicate",
     "parse_cascade",
     "parse_rule",
     "realize_feature_change",

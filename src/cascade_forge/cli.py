@@ -463,6 +463,17 @@ def cmd_inventory_check(args) -> int:
 # --- parser ----------------------------------------------------------------------
 
 
+def _count(text: str) -> int:
+    """Argparse type of the count options: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cascade-forge",
@@ -500,10 +511,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_induce.add_argument("--proposer", default="builtin", help="'builtin' or 'exec:CMD ...'")
     p_induce.add_argument("--ensemble", action="append", help="additional proposer spec (repeatable)")
     p_induce.add_argument("--mode", choices=("single", "cascade"), default="single")
-    p_induce.add_argument("--samples", type=int, default=None,
+    p_induce.add_argument("--samples", type=_count, default=None,
                           help="candidates per request (default: 20 single, 1 cascade)")
-    p_induce.add_argument("--beams", type=int, default=20)
-    p_induce.add_argument("--max-steps", type=int, default=10)
+    p_induce.add_argument("--beams", type=_count, default=20)
+    p_induce.add_argument("--max-steps", type=_count, default=10)
     p_induce.add_argument("--seed", type=int, default=0)
     p_induce.add_argument("--ites", action="store_true", help="filter the proposer's examples")
     p_induce.add_argument("--out", required=True, help="run directory")
@@ -515,19 +526,19 @@ def build_parser() -> argparse.ArgumentParser:
     gen_sub = p_generate.add_subparsers(dest="generator", required=True)
 
     p_smp = gen_sub.add_parser("smp", help="string-manipulation laws")
-    p_smp.add_argument("--laws", type=int, default=100)
+    p_smp.add_argument("--laws", type=_count, default=100)
     p_smp.add_argument("--n", type=int, default=50, help="examples per law")
     p_ling = gen_sub.add_parser("ling", help="feature-driven laws over nonce protoforms")
-    p_ling.add_argument("--langs", type=int, default=2000)
-    p_ling.add_argument("--rules", type=int, default=3)
-    p_ling.add_argument("--protoforms", type=int, default=50)
+    p_ling.add_argument("--langs", type=_count, default=2000)
+    p_ling.add_argument("--rules", type=_count, default=3)
+    p_ling.add_argument("--protoforms", type=_count, default=50)
     p_ling.add_argument("--min-applicable", type=int, default=3)
     p_multi = gen_sub.add_parser("multilaw", help="ordered rule subsets with balanced word sets")
-    p_multi.add_argument("--sets", type=int, default=10)
-    p_multi.add_argument("--rules-per-set", type=int, default=5)
-    p_multi.add_argument("--words", type=int, default=50)
+    p_multi.add_argument("--sets", type=_count, default=10)
+    p_multi.add_argument("--rules-per-set", type=_count, default=5)
+    p_multi.add_argument("--words", type=_count, default=50)
     p_multi.add_argument("--pool", help="cascade JSON to sample rules from")
-    p_multi.add_argument("--pool-laws", type=int, default=25,
+    p_multi.add_argument("--pool-laws", type=_count, default=25,
                          help="laws to generate for the pool when --pool is absent")
     for p in (p_smp, p_ling, p_multi):
         p.add_argument("--seed", type=int, default=0)

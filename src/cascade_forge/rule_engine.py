@@ -8,8 +8,10 @@ material produced by the rule itself, a rule cannot feed its own
 environment ("suppression of self-feeding"): inserting ``a`` after ``a``
 in ``ba`` yields ``baa``, not an unbounded run of ``a``.
 
-When two recorded sites would edit the same token index, the leftmost
-site wins and the conflicting mapping is skipped.
+Each predicate kind decides its own token test (``Predicate.matches``)
+and each mapping kind its own edit (``MappingFn.edit``).  When two
+recorded sites would edit the same token index, the leftmost site wins and
+the conflicting mapping is skipped.
 Rules and cascades are immutable after construction and application is
 pure, so everything here is safe for unrestricted concurrent use.
 """
@@ -48,7 +50,9 @@ class RuleParseError(RuleError):
 
 @dataclass(frozen=True)
 class Predicate:
-    pass
+    def matches(self, token: str, is_first: bool, is_last: bool, inv: Inventory | None) -> bool:
+        """Evaluate the predicate against one token at a known word position."""
+        raise RuleError(f"unknown predicate {self!r}")
 
 
 @dataclass(frozen=True)
@@ -60,20 +64,32 @@ class PhoneSet(Predicate):
     def __init__(self, phones):
         object.__setattr__(self, "phones", frozenset(phones))
 
+    def matches(self, token, is_first, is_last, inv):
+        return token in self.phones
+
 
 @dataclass(frozen=True)
 class IsNothing(Predicate):
     """Matches exactly the separator token."""
+
+    def matches(self, token, is_first, is_last, inv):
+        return token == SEPARATOR
 
 
 @dataclass(frozen=True)
 class WordStart(Predicate):
     """Matches the boundary token in first position only."""
 
+    def matches(self, token, is_first, is_last, inv):
+        return token == BOUNDARY and is_first
+
 
 @dataclass(frozen=True)
 class WordEnd(Predicate):
     """Matches the boundary token in last position only."""
+
+    def matches(self, token, is_first, is_last, inv):
+        return token == BOUNDARY and is_last
 
 
 @dataclass(frozen=True)
@@ -95,10 +111,20 @@ class FeatureReq(Predicate):
         object.__setattr__(self, "reqs", items)
         object.__setattr__(self, "masks", requirement_masks(items))
 
+    def matches(self, token, is_first, is_last, inv):
+        if token == BOUNDARY or token == SEPARATOR:
+            return False
+        if inv is None:
+            raise RuleError("feature predicates require an inventory to match")
+        return inv.satisfies(token, self.masks)
+
 
 @dataclass(frozen=True)
 class Not(Predicate):
     inner: Predicate
+
+    def matches(self, token, is_first, is_last, inv):
+        return not self.inner.matches(token, is_first, is_last, inv)
 
 
 # --- mapping functions ------------------------------------------------------
@@ -106,12 +132,15 @@ class Not(Predicate):
 
 @dataclass(frozen=True)
 class MappingFn:
-    pass
+    def edit(self, token: str) -> tuple[str, ...] | None:
+        """The phones replacing the token, or None where the mapping skips it."""
+        raise RuleError(f"unknown mapping function {self!r}")
 
 
 @dataclass(frozen=True)
 class Delete(MappingFn):
-    pass
+    def edit(self, token):
+        return None if token == BOUNDARY or token == SEPARATOR else ()
 
 
 @dataclass(frozen=True)
@@ -133,6 +162,9 @@ class Substitute(MappingFn):
                 return value
         return None
 
+    def edit(self, token):
+        return None if token == BOUNDARY or token == SEPARATOR else self.get(token)
+
 
 @dataclass(frozen=True)
 class Insert(MappingFn):
@@ -140,6 +172,9 @@ class Insert(MappingFn):
 
     def __init__(self, phones):
         object.__setattr__(self, "phones", tuple(phones))
+
+    def edit(self, token):
+        return self.phones if token == SEPARATOR else None
 
 
 # --- rule / cascade ---------------------------------------------------------
@@ -296,33 +331,6 @@ class Cascade:
 # --- matching and application -----------------------------------------------
 
 
-def match_predicate(
-    pred: Predicate,
-    token: str,
-    is_first: bool,
-    is_last: bool,
-    inv: Inventory | None = None,
-) -> bool:
-    """Evaluate one predicate against one token at a known word position."""
-    if isinstance(pred, PhoneSet):
-        return token in pred.phones
-    if isinstance(pred, IsNothing):
-        return token == SEPARATOR
-    if isinstance(pred, WordStart):
-        return token == BOUNDARY and is_first
-    if isinstance(pred, WordEnd):
-        return token == BOUNDARY and is_last
-    if isinstance(pred, FeatureReq):
-        if token == BOUNDARY or token == SEPARATOR:
-            return False
-        if inv is None:
-            raise RuleError("feature predicates require an inventory to match")
-        return inv.satisfies(token, pred.masks)
-    if isinstance(pred, Not):
-        return not match_predicate(pred.inner, token, is_first, is_last, inv)
-    raise RuleError(f"unknown predicate {pred!r}")
-
-
 def find_sites(rule: Rule, word: TokenizedWord, inv: Inventory | None = None) -> list[int]:
     """All start indices where the environment matches, scanning left to right.
 
@@ -338,7 +346,7 @@ def find_sites(rule: Rule, word: TokenizedWord, inv: Inventory | None = None) ->
     for start in range(n - width + 1):
         for offset, pred in enumerate(preds):
             pos = start + offset
-            if not match_predicate(pred, tokens[pos], pos == 0, pos == last, inv):
+            if not pred.matches(tokens[pos], pos == 0, pos == last, inv):
                 break
         else:
             sites.append(start)
@@ -367,26 +375,10 @@ def apply_rule(
     for site in sites:
         for pos, fn in zip(rule.change_pos, rule.mappings):
             target = site + pos
-            if target in edits:
-                continue
-            token = tokens[target]
-            if isinstance(fn, Insert):
-                if token != SEPARATOR:
-                    continue
-                edits[target] = fn.phones
-            elif isinstance(fn, Delete):
-                if token == BOUNDARY or token == SEPARATOR:
-                    continue
-                edits[target] = ()
-            elif isinstance(fn, Substitute):
-                if token == BOUNDARY or token == SEPARATOR:
-                    continue
-                replacement = fn.get(token)
-                if replacement is None:
-                    continue
-                edits[target] = replacement
-            else:
-                raise RuleError(f"unknown mapping function {fn!r}")
+            if target not in edits:
+                edit = fn.edit(tokens[target])
+                if edit is not None:
+                    edits[target] = edit
 
     phones: list[str] = []
     for idx, token in enumerate(tokens):

@@ -331,13 +331,16 @@ def gen_ling_rule(
     rng: Random,
     name: str | None = None,
 ) -> Rule:
-    """One feature-conditioned law applying to at least ``min_applicable`` protoforms.
+    """One feature-conditioned law changing at least ``min_applicable`` protoforms.
 
     Rules that sample no change at all are vacuous and resampled.  Raises
     after the attempt cap.  Site detection reads only a rule's predicates,
-    so an attempt is tested for applicability before its substitutions are
-    realized: most attempts are rejected, and only a kept rule pays for
-    ``realize_feature_change`` on every phone its substitutions map.
+    so an attempt is first tested for sites in ``min_applicable`` protoforms
+    before its substitutions are realized: most attempts are rejected there,
+    and only a surviving rule pays for ``realize_feature_change`` on every
+    phone its substitutions map.  A built rule is then resampled unless it
+    changes that many protoforms, since a substitution whose matched phones
+    realize to themselves edits nothing.
     """
     if not protos:
         raise ValueError("no protoforms")
@@ -389,6 +392,8 @@ def gen_ling_rule(
             })
         rule = layout_rule([(pred, changes.get(i)) for i, pred in enumerate(preds)], inserts, name)
         rule.validate(inv)
+        if sum(1 for w in protos if apply_rule(rule, w, inv) != w) < spec.min_applicable:
+            continue
         return rule
     raise GenerationError(f"no applicable rule found after {MAX_RULE_ATTEMPTS} attempts")
 
@@ -448,6 +453,8 @@ def gen_multilaw_evalset(
 ) -> list[SynthCase]:
     """Per set: an order-preserving rule subsample plus words of which at
     least half remain unchanged under the sampled cascade."""
+    if rules_per_set < 1:
+        raise ValueError(f"rules_per_set must be at least 1, got {rules_per_set}")
     if len(cascade_pool) < rules_per_set:
         raise ValueError(
             f"pool holds {len(cascade_pool)} rules, need at least {rules_per_set}"

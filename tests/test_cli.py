@@ -425,6 +425,33 @@ def test_generate_multilaw_bad_pool_exits_2_naming_the_file(workdir, capsys, tex
     assert not (workdir / "ml").exists()
 
 
+COUNT_OPTIONS = [
+    ("induce", "--pairs", "pairs.tsv", "--samples"),
+    ("induce", "--pairs", "pairs.tsv", "--beams"),
+    ("induce", "--pairs", "pairs.tsv", "--max-steps"),
+    ("generate", "smp", "--laws"),
+    ("generate", "ling", "--langs"),
+    ("generate", "ling", "--rules"),
+    ("generate", "ling", "--protoforms"),
+    ("generate", "multilaw", "--sets"),
+    ("generate", "multilaw", "--rules-per-set"),
+    ("generate", "multilaw", "--words"),
+    ("generate", "multilaw", "--pool-laws"),
+]
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "x"])
+@pytest.mark.parametrize("argv", COUNT_OPTIONS, ids=lambda argv: argv[-1])
+def test_count_option_below_one_exits_2_before_writing(workdir, capsys, argv, value):
+    # Argparse rejects the value before the command starts, so no traceback,
+    # no empty corpus and no manifest.json in --out.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, value, "--out", "run"])
+    assert exc.value.code == 2
+    assert f"argument {argv[-1]}: expected a positive integer, got {value!r}" in capsys.readouterr().err
+    assert not (workdir / "run").exists()
+
+
 def test_generate_budget_exhaustion_exits_5(workdir, capsys, monkeypatch):
     from cascade_forge import cli
     from cascade_forge.synthgen import GenerationError

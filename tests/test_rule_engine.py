@@ -19,8 +19,10 @@ from cascade_forge.rule_engine import (
     FeatureReq,
     Insert,
     IsNothing,
+    MappingFn,
     Not,
     PhoneSet,
+    Predicate,
     Rule,
     RuleError,
     RuleParseError,
@@ -31,7 +33,6 @@ from cascade_forge.rule_engine import (
     apply_rule,
     find_sites,
     layout_rule,
-    match_predicate,
     parse_cascade,
     parse_rule,
     serialize_cascade,
@@ -69,43 +70,43 @@ A_TO_E_BEFORE_J = sub_rule("aj", 0, "a", "e", name="a>e/_j")
 
 def test_match_phone_set():
     pred = PhoneSet({"a"})
-    assert match_predicate(pred, "a", False, False)
-    assert not match_predicate(pred, "b", False, False)
-    assert not match_predicate(pred, "@", False, False)
+    assert pred.matches("a", False, False, None)
+    assert not pred.matches("b", False, False, None)
+    assert not pred.matches("@", False, False, None)
 
 
 def test_match_is_nothing():
-    assert match_predicate(IsNothing(), "@", False, False)
-    assert not match_predicate(IsNothing(), "a", False, False)
-    assert not match_predicate(IsNothing(), "#", True, False)
+    assert IsNothing().matches("@", False, False, None)
+    assert not IsNothing().matches("a", False, False, None)
+    assert not IsNothing().matches("#", True, False, None)
 
 
 def test_match_boundaries_are_positional():
-    assert match_predicate(WordStart(), "#", True, False)
-    assert not match_predicate(WordStart(), "#", False, True)
-    assert match_predicate(WordEnd(), "#", False, True)
-    assert not match_predicate(WordEnd(), "#", True, False)
-    assert not match_predicate(WordEnd(), "a", False, True)
+    assert WordStart().matches("#", True, False, None)
+    assert not WordStart().matches("#", False, True, None)
+    assert WordEnd().matches("#", False, True, None)
+    assert not WordEnd().matches("#", True, False, None)
+    assert not WordEnd().matches("a", False, True, None)
 
 
 def test_match_not_inverts():
-    assert not match_predicate(Not(WordStart()), "#", True, False)
-    assert match_predicate(Not(WordStart()), "a", False, False)
-    assert match_predicate(Not(PhoneSet({"a"})), "@", False, False)
+    assert not Not(WordStart()).matches("#", True, False, None)
+    assert Not(WordStart()).matches("a", False, False, None)
+    assert Not(PhoneSet({"a"})).matches("@", False, False, None)
 
 
 def test_match_feature_req(tiny_inv):
     pred = FeatureReq({0: 1})  # syllabic
-    assert match_predicate(pred, "a", False, False, tiny_inv)
-    assert not match_predicate(pred, "t", False, False, tiny_inv)
+    assert pred.matches("a", False, False, tiny_inv)
+    assert not pred.matches("t", False, False, tiny_inv)
     # structural tokens never satisfy a feature requirement
-    assert not match_predicate(pred, "#", True, False, tiny_inv)
-    assert not match_predicate(pred, "@", False, False, tiny_inv)
+    assert not pred.matches("#", True, False, tiny_inv)
+    assert not pred.matches("@", False, False, tiny_inv)
 
 
 def test_match_feature_req_needs_inventory():
     with pytest.raises(RuleError, match="inventory"):
-        match_predicate(FeatureReq({0: 1}), "a", False, False, None)
+        FeatureReq({0: 1}).matches("a", False, False, None)
 
 
 # --- find_sites -----------------------------------------------------------------
@@ -323,6 +324,125 @@ def test_feature_predicates_match_oracles_on_random_rules(inv_fixture, request):
             validate_word(out, None if FOREIGN in phones else inv)
     assert seen_kinds == {"req", "not_req", "empty_req", "phone_set"}
     assert foreign_words > 100
+
+
+BASE_KINDS = ("phone_set", "is_nothing", "word_start", "word_end", "feature_req", "empty_req")
+
+
+def _random_predicate(inv, rng, features, depth=0):
+    """Any predicate kind and its label; negations nest up to twice."""
+    kinds = [k for k in BASE_KINDS if features or not k.endswith("_req")]
+    kind = rng.choice(kinds + ["not"] * (depth < 2))
+    if kind == "phone_set":
+        return PhoneSet(rng.sample(inv.symbols, rng.randint(1, 3))), kind
+    if kind == "is_nothing":
+        return IsNothing(), kind
+    if kind == "word_start":
+        return WordStart(), kind
+    if kind == "word_end":
+        return WordEnd(), kind
+    if kind == "feature_req":
+        indices = rng.sample(range(inv.num_features), rng.randint(1, 2))
+        return FeatureReq({i: rng.randint(0, 1) for i in indices}), kind
+    if kind == "empty_req":
+        return FeatureReq({}), kind
+    inner, label = _random_predicate(inv, rng, features, depth + 1)
+    return Not(inner), f"not({label})"
+
+
+def _random_any_offset_rule(inv, rng, features):
+    """A valid rule of 1-5 predicates, each of any kind at any offset.
+
+    Half the offsets draw a predicate of any kind; the rest fit the
+    ``# @ p @ … #`` layout (a separator or a phone set by offset parity), so
+    that windows do match.  Each phone-matching offset may delete or
+    substitute and each is-nothing offset may insert.
+    """
+    symbols = inv.symbols
+    while True:
+        width = rng.randint(1, 5)
+        parity = rng.randint(0, 1)
+        preds, labels = [], []
+        for offset in range(width):
+            if rng.random() < 0.5:
+                pred, label = _random_predicate(inv, rng, features)
+            elif offset % 2 == parity:
+                pred, label = IsNothing(), "is_nothing"
+            else:
+                pred, label = PhoneSet(rng.sample(symbols, rng.randint(1, 3))), "phone_set"
+            preds.append(pred)
+            labels.append(label)
+        changes = {}
+        for offset, pred in enumerate(preds):
+            if rng.random() < 0.5:
+                continue
+            if isinstance(pred, IsNothing):
+                changes[offset] = Insert(rng.sample(symbols, rng.randint(1, 2)))
+            elif isinstance(pred, (PhoneSet, FeatureReq, Not)):
+                if rng.random() < 0.5:
+                    changes[offset] = Delete()
+                else:
+                    keys = rng.sample(symbols, min(len(symbols), 6))
+                    changes[offset] = Substitute({k: tuple(rng.sample(symbols, rng.randint(1, 2))) for k in keys})
+        if changes:
+            ordered = sorted(changes.items())
+            rule = Rule(preds, [p for p, _ in ordered], [fn for _, fn in ordered])
+            rule.validate(inv)
+            return rule, labels
+
+
+@pytest.mark.parametrize("inv_fixture", ["tiny_inv", "default_inv"])
+def test_every_predicate_kind_matches_oracles_at_any_offset(inv_fixture, request):
+    inv = request.getfixturevalue(inv_fixture)
+    rng = random.Random(f"any-offset-{inv_fixture}")
+    seen = set()
+    sites = 0
+    for i in range(600):
+        features = i % 2 == 0
+        rule, labels = _random_any_offset_rule(inv, rng, features)
+        width = len(labels)
+        seen.update((label, 0 < offset < width - 1) for offset, label in enumerate(labels))
+        # A rule without feature predicates needs no inventory to match.
+        inventories = (inv,) if features else (inv, None)
+        for _ in range(4):
+            phones = [rng.choice(inv.symbols) for _ in range(rng.randint(0, 6))]
+            if rng.random() < 0.25:
+                phones.insert(rng.randint(0, len(phones)), FOREIGN)
+            word = TokenizedWord.from_phones(phones)
+            for at in inventories:
+                found = find_sites(rule, word, at)
+                assert found == scan_sites(rule, word, at)
+                assert apply_rule(rule, word, at) == reference_apply(rule, word, at)
+                sites += len(found)
+    labels_seen = {label for label, _ in seen}
+    for kind in ("is_nothing", "word_start", "word_end"):
+        assert (kind, True) in seen, f"{kind} never drawn mid-environment"
+    for kind in BASE_KINDS:
+        assert f"not({kind})" in labels_seen
+    assert any(label.startswith("not(not(") for label in labels_seen)
+    assert sites > 1000
+
+
+class Unknown(Predicate):
+    """A predicate kind that does not say how it matches."""
+
+
+class UnknownEdit(MappingFn):
+    """A mapping kind that does not say how it edits."""
+
+
+def test_a_predicate_without_matches_raises_once_a_window_reaches_it(tiny_inv):
+    rule = Rule([PhoneSet({"a"}), IsNothing(), Unknown()], [0], [Delete()])
+    assert find_sites(rule, tokenize("kt", tiny_inv), tiny_inv) == []  # no window reaches it
+    with pytest.raises(RuleError, match="unknown predicate"):
+        find_sites(rule, tokenize("kat", tiny_inv), tiny_inv)
+
+
+def test_a_mapping_without_edit_raises_once_a_site_reaches_it(tiny_inv):
+    rule = Rule([PhoneSet({"a"})], [0], [UnknownEdit()])
+    assert apply_rule(rule, tokenize("kt", tiny_inv), tiny_inv) == tokenize("kt", tiny_inv)
+    with pytest.raises(RuleError, match="unknown mapping function"):
+        apply_rule(rule, tokenize("ka", tiny_inv), tiny_inv)
 
 
 # --- cascades ---------------------------------------------------------------------

@@ -194,6 +194,20 @@ def test_ling_rule_applies_to_min_protoforms(default_inv):
         assert applies >= spec.min_applicable
 
 
+@pytest.mark.parametrize("min_applicable", [2, 3])
+def test_every_ling_rule_changes_min_applicable_forms(default_inv, min_applicable):
+    # A site is not a change: a substitution whose matched phones realize to
+    # themselves edits nothing, so each rule is checked on its cascade input.
+    spec = LingSpec(num_languages=30, min_applicable=min_applicable, seed=0)
+    for case in gen_ling_corpus(default_inv, spec):
+        forms = [pair.source for pair in case.dataset.pairs]
+        for rule in case.ground_truth.rules:
+            outputs = [apply_rule(rule, w, default_inv) for w in forms]
+            changed = sum(1 for before, after in zip(forms, outputs) if before != after)
+            assert changed >= min_applicable, (rule.name, changed)
+            forms = outputs
+
+
 def test_ling_rule_is_never_vacuous(default_inv):
     spec = LingSpec()
     for i in range(5):
@@ -235,8 +249,8 @@ def test_ling_generation_leaves_the_inventory_unchanged():
 
 
 LING_CORPUS_DIGESTS = {
-    2: "6198e7455d0a64eba254d0b4b2986950efc5c86ff5e53317f98af7930692aa8b",
-    3: "9d35b67c21d5017a6c8b4a73bc7c0cd3171849546a5bdab55422aaf7a946e218",
+    2: "852f72c83d5b3ee8f15675298e3bb87f00e544c3db174416461af66f899a6ef9",
+    3: "0f5e7e7d6d3ccb159157040a9a8801d989a2edd8a287cda2b9f674bbfa0908ee",
 }
 
 
@@ -333,6 +347,13 @@ def test_multilaw_rejects_small_pool(default_inv):
     pool = make_pool(default_inv, 3)
     with pytest.raises(ValueError):
         gen_multilaw_evalset(default_inv, pool, 5, 1, 10, task_rng(19, "small"))
+
+
+@pytest.mark.parametrize("rules_per_set", [0, -1])
+def test_multilaw_rejects_fewer_than_one_rule_per_set(default_inv, rules_per_set):
+    pool = make_pool(default_inv, 3)
+    with pytest.raises(ValueError, match="rules_per_set"):
+        gen_multilaw_evalset(default_inv, pool, rules_per_set, 1, 10, task_rng(19, "none"))
 
 
 # --- corpus writing and determinism --------------------------------------------------------
