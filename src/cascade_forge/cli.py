@@ -532,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ling.add_argument("--langs", type=_count, default=2000)
     p_ling.add_argument("--rules", type=_count, default=3)
     p_ling.add_argument("--protoforms", type=_count, default=50)
-    p_ling.add_argument("--min-applicable", type=int, default=3)
+    p_ling.add_argument("--min-applicable", type=_count, default=3)
     p_multi = gen_sub.add_parser("multilaw", help="ordered rule subsets with balanced word sets")
     p_multi.add_argument("--sets", type=_count, default=10)
     p_multi.add_argument("--rules-per-set", type=_count, default=5)

@@ -5,7 +5,13 @@ builtin proposer needs no model or randomness: it aligns each changed
 pair with a minimal edit script, lifts groups of nearby edit operations
 into rules under every context window of up to two phones per side
 (optionally anchored to, or away from, a word edge), and ranks the
-candidates by reward on the requesting examples.
+candidates with ``rank_rules`` on the requesting examples.  ``rank_rules``
+is the one ranking of candidate rules: by reward, then fewer predicates,
+then canonical serialization.
+
+``propose`` is the one gate: every rule a builtin, external or callable
+proposer returns is validated against the inventory, an invalid one is
+dropped with a diagnostic, and at most ``num_samples`` are kept.
 
 External proposers are child processes speaking one JSON object per line
 on stdin/stdout.  A search keeps one process per command for all of its
@@ -27,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import IO, Any, Callable, Iterable, Sequence
 
-from cascade_forge.metrics import EditOp, Scorer, edit_script
+from cascade_forge.metrics import EditOp, RewardReport, Scorer, edit_script
 from cascade_forge.metrics import reward  # noqa: F401  (a binding perfbench/tracing.WRAPPED counts)
 from cascade_forge.phonology import Inventory, TokenizedWord
 from cascade_forge.rule_engine import (
@@ -248,14 +254,11 @@ def candidate_to_rule(candidate: EditCandidate) -> Rule:
 def builtin_enumerative_propose(
     request: ProposalRequest, inv: Inventory | None = None
 ) -> list[Rule]:
-    """Deterministic candidate rules ranked by reward on the request's examples.
+    """Deterministic candidate rules, best first by ``rank_rules`` on the request's examples.
 
     Candidates supported by fewer changed pairs are pruned first, the pool is
-    capped, every survivor is scored by reward, and ties break toward shorter
-    environments and then canonical serialization.
+    capped, and the ``num_samples`` best ranked survivors are returned.
     """
-    sources = [s for s, _ in request.examples]
-    targets = [t for _, t in request.examples]
     changed = [(s, t) for s, t in request.examples if s.phones != t.phones]
     if not changed:
         return []
@@ -270,20 +273,27 @@ def builtin_enumerative_propose(
     pool.sort(key=lambda c: -support[c])  # stable: ties keep discovery order
     pool = pool[:MAX_POOL]
 
-    rules: dict[str, Rule] = {}
-    for candidate in pool:
-        rule = candidate_to_rule(candidate)
-        key = serialize_rule(rule)
-        if key not in rules:
-            rules[key] = rule
+    scorer = Scorer([s for s, _ in request.examples], [t for _, t in request.examples])
+    ranked = rank_rules([candidate_to_rule(c) for c in pool], scorer, inv)
+    return [rule for rule, _ in ranked[: request.num_samples]]
 
-    scorer = Scorer(sources, targets)
-    scored: list[tuple[float, int, str, Rule]] = []
-    for key, rule in rules.items():
-        preds = [apply_rule(rule, s, inv) for s in sources]
-        scored.append((scorer.report(preds).reward, len(rule.predicates), key, rule))
-    scored.sort(key=lambda item: (-item[0], item[1], item[2]))
-    return [rule for _, _, _, rule in scored[: request.num_samples]]
+
+def rank_rules(
+    rules: Iterable[Rule], scorer: Scorer, inv: Inventory | None = None
+) -> list[tuple[Rule, RewardReport]]:
+    """Each distinct rule with its report on ``scorer``'s pairs, best first.
+
+    Rules are deduplicated by canonical serialization, keeping the first
+    copy, and ordered by reward, then fewer predicates, then serialization.
+    """
+    scored: dict[str, tuple[Rule, RewardReport]] = {}
+    for rule in rules:
+        key = serialize_rule(rule)
+        if key not in scored:
+            preds = [apply_rule(rule, s, inv) for s in scorer.sources]
+            scored[key] = (rule, scorer.report(preds))
+    order = sorted(scored, key=lambda k: (-scored[k][1].reward, len(scored[k][0].predicates), k))
+    return [scored[k] for k in order]
 
 
 # --- external protocol --------------------------------------------------------
@@ -585,38 +595,38 @@ def propose(
     inv: Inventory | None = None,
     sessions: ProposerSessions | None = None,
 ) -> ProposeResult:
-    """Run a proposer; ensembles return the pooled, deduplicated union.
+    """Run a proposer; ensembles return the pooled, deduplicated union of their members.
 
-    Returned rules always satisfy the rule invariants; at most
-    ``num_samples`` rules are taken per (non-ensemble) member.  External
-    members send their requests through ``sessions`` (see
-    ``external_propose``).
+    Every other proposer's rules pass one gate: a rule that fails
+    ``Rule.validate`` against ``inv`` is dropped with a diagnostic, and the
+    first ``num_samples`` valid rules are returned.  External proposers get
+    their requests through ``sessions`` (see ``external_propose``).
     """
-    if handle.kind == "builtin":
-        return ProposeResult(builtin_enumerative_propose(request, inv), [])
-    if handle.kind == "callable":
-        assert handle.fn is not None
-        rules: list[Rule] = []
-        diagnostics: list[str] = []
-        for i, rule in enumerate(handle.fn(request)):
-            try:
-                rule.validate(inv)
-            except RuleError as exc:
-                diagnostics.append(f"dropped invalid candidate {i} from {handle.name}: {exc}")
-                continue
-            rules.append(rule)
-        return ProposeResult(rules[: request.num_samples], diagnostics)
-    if handle.kind == "external":
-        result = external_propose(handle.command, request, inv, sessions)
-        result.rules = result.rules[: request.num_samples]
-        return result
     if handle.kind == "ensemble":
         pooled: dict[str, Rule] = {}
-        diagnostics = []
+        diagnostics: list[str] = []
         for member in handle.members:
             sub = propose(member, request, inv, sessions)
             diagnostics.extend(sub.diagnostics)
             for rule in sub.rules:
                 pooled.setdefault(serialize_rule(rule), rule)
         return ProposeResult(list(pooled.values()), diagnostics)
-    raise ValueError(f"unknown proposer kind {handle.kind!r}")
+    if handle.kind == "builtin":
+        result = ProposeResult(builtin_enumerative_propose(request, inv), [])
+    elif handle.kind == "callable":
+        assert handle.fn is not None
+        result = ProposeResult(list(handle.fn(request)), [])
+    elif handle.kind == "external":
+        result = external_propose(handle.command, request, inv, sessions)
+    else:
+        raise ValueError(f"unknown proposer kind {handle.kind!r}")
+    rules: list[Rule] = []
+    for i, rule in enumerate(result.rules):
+        try:
+            rule.validate(inv)
+        except RuleError as exc:
+            result.diagnostics.append(f"dropped invalid candidate {i} from {handle.name}: {exc}")
+            continue
+        rules.append(rule)
+    result.rules = rules[: request.num_samples]
+    return result

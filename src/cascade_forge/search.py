@@ -9,11 +9,14 @@ back to the top beams by reward.  Because parents survive, the best
 reward never decreases.  All tie-breaks are total orders, so a fixed
 dataset, config, and proposer transcript reproduce identical beams.
 
-Scoring always uses the full dataset; example selection only narrows
-what the proposer sees.  Each search call keeps one process per external
-proposer command for all of its requests and closes them all when it
-returns or raises; a non-zero exit status they end with is reported to
-the search's diagnostics.
+Scoring always uses the full dataset.  One helper builds every proposer
+request, single-law or per beam, from the current forms and the targets;
+example selection (ITES), when on, only narrows which pairs the proposer
+sees.  Single-law candidates are ordered by ``proposers.rank_rules``.
+
+Each search call keeps one process per external proposer command for all
+of its requests and closes them all when it returns or raises; a non-zero
+exit status they end with is reported to the search's diagnostics.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from cascade_forge.metrics import (
     reward_report,
 )
 from cascade_forge.phonology import Inventory, TokenizedWord
-from cascade_forge.proposers import ProposalRequest, ProposerHandle, ProposerSessions, propose
+from cascade_forge.proposers import ProposalRequest, ProposerHandle, ProposerSessions, propose, rank_rules
 from cascade_forge.resources import atomic_write, dumps
 from cascade_forge.rule_engine import (
     Cascade,
@@ -39,7 +42,6 @@ from cascade_forge.rule_engine import (
     apply_rule,
     cascade_to_obj,
     serialize_cascade,
-    serialize_rule,
 )
 
 
@@ -107,11 +109,17 @@ def select_examples_ites(
     return filtered, triggers
 
 
-def _proposer_view(pairs: Sequence[ExamplePair], use_ites: bool) -> Sequence[ExamplePair]:
-    if not use_ites:
-        return pairs
-    filtered, _ = select_examples_ites(pairs)
-    return filtered if filtered else pairs
+def _request(
+    forms: Sequence[TokenizedWord], dataset: Dataset, use_ites: bool, num_samples: int, step_index: int
+) -> ProposalRequest:
+    """Each form against its target, ITES-filtered when asked; all pairs if the filter keeps none."""
+    examples = list(zip(forms, dataset.targets))
+    if use_ites:
+        pairs = [ExamplePair(form, p.target, p.id) for form, p in zip(forms, dataset.pairs)]
+        filtered, _ = select_examples_ites(pairs)
+        if filtered:
+            examples = [(p.source, p.target) for p in filtered]
+    return ProposalRequest(examples, num_samples=num_samples, step_index=step_index)
 
 
 def induce_single_law(
@@ -122,27 +130,17 @@ def induce_single_law(
     inv: Inventory | None = None,
     diagnostics: list[str] | None = None,
 ) -> list[tuple[Rule, RewardReport]]:
-    """Request candidates once and rank them by reward on the full dataset."""
-    view = _proposer_view(dataset.pairs, use_ites)
-    request = ProposalRequest(
-        [(p.source, p.target) for p in view], num_samples=samples, step_index=0
-    )
+    """Request candidates once and order them by ``rank_rules`` on the full dataset.
+
+    That is the builtin proposer's own order: reward, then fewer predicates,
+    then serialization.
+    """
+    request = _request(dataset.sources, dataset, use_ites, samples, 0)
     with ProposerSessions(diagnostics) as sessions:
         result = propose(handle, request, inv, sessions=sessions)
         if diagnostics is not None:
             diagnostics.extend(result.diagnostics)
-    scorer = Scorer(dataset.sources, dataset.targets)
-    scored: list[tuple[Rule, RewardReport, str]] = []
-    seen: set[str] = set()
-    for rule in result.rules:
-        key = serialize_rule(rule)
-        if key in seen:
-            continue
-        seen.add(key)
-        preds = [apply_rule(rule, s, inv) for s in scorer.sources]
-        scored.append((rule, scorer.report(preds), key))
-    scored.sort(key=lambda item: (-item[1].reward, len(item[2]), item[2]))
-    return [(rule, report) for rule, report, _ in scored]
+    return rank_rules(result.rules, Scorer(dataset.sources, dataset.targets), inv)
 
 
 def _forms_fingerprint(forms: Sequence[TokenizedWord]) -> tuple[tuple[str, ...], ...]:
@@ -187,16 +185,7 @@ def beam_search_cascade(
             candidates: list[Hypothesis] = [replace(beam, step=step) for beam in beams]
             proposed_any = False
             for beam in beams:
-                pairs = [
-                    ExamplePair(form, target, dataset.pairs[i].id)
-                    for i, (form, target) in enumerate(zip(beam.forms, targets))
-                ]
-                view = _proposer_view(pairs, use_ites)
-                request = ProposalRequest(
-                    [(p.source, p.target) for p in view],
-                    num_samples=config.samples_per_step,
-                    step_index=step - 1,
-                )
+                request = _request(beam.forms, dataset, use_ites, config.samples_per_step, step - 1)
                 result = propose(handle, request, inv, sessions=sessions)
                 if diagnostics is not None:
                     diagnostics.extend(result.diagnostics)

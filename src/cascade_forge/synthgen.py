@@ -85,8 +85,8 @@ class LingSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.min_applicable > self.protoforms_per_language:
-            raise ValueError("min_applicable exceeds protoforms_per_language")
+        if not 1 <= self.min_applicable <= self.protoforms_per_language:
+            raise ValueError("min_applicable must be between 1 and protoforms_per_language")
 
 
 @dataclass

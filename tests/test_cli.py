@@ -433,6 +433,7 @@ COUNT_OPTIONS = [
     ("generate", "ling", "--langs"),
     ("generate", "ling", "--rules"),
     ("generate", "ling", "--protoforms"),
+    ("generate", "ling", "--min-applicable"),
     ("generate", "multilaw", "--sets"),
     ("generate", "multilaw", "--rules-per-set"),
     ("generate", "multilaw", "--words"),

@@ -271,6 +271,20 @@ def test_callable_reserved_token_dropped_with_diagnostic(tiny_inv, with_inventor
     assert len(result.diagnostics) == 1 and "'@' is not a phone" in result.diagnostics[0]
 
 
+def test_builtin_rules_the_inventory_cannot_hold_are_dropped_with_diagnostic(default_inv, tiny_inv):
+    # "p" is in the examples' inventory but not in the one given to propose.
+    request = ProposalRequest(pairs(default_inv, ("pa", "pe"), ("apa", "ape"), ("ka", "ka")), 20)
+    offered = builtin_enumerative_propose(request, tiny_inv)
+    result = propose(builtin_proposer(), request, tiny_inv)
+    dropped = [i for i, rule in enumerate(offered) if rule not in result.rules]
+    assert dropped and result.rules
+    assert result.rules == [rule for i, rule in enumerate(offered) if i not in dropped]
+    assert len(result.diagnostics) == len(dropped)
+    for i, diagnostic in zip(dropped, result.diagnostics):
+        assert diagnostic.startswith(f"dropped invalid candidate {i} from builtin: ")
+        assert diagnostic.endswith("phone 'p' not in inventory")
+
+
 def test_propose_never_returns_invalid_rules(default_inv):
     wild = Rule([PhoneSet({"a"})], [0], [Insert(("a",))])  # insert not on is-nothing
     handle = callable_proposer(lambda req: [wild], "wild")

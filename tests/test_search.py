@@ -2,7 +2,12 @@ import json
 
 from cascade_forge.metrics import Dataset, ExamplePair, reward_report
 from cascade_forge.phonology import tokenize
-from cascade_forge.proposers import builtin_proposer, callable_proposer
+from cascade_forge.proposers import (
+    ProposalRequest,
+    builtin_enumerative_propose,
+    builtin_proposer,
+    callable_proposer,
+)
 from cascade_forge.rule_engine import (
     Cascade,
     IsNothing,
@@ -11,6 +16,7 @@ from cascade_forge.rule_engine import (
     Substitute,
     apply_cascade,
     serialize_cascade,
+    serialize_rule,
 )
 from cascade_forge.search import (
     SearchConfig,
@@ -110,6 +116,19 @@ def test_induce_builtin_on_smp_case(default_inv):
     case = gen_smp_examples(default_inv, law, 50, rng)
     ranked = induce_single_law(builtin_proposer(), case.dataset, samples=20, inv=default_inv)
     assert ranked[0][1].reward == 1.0
+
+
+def test_induce_keeps_the_builtin_order_on_the_same_pairs(default_inv):
+    # C07 law 72: two 5-predicate rules tie at reward 1.0, so any other
+    # tie-break than the builtin's would change which one ranks first.
+    rng = task_rng(7, "c7", 72)
+    law = gen_smp_law(default_inv, SmpSpec(seed=7), rng)
+    case = gen_smp_examples(default_inv, law, 50, rng, name="c7-72")
+    request = ProposalRequest([(p.source, p.target) for p in case.dataset.pairs], 20)
+    builtin = builtin_enumerative_propose(request, default_inv)
+    ranked = induce_single_law(builtin_proposer(), case.dataset, samples=20, inv=default_inv)
+    assert [serialize_rule(rule) for rule, _ in ranked] == [serialize_rule(r) for r in builtin]
+    assert [report.reward for _, report in ranked[:2]] == [1.0, 1.0]
 
 
 def test_induce_scores_on_full_dataset_with_ites(tiny_inv):

@@ -183,6 +183,15 @@ def test_change_op_rates_are_plausible():
     assert abs(sum(s.ins_after for s in slots) / len(slots) - 1 / 16) < 0.008
 
 
+@pytest.mark.parametrize("min_applicable", [0, -1, 51])
+def test_ling_spec_validation(min_applicable):
+    # 0 or less would keep rules that change no protoform; above the
+    # protoform count no rule could ever be accepted.
+    with pytest.raises(ValueError, match="min_applicable"):
+        LingSpec(protoforms_per_language=50, min_applicable=min_applicable)
+    LingSpec(protoforms_per_language=50, min_applicable=50)
+
+
 def test_ling_rule_applies_to_min_protoforms(default_inv):
     spec = LingSpec()
     for i in range(5):
