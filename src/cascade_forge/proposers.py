@@ -17,8 +17,8 @@ External proposers are child processes speaking one JSON object per line
 on stdin/stdout.  A search keeps one process per command for all of its
 requests (``ProposerSessions``).  Invalid or late replies degrade to an
 empty candidate list with diagnostics and never abort a search.
-Ensembles pool their members' candidates, deduplicated by canonical
-serialization.
+Ensembles pool their members' candidates, deduplicated by rule equality
+(which ignores a rule's name); the pool is not cut to ``num_samples``.
 """
 
 from __future__ import annotations
@@ -223,7 +223,7 @@ def extract_edit_candidates(
 
 
 def candidate_to_rule(candidate: EditCandidate) -> Rule:
-    """Realize an edit candidate as a rule over the canonical token layout."""
+    """Realize an edit candidate (the builtin's, or an smp law) as a rule."""
     preds: list[Predicate] = []
     if candidate.left_edge == EDGE_AT:
         preds.append(WordStart())
@@ -248,7 +248,7 @@ def candidate_to_rule(candidate: EditCandidate) -> Rule:
             changes[unit] = Delete()
         else:
             changes[unit] = Substitute({op.old: op.new})
-    return layout_rule([(pred, changes.get(i)) for i, pred in enumerate(preds)], inserts)
+    return layout_rule(preds, changes, inserts)
 
 
 def builtin_enumerative_propose(
@@ -283,17 +283,15 @@ def rank_rules(
 ) -> list[tuple[Rule, RewardReport]]:
     """Each distinct rule with its report on ``scorer``'s pairs, best first.
 
-    Rules are deduplicated by canonical serialization, keeping the first
-    copy, and ordered by reward, then fewer predicates, then serialization.
+    Rules are deduplicated by equality, which ignores ``name``, keeping the
+    first copy, and ordered by reward, then fewer predicates, then serialization.
     """
-    scored: dict[str, tuple[Rule, RewardReport]] = {}
+    scored: dict[Rule, RewardReport] = {}
     for rule in rules:
-        key = serialize_rule(rule)
-        if key not in scored:
-            preds = [apply_rule(rule, s, inv) for s in scorer.sources]
-            scored[key] = (rule, scorer.report(preds))
-    order = sorted(scored, key=lambda k: (-scored[k][1].reward, len(scored[k][0].predicates), k))
-    return [scored[k] for k in order]
+        if rule not in scored:
+            scored[rule] = scorer.report([apply_rule(rule, s, inv) for s in scorer.sources])
+    order = sorted(scored, key=lambda r: (-scored[r].reward, len(r.predicates), serialize_rule(r)))
+    return [(rule, scored[rule]) for rule in order]
 
 
 # --- external protocol --------------------------------------------------------
@@ -595,22 +593,24 @@ def propose(
     inv: Inventory | None = None,
     sessions: ProposerSessions | None = None,
 ) -> ProposeResult:
-    """Run a proposer; ensembles return the pooled, deduplicated union of their members.
+    """Run a proposer; an ensemble returns the union of its members' results.
 
     Every other proposer's rules pass one gate: a rule that fails
     ``Rule.validate`` against ``inv`` is dropped with a diagnostic, and the
-    first ``num_samples`` valid rules are returned.  External proposers get
-    their requests through ``sessions`` (see ``external_propose``).
+    first ``num_samples`` valid rules are returned.  An ensemble keeps the
+    first copy of equal rules and does not cut the union, so it returns up
+    to ``num_samples`` rules per member.  External proposers get their
+    requests through ``sessions`` (see ``external_propose``).
     """
     if handle.kind == "ensemble":
-        pooled: dict[str, Rule] = {}
+        pooled: dict[Rule, None] = {}
         diagnostics: list[str] = []
         for member in handle.members:
             sub = propose(member, request, inv, sessions)
             diagnostics.extend(sub.diagnostics)
             for rule in sub.rules:
-                pooled.setdefault(serialize_rule(rule), rule)
-        return ProposeResult(list(pooled.values()), diagnostics)
+                pooled.setdefault(rule)
+        return ProposeResult(list(pooled), diagnostics)
     if handle.kind == "builtin":
         result = ProposeResult(builtin_enumerative_propose(request, inv), [])
     elif handle.kind == "callable":

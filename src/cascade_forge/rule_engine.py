@@ -281,37 +281,40 @@ def _validate_predicate(pred: Predicate, position: int, inv: Inventory | None) -
 
 
 def layout_rule(
-    units: Sequence[tuple[Predicate, MappingFn | None]],
+    preds: Sequence[Predicate],
+    changes: Mapping[int, MappingFn],
     inserts: Mapping[int, Sequence[str]],
     name: str | None = None,
 ) -> Rule:
     """Lay a rule out over the canonical ``# @ p @ … #`` token layout.
 
-    ``units`` holds one ``(predicate, delete/substitute mapping or None)``
-    per phone or word-edge position, in order.  ``inserts`` maps a gap
-    (0 before the first unit, ``len(units)`` after the last) to the phones
-    inserted there.  Adjacent units are separated by an ``is_nothing``
-    predicate; an outer gap gets one only when it inserts.  Change
-    positions ascend.  The rule is not validated.
+    ``preds`` holds one predicate per phone or word-edge position, in
+    order.  ``changes`` maps a position to the delete or substitute
+    mapping applied there.  ``inserts`` maps a gap (0 before the first
+    position, ``len(preds)`` after the last) to the phones inserted there.
+    Adjacent positions are separated by an ``is_nothing`` predicate; an
+    outer gap gets one only when it inserts.  Change positions ascend.
+    The rule is not validated.  Every phone-edit rule is laid out through
+    ``proposers.candidate_to_rule``.
     """
-    if any(not 0 <= gap <= len(units) for gap in inserts):
-        raise RuleError(f"insert gaps {sorted(inserts)} outside 0..{len(units)}")
+    if any(not 0 <= gap <= len(preds) for gap in inserts):
+        raise RuleError(f"insert gaps {sorted(inserts)} outside 0..{len(preds)}")
     predicates: list[Predicate] = []
     change_pos: list[int] = []
     mappings: list[MappingFn] = []
-    for gap in range(len(units) + 1):
+    for gap in range(len(preds) + 1):
         phones = inserts.get(gap)
         if phones:
             change_pos.append(len(predicates))
             mappings.append(Insert(phones))
-        if phones or 0 < gap < len(units):
+        if phones or 0 < gap < len(preds):
             predicates.append(IsNothing())
-        if gap < len(units):
-            pred, fn = units[gap]
+        if gap < len(preds):
+            fn = changes.get(gap)
             if fn is not None:
                 change_pos.append(len(predicates))
                 mappings.append(fn)
-            predicates.append(pred)
+            predicates.append(preds[gap])
     return Rule(predicates, change_pos, mappings, name)
 
 

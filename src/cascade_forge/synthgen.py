@@ -7,6 +7,8 @@ sources reproduces its targets exactly.
 * ``smp``: random string-manipulation laws over concrete phones, with
   environments of one to three phones, a 25% chance of a boundary
   condition, and protoform quotas that guarantee the environment occurs.
+  Each law is a builtin edit candidate built by
+  ``proposers.candidate_to_rule``.
 * ``ling``: feature-driven laws.  Context and change lengths come from
   Gaussian draws, per-position feature requirements are Gaussian-gated,
   and each changing phone independently risks deletion (``P_DELETE``,
@@ -23,11 +25,12 @@ were built from, so corpus files read back identically.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from random import Random
 from typing import Sequence
 
-from cascade_forge.metrics import Dataset, ExamplePair
+from cascade_forge import proposers
+from cascade_forge.metrics import Dataset, EditOp, ExamplePair
 from cascade_forge.phonology import (
     Inventory,
     TokenizedWord,
@@ -35,18 +38,15 @@ from cascade_forge.phonology import (
     tokenize,
     TokenizeError,
 )
+from cascade_forge.proposers import EDGE_AT, EDGE_FREE, EDGE_NOT_AT, EditCandidate
 from cascade_forge.rule_engine import (
     Cascade,
     Delete,
     FeatureReq,
     MappingFn,
-    Not,
     PhoneSet,
-    Predicate,
     Rule,
     Substitute,
-    WordEnd,
-    WordStart,
     apply_cascade,
     apply_rule,
     cascade_to_obj,
@@ -131,49 +131,43 @@ def _roundtrips(inv: Inventory, word: TokenizedWord) -> bool:
 
 # --- string-manipulation laws --------------------------------------------------
 
-# Word start, word end, not word start, not word end, no boundary condition.
-_BOUNDARY_KINDS = ("S", "E", "NS", "NE", "none")
+BOUNDARY_EDGES = (  # (left edge, right edge) pairs
+    (EDGE_AT, EDGE_FREE), (EDGE_FREE, EDGE_AT),  # word start, word end
+    (EDGE_NOT_AT, EDGE_FREE), (EDGE_FREE, EDGE_NOT_AT),  # not word start, not word end
+    (EDGE_FREE, EDGE_FREE),  # no boundary condition
+)
 BOUNDARY_WEIGHTS = (1 / 16, 1 / 16, 1 / 16, 1 / 16, 3 / 4)
 
 
 def gen_smp_law(inv: Inventory, spec: SmpSpec, rng: Random, name: str | None = None) -> Rule:
-    """Sample one law: environment size, boundary condition, phones, changes."""
+    """Sample one law: environment size, boundary condition, phones, changes.
+
+    The law is drawn as a builtin ``EditCandidate`` without context phones,
+    so it lies in the builtin proposer's candidate grammar.
+    """
     symbols = inv.symbols
     env_size = rng.choices((1, 2, 3), weights=spec.env_weights)[0]
-    boundary = rng.choices(_BOUNDARY_KINDS, weights=BOUNDARY_WEIGHTS)[0]
+    left_edge, right_edge = rng.choices(BOUNDARY_EDGES, weights=BOUNDARY_WEIGHTS)[0]
     env_phones = [rng.choice(symbols) for _ in range(env_size)]
     num_changes = rng.randint(1, env_size)
     positions = sorted(rng.sample(range(env_size), num_changes))
-    ops = [rng.choice(("add", "del", "sub")) for _ in range(num_changes)]
+    kinds = [rng.choice(("add", "del", "sub")) for _ in range(num_changes)]
 
-    preds: list[Predicate] = []
-    if boundary == "S":
-        preds.append(WordStart())
-    elif boundary == "NS":
-        preds.append(Not(WordStart()))
-    first = len(preds)  # unit of the first environment phone
-    preds += [PhoneSet({phone}) for phone in env_phones]
-    if boundary == "E":
-        preds.append(WordEnd())
-    elif boundary == "NE":
-        preds.append(Not(WordEnd()))
-
-    changes: dict[int, MappingFn] = {}
-    inserts: dict[int, tuple[str, ...]] = {}
-    for pos, op in zip(positions, ops):
-        unit = first + pos
-        if op == "del":
-            changes[unit] = Delete()
-        elif op == "sub":
-            source = env_phones[pos]
+    ops: list[EditOp] = []
+    for pos, kind in zip(positions, kinds):
+        source = env_phones[pos]
+        if kind == "del":
+            ops.append(EditOp("del", pos, source, ()))
+        elif kind == "sub":
             target = rng.choice(symbols)
             while target == source and len(symbols) > 1:
                 target = rng.choice(symbols)
-            changes[unit] = Substitute({source: (target,)})
+            ops.append(EditOp("sub", pos, source, (target,)))
         else:  # add: insert in the gap after this phone
-            inserts[unit + 1] = (rng.choice(symbols),)
+            ops.append(EditOp("ins", pos + 1, None, (rng.choice(symbols),)))
 
-    rule = layout_rule([(pred, changes.get(i)) for i, pred in enumerate(preds)], inserts, name)
+    candidate = EditCandidate(tuple(ops), tuple(env_phones), (), (), left_edge, right_edge)
+    rule = replace(proposers.candidate_to_rule(candidate), name=name)
     rule.validate(inv)
     return rule
 
@@ -380,7 +374,7 @@ def gen_ling_rule(
                 inserts.setdefault(unit + 1, []).append(rng.choice(symbols))
         if not (changes or substitutes or inserts):
             continue
-        environment = layout_rule([(pred, None) for pred in preds], inserts)
+        environment = layout_rule(preds, {}, inserts)
         applies = sum(1 for w in protos if find_sites(environment, w, inv))
         if applies < spec.min_applicable:
             continue
@@ -390,7 +384,7 @@ def gen_ling_rule(
                 sym: (realize_feature_change(inv.phone(sym), target_features, inv).symbol,)
                 for sym in matching
             })
-        rule = layout_rule([(pred, changes.get(i)) for i, pred in enumerate(preds)], inserts, name)
+        rule = layout_rule(preds, changes, inserts, name)
         rule.validate(inv)
         if sum(1 for w in protos if apply_rule(rule, w, inv) != w) < spec.min_applicable:
             continue

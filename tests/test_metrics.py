@@ -193,21 +193,20 @@ def random_phone_word(rng, max_len=7):
 
 def random_rule(rng):
     """A phone-set rule of 1-3 units with random deletes, substitutions and inserts."""
-    units = []
-    for _ in range(rng.randint(1, 3)):
+    preds, changes = [], {}
+    for i in range(rng.randint(1, 3)):
         phone = rng.choice(PHONES)
+        preds.append(PhoneSet({phone}))
         kind = rng.choice([None, None, "del", "sub"])
         if kind == "del":
-            units.append((PhoneSet({phone}), Delete()))
+            changes[i] = Delete()
         elif kind == "sub":
             new = tuple(rng.choice(PHONES) for _ in range(rng.randint(1, 2)))
-            units.append((PhoneSet({phone}), Substitute({phone: new})))
-        else:
-            units.append((PhoneSet({phone}), None))
+            changes[i] = Substitute({phone: new})
     inserts = {}
-    if rng.random() < 0.3 or all(fn is None for _, fn in units):
-        inserts[rng.randint(0, len(units))] = (rng.choice(PHONES),)
-    return layout_rule(units, inserts)
+    if rng.random() < 0.3 or not changes:
+        inserts[rng.randint(0, len(preds))] = (rng.choice(PHONES),)
+    return layout_rule(preds, changes, inserts)
 
 
 def dp_report(sources, preds, targets):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -225,6 +226,27 @@ def test_ensemble_deduplicates_identical_programs(tiny_inv):
     request = ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 20)
     result = propose(handle, request, tiny_inv)
     assert len(result.rules) == 1
+
+
+def test_ensemble_deduplicates_rules_that_differ_only_in_name(tiny_inv):
+    rule = sub_rule("a", 0, "a", "e")
+    handle = ensemble_proposer([
+        callable_proposer(lambda req: [replace(rule, name="x")], "one"),
+        callable_proposer(lambda req: [replace(rule, name="y")], "two"),
+    ])
+    result = propose(handle, ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 20), tiny_inv)
+    assert [r.name for r in result.rules] == ["x"]
+
+
+def test_ensemble_cuts_each_member_to_num_samples_but_not_the_pool(tiny_inv):
+    r1 = [sub_rule("a", 0, "a", "e"), sub_rule("i", 0, "i", "u"), sub_rule("t", 0, "t", "k")]
+    r2 = [sub_rule("u", 0, "u", "i"), sub_rule("k", 0, "k", "t"), sub_rule("j", 0, "j", "a")]
+    handle = ensemble_proposer([
+        callable_proposer(lambda req: r1, "one"),
+        callable_proposer(lambda req: r2, "two"),
+    ])
+    result = propose(handle, ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 2), tiny_inv)
+    assert result.rules == r1[:2] + r2[:2]
 
 
 def test_ensemble_requires_two_members():

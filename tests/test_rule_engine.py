@@ -637,12 +637,12 @@ def test_cascade_roundtrip(tiny_inv):
 
 def test_layout_rule_separates_inner_gaps_and_pads_outer_gaps_only_to_insert():
     a, b = PhoneSet({"a"}), PhoneSet({"b"})
-    rule = layout_rule([(WordStart(), None), (a, None), (b, Delete())], {})
+    rule = layout_rule([WordStart(), a, b], {2: Delete()}, {})
     assert rule.predicates == (WordStart(), IsNothing(), a, IsNothing(), b)
     assert rule.change_pos == (4,) and rule.mappings == (Delete(),)
 
     sub = Substitute({"a": ("e",)})
-    rule = layout_rule([(a, sub), (b, None)], {0: ("k",), 1: ["t", "s"], 2: ("u",)}, name="n")
+    rule = layout_rule([a, b], {0: sub}, {0: ("k",), 1: ["t", "s"], 2: ("u",)}, name="n")
     assert rule.predicates == (IsNothing(), a, IsNothing(), b, IsNothing())
     assert rule.change_pos == (0, 1, 2, 4)
     assert rule.mappings == (Insert(("k",)), sub, Insert(("t", "s")), Insert(("u",)))
@@ -650,7 +650,7 @@ def test_layout_rule_separates_inner_gaps_and_pads_outer_gaps_only_to_insert():
 
 
 def test_layout_rule_without_units_is_one_inserting_gap():
-    rule = layout_rule([], {0: ("a",)})
+    rule = layout_rule([], {}, {0: ("a",)})
     assert rule.predicates == (IsNothing(),)
     assert rule.change_pos == (0,) and rule.mappings == (Insert(("a",)),)
 
@@ -658,7 +658,7 @@ def test_layout_rule_without_units_is_one_inserting_gap():
 @pytest.mark.parametrize("gap", [-1, 2])
 def test_layout_rule_rejects_gaps_outside_the_units(gap):
     with pytest.raises(RuleError, match="insert gaps"):
-        layout_rule([(PhoneSet({"a"}), None)], {gap: ("e",)})
+        layout_rule([PhoneSet({"a"})], {}, {gap: ("e",)})
 
 
 def _serialization_digest(rules):

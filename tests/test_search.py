@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 from cascade_forge.metrics import Dataset, ExamplePair, reward_report
 from cascade_forge.phonology import tokenize
@@ -103,6 +104,16 @@ def test_induce_with_junk_proposer_scores_zero(tiny_inv):
     ranked = induce_single_law(callable_proposer(lambda r: [junk]), ds, samples=5, inv=tiny_inv)
     assert ranked[0][1].reward == 0.0
     assert not ranked[0][1].passed
+
+
+def test_induce_ranks_a_rule_returned_under_two_names_once(tiny_inv):
+    # Rule equality ignores the name: the copies are one candidate, counted
+    # once in the ranking, under the first copy's name.
+    truth = sub_rule("aj", 0, "a", "e")
+    named = [replace(truth, name="x"), replace(truth, name="y")]
+    ds = dataset(tiny_inv, ("aj", "ej"), ("kaj", "kej"))
+    ranked = induce_single_law(callable_proposer(lambda r: named), ds, samples=5, inv=tiny_inv)
+    assert [(rule.name, report.reward) for rule, report in ranked] == [("x", 1.0)]
 
 
 def test_induce_empty_proposal(tiny_inv):

@@ -261,6 +261,18 @@ LING_CORPUS_DIGESTS = {
     2: "852f72c83d5b3ee8f15675298e3bb87f00e544c3db174416461af66f899a6ef9",
     3: "0f5e7e7d6d3ccb159157040a9a8801d989a2edd8a287cda2b9f674bbfa0908ee",
 }
+SMP_CORPUS_DIGEST = "15301679e56bb33f4bd3c8accdba6a09946e1665e7273a4d896ecc6404e854a1"
+MULTILAW_CORPUS_DIGEST = "45675d044562ff6388cddf2b480c40a94294ee473bdcab5ef158ad30c4a2c67e"
+
+
+def _corpus_digest(cases):
+    """SHA-256 over every case's cascade and word pairs."""
+    h = hashlib.sha256()
+    for case in cases:
+        h.update(serialize_cascade(case.ground_truth).encode("utf-8") + b"\n")
+        for pair in case.dataset.pairs:
+            h.update(f"{pair.source.surface}\t{pair.target.surface}\n".encode("utf-8"))
+    return h.hexdigest()
 
 
 @pytest.mark.parametrize("min_applicable", sorted(LING_CORPUS_DIGESTS))
@@ -268,12 +280,25 @@ def test_ling_corpus_bytes_are_pinned(default_inv, min_applicable):
     # Every cascade and word pair of 30 languages: a change to how rules
     # are drawn, realized or tested for applicability shows here.
     spec = LingSpec(num_languages=30, min_applicable=min_applicable, seed=0)
-    h = hashlib.sha256()
-    for case in gen_ling_corpus(default_inv, spec):
-        h.update(serialize_cascade(case.ground_truth).encode("utf-8") + b"\n")
-        for pair in case.dataset.pairs:
-            h.update(f"{pair.source.surface}\t{pair.target.surface}\n".encode("utf-8"))
-    assert h.hexdigest() == LING_CORPUS_DIGESTS[min_applicable]
+    assert _corpus_digest(gen_ling_corpus(default_inv, spec)) == LING_CORPUS_DIGESTS[min_applicable]
+
+
+def test_smp_corpus_bytes_are_pinned(default_inv):
+    # 60 laws: a change to how a law's boundary, phones or edits are drawn
+    # or built, or to its example quotas, shows here.
+    cases = gen_smp_corpus(default_inv, SmpSpec(examples_per_law=10, seed=0), 60)
+    assert _corpus_digest(cases) == SMP_CORPUS_DIGEST
+
+
+def test_multilaw_corpus_bytes_are_pinned(default_inv):
+    # Six 5-rule sets from a pool of 25 smp laws: subsampling and the
+    # word quotas show here, as well as the laws themselves.
+    pool = Cascade(
+        gen_smp_law(default_inv, SmpSpec(seed=0), task_rng(0, "pool", i), name=f"pool-{i:03d}")
+        for i in range(25)
+    )
+    cases = gen_multilaw_evalset(default_inv, pool, 5, 6, 20, task_rng(0, "multilaw"))
+    assert _corpus_digest(cases) == MULTILAW_CORPUS_DIGEST
 
 
 def test_ling_rule_requires_protoforms(default_inv):
