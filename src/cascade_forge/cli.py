@@ -284,6 +284,7 @@ def _proposer_from_spec(spec: str) -> ProposerHandle:
 
 def cmd_induce(args) -> int:
     _check_out_dir(args.out)
+    _refuse_earlier_run(args.out)
     inv = _load_inventory(args.inventory)
     dataset = read_pairs(args.pairs, inv)
     handles = [_proposer_from_spec(args.proposer)]
@@ -379,6 +380,17 @@ def _check_out_dir(out_dir: str) -> None:
         ancestor = os.path.dirname(ancestor)
     if ancestor and not os.path.isdir(ancestor):
         raise CliError(f"--out {out_dir}: {ancestor} is not a directory", EXIT_PARSE)
+
+
+def _refuse_earlier_run(out_dir: str) -> None:
+    """Exit 2 if ``out_dir`` holds the ``manifest.json`` an earlier run wrote first.
+
+    That run's files this one would not rewrite would be left beside its
+    output, and deleting them could delete a user's file.
+    """
+    manifest = os.path.join(out_dir, "manifest.json")
+    if os.path.lexists(manifest):
+        raise CliError(f"--out {out_dir} holds {manifest} from an earlier run", EXIT_PARSE)
 
 
 def _refuse_stale_cases(out_dir: str, count: int) -> None:

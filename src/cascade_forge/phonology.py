@@ -93,6 +93,7 @@ class Inventory:
         self.phones: tuple[Phone, ...] = tuple(phones)
         if not self.phones:
             raise InventoryError("inventory is empty")
+        self.symbols: tuple[str, ...] = tuple(p.symbol for p in self.phones)
         sizes = {len(p.features) for p in self.phones}
         if len(sizes) != 1:
             raise InventoryError(f"ragged feature vectors: lengths {sorted(sizes)}")
@@ -131,10 +132,6 @@ class Inventory:
             return self._by_symbol[symbol]
         except KeyError:
             raise InventoryError(f"unknown phone {symbol!r}") from None
-
-    @property
-    def symbols(self) -> tuple[str, ...]:
-        return tuple(p.symbol for p in self.phones)
 
     def matching_phones(self, requirements: tuple[tuple[int, int], ...]) -> frozenset[str]:
         """Symbols of all phones satisfying the partial feature requirements.

@@ -30,8 +30,9 @@ import shlex
 import subprocess
 import tempfile
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import IO, Any, Callable, Iterable, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 from cascade_forge.metrics import EditOp, RewardReport, Scorer, edit_script
 from cascade_forge.metrics import reward  # noqa: F401  (a binding perfbench/tracing.WRAPPED counts)
@@ -68,9 +69,9 @@ MAX_SPAN = 3
 MAX_CONTEXT = 2
 MAX_POOL = 768
 
-EDGE_FREE = "free"
-EDGE_AT = "at"
-EDGE_NOT_AT = "not_at"
+# Each side's (at the word edge, not at it) conditions, as _side_variants offers them.
+LEFT_EDGES = (WordStart(), Not(WordStart()))
+RIGHT_EDGES = (WordEnd(), Not(WordEnd()))
 
 
 @dataclass(frozen=True)
@@ -142,16 +143,18 @@ class EditCandidate:
     ``ops`` hold positions relative to the covered source window: phone
     offsets for substitutions/deletions, gap offsets (0..len(covered)) for
     insertions.  ``left``/``right`` are context phones adjacent to the
-    window; the edge markers say whether that side is anchored at a word
-    edge, known not to be at one, or unconstrained.
+    window.  ``left_edge``/``right_edge`` are the predicates that side's
+    word-edge condition adds beyond its context: ``WordStart()`` or
+    ``Not(WordStart())`` on the left, ``WordEnd()`` or ``Not(WordEnd())``
+    on the right, and None when that side is unconstrained.
     """
 
     ops: tuple[EditOp, ...]
     covered: tuple[str, ...]
     left: tuple[str, ...]
     right: tuple[str, ...]
-    left_edge: str
-    right_edge: str
+    left_edge: Predicate | None
+    right_edge: Predicate | None
 
 
 def _window(ops: Sequence[EditOp]) -> tuple[int, int] | None:
@@ -171,72 +174,54 @@ def _window(ops: Sequence[EditOp]) -> tuple[int, int] | None:
     return lo, hi
 
 
-def _side_variants(room: int) -> list[tuple[int, str]]:
-    """(radius, edge marker) pairs available when `room` phones exist on a side."""
-    variants: list[tuple[int, str]] = []
-    for radius in range(0, MAX_CONTEXT + 1):
-        if radius > room:
-            break
-        variants.append((radius, EDGE_FREE))
-        if radius == room:
-            variants.append((radius, EDGE_AT))
-        else:
-            variants.append((radius, EDGE_NOT_AT))
-    return variants
+def _side_variants(
+    room: int, edges: tuple[Predicate, Predicate]
+) -> Iterator[tuple[int, Predicate | None]]:
+    """(radius, edge predicate) pairs available when `room` phones exist on a side.
+
+    ``edges`` is that side's (at the word edge, not at it) pair: a context
+    of all ``room`` phones reaches the edge, a shorter one stops short of it.
+    """
+    at, not_at = edges
+    for radius in range(min(room, MAX_CONTEXT) + 1):
+        yield radius, None
+        yield radius, at if radius == room else not_at
 
 
-def extract_edit_candidates(
-    examples: Sequence[tuple[TokenizedWord, TokenizedWord]],
-) -> list[EditCandidate]:
-    """Deduplicated edit candidates from all changed pairs, in discovery order."""
-    if not examples:
-        raise ValueError("no examples")
-    seen: set[EditCandidate] = set()
-    ordered: list[EditCandidate] = []
-    for source, target in examples:
-        src, tgt = source.phones, target.phones
-        if src == tgt:
-            continue
-        script = edit_script(src, tgt)
-        for start in range(len(script)):
-            for stop in range(start + 1, len(script) + 1):
-                group = script[start:stop]
-                window = _window(group)
-                if window is None:
-                    break
-                lo, hi = window
-                rel_ops = tuple(
-                    EditOp(op.kind, op.pos - lo, op.old, op.new) for op in group
-                )
-                covered = tuple(src[lo:hi])
-                for left_radius, left_edge in _side_variants(lo):
-                    left = tuple(src[lo - left_radius : lo])
-                    for right_radius, right_edge in _side_variants(len(src) - hi):
-                        right = tuple(src[hi : hi + right_radius])
-                        candidate = EditCandidate(
-                            rel_ops, covered, left, right, left_edge, right_edge
-                        )
-                        if candidate not in seen:
-                            seen.add(candidate)
-                            ordered.append(candidate)
-    return ordered
+def extract_edit_candidates(source: TokenizedWord, target: TokenizedWord) -> list[EditCandidate]:
+    """One pair's distinct edit candidates, in discovery order.
+
+    An unchanged pair has an empty edit script and gives none.
+    """
+    src = source.phones
+    script = edit_script(src, target.phones)
+    candidates: dict[EditCandidate, None] = {}
+    for start in range(len(script)):
+        for stop in range(start + 1, len(script) + 1):
+            group = script[start:stop]
+            window = _window(group)
+            if window is None:
+                break
+            lo, hi = window
+            rel_ops = tuple(EditOp(op.kind, op.pos - lo, op.old, op.new) for op in group)
+            covered = tuple(src[lo:hi])
+            for left_radius, left_edge in _side_variants(lo, LEFT_EDGES):
+                left = tuple(src[lo - left_radius : lo])
+                for right_radius, right_edge in _side_variants(len(src) - hi, RIGHT_EDGES):
+                    right = tuple(src[hi : hi + right_radius])
+                    candidates[EditCandidate(rel_ops, covered, left, right, left_edge, right_edge)] = None
+    return list(candidates)
 
 
 def candidate_to_rule(candidate: EditCandidate) -> Rule:
     """Realize an edit candidate (the builtin's, or an smp law) as a rule."""
-    preds: list[Predicate] = []
-    if candidate.left_edge == EDGE_AT:
-        preds.append(WordStart())
-    elif candidate.left_edge == EDGE_NOT_AT:
-        preds.append(Not(WordStart()))
+    preds: list[Predicate] = [] if candidate.left_edge is None else [candidate.left_edge]
     preds += [PhoneSet({phone}) for phone in candidate.left]
     first = len(preds)  # unit of the first covered phone
     preds += [PhoneSet({phone}) for phone in candidate.covered]
     preds += [PhoneSet({phone}) for phone in candidate.right]
-    if candidate.right_edge == EDGE_AT:
-        preds.append(WordEnd())
-    elif candidate.right_edge == EDGE_NOT_AT:
-        preds.append(Not(WordEnd()))
+    if candidate.right_edge is not None:
+        preds.append(candidate.right_edge)
 
     changes: dict[int, MappingFn] = {}
     inserts: dict[int, tuple[str, ...]] = {}
@@ -263,15 +248,10 @@ def builtin_enumerative_propose(
     if not changed:
         return []
 
-    support: dict[EditCandidate, int] = {}
-    for source, target in changed:
-        for candidate in extract_edit_candidates([(source, target)]):
-            support[candidate] = support.get(candidate, 0) + 1
-
+    support = Counter(c for s, t in changed for c in extract_edit_candidates(s, t))
     min_support = min(2, len(changed))
-    pool = [c for c in support if support[c] >= min_support]
-    pool.sort(key=lambda c: -support[c])  # stable: ties keep discovery order
-    pool = pool[:MAX_POOL]
+    # most_common sorts stably, so candidates of equal support keep discovery order.
+    pool = [c for c, n in support.most_common() if n >= min_support][:MAX_POOL]
 
     scorer = Scorer([s for s, _ in request.examples], [t for _, t in request.examples])
     ranked = rank_rules([candidate_to_rule(c) for c in pool], scorer, inv)

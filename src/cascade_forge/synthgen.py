@@ -38,15 +38,18 @@ from cascade_forge.phonology import (
     tokenize,
     TokenizeError,
 )
-from cascade_forge.proposers import EDGE_AT, EDGE_FREE, EDGE_NOT_AT, EditCandidate
+from cascade_forge.proposers import EditCandidate
 from cascade_forge.rule_engine import (
     Cascade,
     Delete,
     FeatureReq,
     MappingFn,
+    Not,
     PhoneSet,
     Rule,
     Substitute,
+    WordEnd,
+    WordStart,
     apply_cascade,
     apply_rule,
     cascade_to_obj,
@@ -131,10 +134,10 @@ def _roundtrips(inv: Inventory, word: TokenizedWord) -> bool:
 
 # --- string-manipulation laws --------------------------------------------------
 
-BOUNDARY_EDGES = (  # (left edge, right edge) pairs
-    (EDGE_AT, EDGE_FREE), (EDGE_FREE, EDGE_AT),  # word start, word end
-    (EDGE_NOT_AT, EDGE_FREE), (EDGE_FREE, EDGE_NOT_AT),  # not word start, not word end
-    (EDGE_FREE, EDGE_FREE),  # no boundary condition
+BOUNDARY_EDGES = (  # (left edge, right edge) predicates, None where unconstrained
+    (WordStart(), None), (None, WordEnd()),  # word start, word end
+    (Not(WordStart()), None), (None, Not(WordEnd())),  # not word start, not word end
+    (None, None),  # no boundary condition
 )
 BOUNDARY_WEIGHTS = (1 / 16, 1 / 16, 1 / 16, 1 / 16, 3 / 4)
 

@@ -1,5 +1,8 @@
+import argparse
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -276,6 +279,27 @@ def test_induce_missing_proposer_exits_4(workdir, capsys):
     assert "not found" in err
 
 
+@pytest.mark.parametrize("mode", ["single", "cascade"])
+def test_induce_into_an_earlier_run_exits_2_before_writing(workdir, capsys, mode):
+    # Identity pairs would leave the first run's best.json beside a summary
+    # of 0 candidates, and a shorter run would leave its beams and log.
+    code, _, _ = run(capsys, "induce", "--pairs", "pairs.tsv", "--mode", mode, "--out", "run")
+    assert code == 0
+    (workdir / "same.tsv").write_text("tu\ttu\nka\tka\n", encoding="utf-8")
+    before = tree_bytes(workdir / "run", exclude=())
+    code, out, err = run(capsys, "induce", "--pairs", "same.tsv", "--out", "run")
+    assert code == 2 and out == ""
+    assert err == f"error: --out run holds {os.path.join('run', 'manifest.json')} from an earlier run\n"
+    assert tree_bytes(workdir / "run", exclude=()) == before
+
+
+def test_induce_into_an_existing_empty_directory(workdir, capsys):
+    (workdir / "run").mkdir()
+    code, _, _ = run(capsys, "induce", "--pairs", "pairs.tsv", "--out", "run")
+    assert code == 0
+    assert (workdir / "run" / "manifest.json").exists()
+
+
 def test_induce_determinism(workdir, capsys):
     for name in ("d1", "d2"):
         code, _, _ = run(capsys, "induce", "--pairs", "pairs.tsv", "--mode", "single",
@@ -439,6 +463,25 @@ COUNT_OPTIONS = [
     ("generate", "multilaw", "--words"),
     ("generate", "multilaw", "--pool-laws"),
 ]
+
+
+def test_count_options_are_listed_wherever_they_are_named():
+    from cascade_forge import cli
+
+    def count_options(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from count_options(sub)
+            elif action.type is cli._count:
+                yield from action.option_strings
+
+    declared = set(count_options(cli.build_parser()))
+    assert declared == {argv[-1] for argv in COUNT_OPTIONS}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"The count options\s*\(([^)]*)\)", readme)
+    assert sentence is not None
+    assert declared == set(re.findall(r"`(--[\w-]+)`", sentence.group(1)))
 
 
 @pytest.mark.parametrize("value", ["0", "-2", "x"])

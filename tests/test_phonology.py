@@ -34,6 +34,12 @@ def test_load_inventory_basic():
     assert inv.feature_names == ("f0", "f1", "f2")
 
 
+def test_symbols_are_built_once(default_inv):
+    # the generators read the symbol tuple on every call
+    assert default_inv.symbols is default_inv.symbols
+    assert default_inv.symbols == tuple(p.symbol for p in default_inv.phones)
+
+
 def test_load_inventory_feature_names_and_comments():
     text = "# comment\n!feature high,low\na\t1,0\nb\t0,1\n"
     inv = load_inventory(text)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -5,17 +6,16 @@ import subprocess
 import sys
 import textwrap
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from cascade_forge.metrics import Dataset, ExamplePair, reward
-from cascade_forge.phonology import tokenize
+from cascade_forge.phonology import TokenizedWord, tokenize
 from cascade_forge.proposers import (
-    EDGE_AT,
-    EDGE_FREE,
-    EDGE_NOT_AT,
+    MAX_POOL,
     TIMEOUT_ENV_VAR,
     EditCandidate,
     ProposalRequest,
@@ -35,10 +35,12 @@ from cascade_forge.rule_engine import (
     FeatureReq,
     Insert,
     IsNothing,
+    Not,
     PhoneSet,
     Rule,
     Substitute,
     WordEnd,
+    WordStart,
     apply_rule,
     rule_to_obj,
     serialize_rule,
@@ -63,30 +65,25 @@ def sub_rule(env, pos, old, new):
 # --- extract_edit_candidates ------------------------------------------------------
 
 
-def test_extract_requires_examples():
-    with pytest.raises(ValueError):
-        extract_edit_candidates([])
-
-
 def test_extract_identity_examples_yield_nothing(tiny_inv):
-    assert extract_edit_candidates(pairs(tiny_inv, ("aj", "aj"))) == []
+    assert extract_edit_candidates(*pairs(tiny_inv, ("aj", "aj"))[0]) == []
 
 
 def test_extract_substitution_with_contexts(tiny_inv):
-    candidates = extract_edit_candidates(pairs(tiny_inv, ("aj", "ej")))
+    candidates = extract_edit_candidates(*pairs(tiny_inv, ("aj", "ej"))[0])
     kinds = {(c.left, c.left_edge, c.right, c.right_edge) for c in candidates}
     # the operation at word start with the following j as context
-    assert ((), EDGE_AT, ("j",), EDGE_FREE) in kinds
-    assert ((), EDGE_FREE, ("j",), EDGE_FREE) in kinds
+    assert ((), WordStart(), ("j",), None) in kinds
+    assert ((), None, ("j",), None) in kinds
     for c in candidates:
         assert c.ops[0].kind == "sub" and c.ops[0].old == "a" and c.ops[0].new == ("e",)
 
 
 def test_extract_word_final_insertion(tiny_inv):
-    candidates = extract_edit_candidates(pairs(tiny_inv, ("i", "ik")))
+    candidates = extract_edit_candidates(*pairs(tiny_inv, ("i", "ik"))[0])
     wanted = [
         c for c in candidates
-        if c.left == ("i",) and c.right == () and c.right_edge == EDGE_AT
+        if c.left == ("i",) and c.right == () and c.right_edge == WordEnd()
     ]
     assert wanted
     op = wanted[0].ops[0]
@@ -94,21 +91,21 @@ def test_extract_word_final_insertion(tiny_inv):
 
 
 def test_extract_interior_op_offers_not_at_edge_variants(tiny_inv):
-    candidates = extract_edit_candidates(pairs(tiny_inv, ("tat", "tet")))
+    candidates = extract_edit_candidates(*pairs(tiny_inv, ("tat", "tet"))[0])
     edges = {(c.left_edge, c.right_edge) for c in candidates}
-    assert (EDGE_NOT_AT, EDGE_NOT_AT) in edges
+    assert (Not(WordStart()), Not(WordEnd())) in edges
 
 
 def test_extract_groups_adjacent_ops(tiny_inv):
     # two changes, one pair: a group candidate covering both must exist
-    candidates = extract_edit_candidates(pairs(tiny_inv, ("ab", "ek")))
+    candidates = extract_edit_candidates(*pairs(tiny_inv, ("ab", "ek"))[0])
     grouped = [c for c in candidates if len(c.ops) == 2]
     assert grouped
     assert {op.kind for c in grouped for op in c.ops} == {"sub"}
 
 
 def test_extract_deduplicates(tiny_inv):
-    candidates = extract_edit_candidates(pairs(tiny_inv, ("aj", "ej"), ("aj", "ej")))
+    candidates = extract_edit_candidates(*pairs(tiny_inv, ("aj", "ej"))[0])
     assert len(candidates) == len(set(candidates))
 
 
@@ -119,8 +116,8 @@ def test_candidate_to_rule_insert_between_contexts(tiny_inv):
         covered=(),
         left=("i",),
         right=(),
-        left_edge=EDGE_FREE,
-        right_edge=EDGE_AT,
+        left_edge=None,
+        right_edge=WordEnd(),
     )
     rule = candidate_to_rule(candidate)
     assert rule.predicates == (PhoneSet({"i"}), IsNothing(), WordEnd())
@@ -197,6 +194,40 @@ def test_builtin_recovers_env3_with_two_context_phones(tiny_inv):
 def test_builtin_respects_num_samples(tiny_inv):
     request = ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 3)
     assert len(builtin_enumerative_propose(request, tiny_inv)) <= 3
+
+
+def _rules_digest(rules):
+    return hashlib.sha256("\n".join(serialize_rule(r) for r in rules).encode("utf-8")).hexdigest()
+
+
+def test_builtin_output_on_smp_laws_is_pinned(default_inv):
+    rules = []
+    bounded = 0  # laws with a word-edge condition
+    for i in range(30):
+        rng = task_rng(0, "golden-builtin", i)
+        law = gen_smp_law(default_inv, SmpSpec(), rng)
+        bounded += any(isinstance(p, (WordStart, WordEnd, Not)) for p in law.predicates)
+        case = gen_smp_examples(default_inv, law, 20, rng)
+        request = ProposalRequest([(p.source, p.target) for p in case.dataset.pairs], 20)
+        rules += builtin_enumerative_propose(request, default_inv)
+    assert bounded == 9 and len(rules) == 332
+    assert _rules_digest(rules) == "adbd4c3fcb0e116469526a28de655dbd340b2a458fa596f6ec3f5abd0092379c"
+
+
+def test_builtin_pool_cap_keeps_discovery_order_among_ties(default_inv):
+    # Two parallel changes over many words give more supported candidates
+    # than MAX_POOL holds, so the cut falls inside a run of equal support.
+    rng = task_rng(0, "bigpool")
+    examples = []
+    for _ in range(150):
+        source = [rng.choice("atkisun") for _ in range(rng.randint(5, 10))]
+        target = [{"a": "e", "t": "d"}.get(phone, phone) for phone in source]
+        examples.append((TokenizedWord.from_phones(source), TokenizedWord.from_phones(target)))
+    support = Counter(c for s, t in examples for c in extract_edit_candidates(s, t))
+    assert sum(n >= 2 for n in support.values()) == 1757
+    rules = builtin_enumerative_propose(ProposalRequest(examples, 1000), default_inv)
+    assert len(rules) == MAX_POOL
+    assert _rules_digest(rules) == "4aa246e24e568c06f156a1cbef0edfe758efe852bffeed96b81738240c71a11d"
 
 
 # --- propose dispatch ---------------------------------------------------------------

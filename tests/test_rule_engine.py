@@ -688,6 +688,7 @@ def test_built_rules_keep_their_serialization(default_inv):
         rng = task_rng(0, "golden-candidates", i)
         case = gen_smp_examples(inv, gen_smp_law(inv, SmpSpec(), rng), 10, rng)
         pairs = [(p.source, p.target) for p in case.dataset.pairs]
-        candidates += [candidate_to_rule(c) for c in extract_edit_candidates(pairs)]
+        distinct = dict.fromkeys(c for s, t in pairs for c in extract_edit_candidates(s, t))
+        candidates += [candidate_to_rule(c) for c in distinct]
     assert len(candidates) == 2060
     assert _serialization_digest(candidates) == "3671d8e0e01c78d5857631fe41def798d34457963c519eda214d6811290d5de9"
