@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import datetime as _dt
 import hashlib
+import json
 import os
 import shlex
 import shutil
@@ -235,6 +236,7 @@ def _report_obj(dataset: Dataset, preds) -> dict:
 def cmd_eval(args) -> int:
     if args.out:
         _check_out_dir(args.out)
+        _refuse_earlier_run(args.out, "eval")
     inv, cascade = _load_cascade(args)
     dataset = read_pairs(args.pairs, inv)
     # Score each prediction as its surface reads back, the way the target was
@@ -382,15 +384,27 @@ def _check_out_dir(out_dir: str) -> None:
         raise CliError(f"--out {out_dir}: {ancestor} is not a directory", EXIT_PARSE)
 
 
-def _refuse_earlier_run(out_dir: str) -> None:
+def _refuse_earlier_run(out_dir: str, rerun: str | None = None) -> None:
     """Exit 2 if ``out_dir`` holds the ``manifest.json`` an earlier run wrote first.
 
     That run's files this one would not rewrite would be left beside its
-    output, and deleting them could delete a user's file.
+    output, and deleting them could delete a user's file.  A ``rerun``
+    command may reuse the directory of an earlier run of that same
+    command, whose files it rewrites; a manifest naming another command,
+    or not read as a manifest, still stops it.
     """
     manifest = os.path.join(out_dir, "manifest.json")
-    if os.path.lexists(manifest):
+    if not os.path.lexists(manifest):
+        return
+    if rerun is None:
         raise CliError(f"--out {out_dir} holds {manifest} from an earlier run", EXIT_PARSE)
+    try:
+        with open(manifest, encoding="utf-8") as fh:
+            command = json.load(fh)["command"][1]
+    except (OSError, ValueError, LookupError, TypeError):
+        raise CliError(f"--out {out_dir} holds {manifest}, which is not a run manifest", EXIT_PARSE) from None
+    if command != rerun:
+        raise CliError(f"--out {out_dir} holds {manifest} from an earlier {command!r} run", EXIT_PARSE)
 
 
 def _refuse_stale_cases(out_dir: str, count: int) -> None:
@@ -416,6 +430,7 @@ _GENERATE_OPTIONS = {
 def cmd_generate(args) -> int:
     options = _GENERATE_OPTIONS[args.generator]
     _check_out_dir(args.out)
+    _refuse_earlier_run(args.out, "generate")
     _refuse_stale_cases(args.out, getattr(args, options[0]))
     inv = _load_inventory(args.inventory)
     config = {"generator": args.generator, **{name: getattr(args, name) for name in options}}

@@ -1,17 +1,18 @@
-"""Candidate-rule sources: builtin enumeration, external processes, ensembles.
+"""Candidate-rule sources: callables (the builtin among them), external processes, ensembles.
 
 A proposer receives example pairs and returns candidate rules.  The
-builtin proposer needs no model or randomness: it aligns each changed
-pair with a minimal edit script, lifts groups of nearby edit operations
-into rules under every context window of up to two phones per side
-(optionally anchored to, or away from, a word edge), and ranks the
-candidates with ``rank_rules`` on the requesting examples.  ``rank_rules``
-is the one ranking of candidate rules: by reward, then fewer predicates,
-then canonical serialization.
+builtin proposer is a callable proposer that needs no model or
+randomness: it aligns each changed pair with a minimal edit script, lifts
+groups of nearby edit operations into rules under every context window of
+up to two phones per side (optionally anchored to, or away from, a word
+edge), and returns its whole pool ranked with ``rank_rules`` on the
+requesting examples.  ``rank_rules`` is the one ranking of candidate
+rules: by reward, then fewer predicates, then canonical serialization.
 
-``propose`` is the one gate: every rule a builtin, external or callable
-proposer returns is validated against the inventory, an invalid one is
-dropped with a diagnostic, and at most ``num_samples`` are kept.
+``propose`` is the one gate: it takes the rules a callable or external
+proposer returns in order, drops each invalid one with a diagnostic, and
+keeps the first ``num_samples`` valid ones, so an invalid rule never
+takes a valid rule's place.
 
 External proposers are child processes speaking one JSON object per line
 on stdin/stdout.  A search keeps one process per command for all of its
@@ -45,7 +46,6 @@ from cascade_forge.rule_engine import (
     Predicate,
     Rule,
     RuleError,
-    RuleParseError,
     Substitute,
     WordEnd,
     WordStart,
@@ -88,13 +88,13 @@ class ProposalRequest:
         object.__setattr__(self, "step_index", step_index)
         if not self.examples:
             raise ValueError("proposal request has no examples")
-        if self.num_samples < 1:
-            raise ValueError(f"num_samples must be positive, got {num_samples}")
+        if type(num_samples) is not int or num_samples < 1:
+            raise ValueError(f"num_samples must be a positive integer, got {num_samples!r}")
 
 
 @dataclass(frozen=True)
 class ProposerHandle:
-    """Address of a rule source: builtin, external command, ensemble, or callable."""
+    """Address of a rule source: a callable, an external command, or an ensemble."""
 
     kind: str
     name: str = ""
@@ -104,7 +104,8 @@ class ProposerHandle:
 
 
 def builtin_proposer() -> ProposerHandle:
-    return ProposerHandle(kind="builtin", name="builtin")
+    """``builtin_enumerative_propose``, looked up at each call, as a callable proposer."""
+    return callable_proposer(builtin_enumerative_propose, "builtin")
 
 
 def external_proposer(command: str | Sequence[str], name: str | None = None) -> ProposerHandle:
@@ -236,13 +237,11 @@ def candidate_to_rule(candidate: EditCandidate) -> Rule:
     return layout_rule(preds, changes, inserts)
 
 
-def builtin_enumerative_propose(
-    request: ProposalRequest, inv: Inventory | None = None
-) -> list[Rule]:
+def builtin_enumerative_propose(request: ProposalRequest) -> list[Rule]:
     """Deterministic candidate rules, best first by ``rank_rules`` on the request's examples.
 
     Candidates supported by fewer changed pairs are pruned first, the pool is
-    capped, and the ``num_samples`` best ranked survivors are returned.
+    capped, and the whole pool is returned ranked; ``propose`` keeps ``num_samples``.
     """
     changed = [(s, t) for s, t in request.examples if s.phones != t.phones]
     if not changed:
@@ -254,8 +253,7 @@ def builtin_enumerative_propose(
     pool = [c for c, n in support.most_common() if n >= min_support][:MAX_POOL]
 
     scorer = Scorer([s for s, _ in request.examples], [t for _, t in request.examples])
-    ranked = rank_rules([candidate_to_rule(c) for c in pool], scorer, inv)
-    return [rule for rule, _ in ranked[: request.num_samples]]
+    return [rule for rule, _ in rank_rules([candidate_to_rule(c) for c in pool], scorer)]
 
 
 def rank_rules(
@@ -559,7 +557,7 @@ def _ask(session: _Session, request: ProposalRequest, inv: Inventory | None) -> 
     for i, program in enumerate(programs):
         try:
             rules.append(rule_from_obj(program, f"/programs/{i}", inv))
-        except (RuleParseError, RuleError) as exc:
+        except RuleError as exc:
             diagnostics.append(f"dropped invalid program {i}: {exc}")
     return ProposeResult(rules, diagnostics)
 
@@ -575,12 +573,14 @@ def propose(
 ) -> ProposeResult:
     """Run a proposer; an ensemble returns the union of its members' results.
 
-    Every other proposer's rules pass one gate: a rule that fails
-    ``Rule.validate`` against ``inv`` is dropped with a diagnostic, and the
-    first ``num_samples`` valid rules are returned.  An ensemble keeps the
-    first copy of equal rules and does not cut the union, so it returns up
-    to ``num_samples`` rules per member.  External proposers get their
-    requests through ``sessions`` (see ``external_propose``).
+    Every other proposer's rules pass one gate, in the order returned: a
+    rule that is no ``Rule`` or fails ``Rule.validate`` against ``inv`` is
+    dropped with a diagnostic, and the gate stops once ``num_samples``
+    valid rules are kept, so an invalid rule never takes a valid one's
+    place.  An ensemble keeps the first copy of equal rules and does not
+    cut the union, so it returns up to ``num_samples`` rules per member.
+    External proposers get their requests through ``sessions`` (see
+    ``external_propose``).
     """
     if handle.kind == "ensemble":
         pooled: dict[Rule, None] = {}
@@ -591,22 +591,21 @@ def propose(
             for rule in sub.rules:
                 pooled.setdefault(rule)
         return ProposeResult(list(pooled), diagnostics)
-    if handle.kind == "builtin":
-        result = ProposeResult(builtin_enumerative_propose(request, inv), [])
-    elif handle.kind == "callable":
-        assert handle.fn is not None
-        result = ProposeResult(list(handle.fn(request)), [])
-    elif handle.kind == "external":
+    if handle.kind == "external":
         result = external_propose(handle.command, request, inv, sessions)
     else:
-        raise ValueError(f"unknown proposer kind {handle.kind!r}")
+        result = ProposeResult(list(handle.fn(request)), [])
     rules: list[Rule] = []
     for i, rule in enumerate(result.rules):
+        if len(rules) == request.num_samples:
+            break
         try:
+            if not isinstance(rule, Rule):
+                raise RuleError(f"expected a Rule, got {type(rule).__name__}")
             rule.validate(inv)
         except RuleError as exc:
             result.diagnostics.append(f"dropped invalid candidate {i} from {handle.name}: {exc}")
             continue
         rules.append(rule)
-    result.rules = rules[: request.num_samples]
+    result.rules = rules
     return result

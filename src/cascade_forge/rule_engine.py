@@ -202,9 +202,10 @@ class Rule:
         """Raise ``RuleError`` unless the rule is well formed.
 
         Rule JSON, proposers and the generators all check rules here.
-        Beyond the structure, every phone the rule names (phone sets,
-        substitute keys and targets, inserts) must be a non-empty symbol
-        other than ``#``/``@`` and, given an inventory, one of its phones.
+        Every predicate and mapping must be one of the kinds defined here,
+        and every phone the rule names (phone sets, substitute keys and
+        targets, inserts) must be a non-empty symbol other than ``#``/``@``
+        and, given an inventory, one of its phones.
         """
         if not self.predicates:
             raise RuleError("rule has no predicates")
@@ -217,6 +218,8 @@ class Rule:
         if len(set(self.change_pos)) != len(self.change_pos):
             raise RuleError("duplicate change positions")
         for pos, fn in zip(self.change_pos, self.mappings):
+            if not isinstance(fn, (Delete, Substitute, Insert)):
+                raise RuleError(f"unknown mapping {fn!r} at position {pos}")
             if pos < 0 or pos >= len(self.predicates):
                 raise RuleError(f"change position {pos} outside environment of length {len(self.predicates)}")
             pred = self.predicates[pos]
@@ -278,6 +281,8 @@ def _validate_predicate(pred: Predicate, position: int, inv: Inventory | None) -
                 raise RuleError(f"feature index {idx} out of range at position {position}")
     elif isinstance(pred, Not):
         _validate_predicate(pred.inner, position, inv)
+    elif not isinstance(pred, (IsNothing, WordStart, WordEnd)):
+        raise RuleError(f"unknown predicate {pred!r} at position {position}")
 
 
 def layout_rule(

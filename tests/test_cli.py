@@ -371,6 +371,55 @@ def test_generate_refuses_an_out_dir_holding_cases_it_would_not_write(workdir, c
     assert (workdir / "d" / "notes.txt").read_text() == "mine\n"
 
 
+EVAL_OUT = ("eval", "--pairs", "pairs.tsv", "--cascade", "cascade.json", "--out", "run")
+GENERATE_OUT = ("generate", "smp", "--laws", "1", "--n", "10", "--out", "run")
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (("induce", "--pairs", "pairs.tsv", "--out", "run"), GENERATE_OUT),
+        (("induce", "--pairs", "pairs.tsv", "--out", "run"), EVAL_OUT),
+        (EVAL_OUT, GENERATE_OUT),
+    ],
+    ids=["induce-then-generate", "induce-then-eval", "eval-then-generate"],
+)
+def test_generate_and_eval_refuse_an_out_dir_another_command_wrote(workdir, capsys, first, second):
+    code, _, _ = run(capsys, *first)
+    assert code == 0
+    before = tree_bytes(workdir / "run", exclude=())
+    code, out, err = run(capsys, *second)
+    assert code == 2 and out == ""
+    manifest = os.path.join("run", "manifest.json")
+    assert err == f"error: --out run holds {manifest} from an earlier {first[0]!r} run\n"
+    assert tree_bytes(workdir / "run", exclude=()) == before
+
+
+@pytest.mark.parametrize("argv", [GENERATE_OUT, EVAL_OUT], ids=["generate", "eval"])
+@pytest.mark.parametrize(
+    "text", ["not json\n", "{}\n", '{"command": ["cascade-forge"]}\n'],
+    ids=["not-json", "no-command", "no-subcommand"],
+)
+def test_generate_and_eval_refuse_a_manifest_that_is_not_a_run_manifest(workdir, capsys, argv, text):
+    (workdir / "run").mkdir()
+    (workdir / "run" / "manifest.json").write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    manifest = os.path.join("run", "manifest.json")
+    assert err == f"error: --out run holds {manifest}, which is not a run manifest\n"
+    assert tree_bytes(workdir / "run", exclude=()) == {"manifest.json": text.encode("utf-8")}
+
+
+def test_eval_may_rewrite_its_own_out_dir(workdir, capsys):
+    code, first, _ = run(capsys, *EVAL_OUT, "--json")
+    assert code == 0
+    (workdir / "cascade.json").write_text("[]", encoding="utf-8")
+    code, second, _ = run(capsys, *EVAL_OUT, "--json")
+    assert code == 0 and second != first
+    assert (workdir / "run" / "report.json").read_text(encoding="utf-8") == second
+    assert sorted(os.listdir(workdir / "run")) == ["manifest.json", "report.json"]
+
+
 # The commands taking an output directory, before their --out argument.
 out_dir_commands = pytest.mark.parametrize(
     "argv",

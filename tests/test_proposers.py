@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import stat
@@ -35,8 +36,10 @@ from cascade_forge.rule_engine import (
     FeatureReq,
     Insert,
     IsNothing,
+    MappingFn,
     Not,
     PhoneSet,
+    Predicate,
     Rule,
     Substitute,
     WordEnd,
@@ -46,7 +49,7 @@ from cascade_forge.rule_engine import (
     serialize_rule,
 )
 from cascade_forge.search import SearchConfig, beam_search_cascade, hypothesis_to_obj, induce_single_law
-from cascade_forge.synthgen import SmpSpec, gen_smp_examples, gen_smp_law, task_rng
+from cascade_forge.synthgen import GenerationError, SmpSpec, gen_smp_examples, gen_smp_law, task_rng
 
 
 def pairs(inv, *items):
@@ -130,20 +133,20 @@ def test_candidate_to_rule_insert_between_contexts(tiny_inv):
 
 def test_builtin_candidate_pool_contains_contextual_rule(tiny_inv):
     request = ProposalRequest(pairs(tiny_inv, ("aj", "ej"), ("ka", "ka")), 20)
-    rules = builtin_enumerative_propose(request, tiny_inv)
+    rules = builtin_enumerative_propose(request)
     wanted = sub_rule("aj", 0, "a", "e")
     assert any(rule == wanted for rule in rules)
 
 
 def test_builtin_identity_examples_give_empty_list(tiny_inv):
     request = ProposalRequest(pairs(tiny_inv, ("aj", "aj"), ("tu", "tu")), 20)
-    assert builtin_enumerative_propose(request, tiny_inv) == []
+    assert builtin_enumerative_propose(request) == []
 
 
 def test_builtin_is_deterministic(tiny_inv):
     request = ProposalRequest(pairs(tiny_inv, ("aj", "ej"), ("ita", "ite"), ("uk", "uk")), 20)
-    first = builtin_enumerative_propose(request, tiny_inv)
-    second = builtin_enumerative_propose(request, tiny_inv)
+    first = builtin_enumerative_propose(request)
+    second = builtin_enumerative_propose(request)
     assert [serialize_rule(r) for r in first] == [serialize_rule(r) for r in second]
 
 
@@ -155,7 +158,7 @@ def test_builtin_rules_satisfy_invariants(default_inv):
         request = ProposalRequest(
             [(p.source, p.target) for p in case.dataset.pairs], 20
         )
-        for rule in builtin_enumerative_propose(request, default_inv):
+        for rule in builtin_enumerative_propose(request):
             rule.validate(default_inv)
 
 
@@ -165,7 +168,7 @@ def test_builtin_recovers_single_phone_environment(default_inv):
     law = gen_smp_law(default_inv, spec, rng)
     case = gen_smp_examples(default_inv, law, 50, rng)
     request = ProposalRequest([(p.source, p.target) for p in case.dataset.pairs], 20)
-    rules = builtin_enumerative_propose(request, default_inv)
+    rules = builtin_enumerative_propose(request)
     sources = [p.source for p in case.dataset.pairs]
     targets = [p.target for p in case.dataset.pairs]
     best = rules[0]
@@ -179,7 +182,7 @@ def test_builtin_recovers_env3_with_two_context_phones(tiny_inv):
     rng = task_rng(19, "rec3", 0)
     case = gen_smp_examples(tiny_inv, rule, 50, rng)
     request = ProposalRequest([(p.source, p.target) for p in case.dataset.pairs], 20)
-    rules = builtin_enumerative_propose(request, tiny_inv)
+    rules = builtin_enumerative_propose(request)
     sources = [p.source for p in case.dataset.pairs]
     targets = [p.target for p in case.dataset.pairs]
     preds = [apply_rule(rules[0], s, tiny_inv) for s in sources]
@@ -193,7 +196,13 @@ def test_builtin_recovers_env3_with_two_context_phones(tiny_inv):
 
 def test_builtin_respects_num_samples(tiny_inv):
     request = ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 3)
-    assert len(builtin_enumerative_propose(request, tiny_inv)) <= 3
+    assert len(propose(builtin_proposer(), request, tiny_inv).rules) == 3
+
+
+@pytest.mark.parametrize("num_samples", [2.5, 1.0, True, "3"])
+def test_request_num_samples_must_be_an_integer(tiny_inv, num_samples):
+    with pytest.raises(ValueError, match="num_samples must be a positive integer"):
+        ProposalRequest(pairs(tiny_inv, ("aj", "ej")), num_samples)
 
 
 def _rules_digest(rules):
@@ -209,7 +218,7 @@ def test_builtin_output_on_smp_laws_is_pinned(default_inv):
         bounded += any(isinstance(p, (WordStart, WordEnd, Not)) for p in law.predicates)
         case = gen_smp_examples(default_inv, law, 20, rng)
         request = ProposalRequest([(p.source, p.target) for p in case.dataset.pairs], 20)
-        rules += builtin_enumerative_propose(request, default_inv)
+        rules += propose(builtin_proposer(), request, default_inv).rules
     assert bounded == 9 and len(rules) == 332
     assert _rules_digest(rules) == "adbd4c3fcb0e116469526a28de655dbd340b2a458fa596f6ec3f5abd0092379c"
 
@@ -225,9 +234,32 @@ def test_builtin_pool_cap_keeps_discovery_order_among_ties(default_inv):
         examples.append((TokenizedWord.from_phones(source), TokenizedWord.from_phones(target)))
     support = Counter(c for s, t in examples for c in extract_edit_candidates(s, t))
     assert sum(n >= 2 for n in support.values()) == 1757
-    rules = builtin_enumerative_propose(ProposalRequest(examples, 1000), default_inv)
+    rules = builtin_enumerative_propose(ProposalRequest(examples, 1000))
     assert len(rules) == MAX_POOL
     assert _rules_digest(rules) == "4aa246e24e568c06f156a1cbef0edfe758efe852bffeed96b81738240c71a11d"
+
+
+def test_propose_keeps_the_first_num_samples_rules_of_the_builtin_pool(default_inv):
+    # The builtin returns its whole ranked pool, and the gate alone cuts it.
+    example_sets = []
+    for i in itertools.count():
+        rng = task_rng(0, "gate", i)
+        law = gen_smp_law(default_inv, SmpSpec(), rng)
+        try:
+            case = gen_smp_examples(default_inv, law, 20, rng)
+        except GenerationError:
+            continue
+        example_sets.append([(p.source, p.target) for p in case.dataset.pairs])
+        if len(example_sets) == 20:
+            break
+    for num_samples in (1, 2, 5, 20, 1000):
+        longer = 0
+        for examples in example_sets:
+            request = ProposalRequest(examples, num_samples)
+            pool = builtin_enumerative_propose(request)
+            assert propose(builtin_proposer(), request, default_inv).rules == pool[:num_samples]
+            longer += len(pool) > num_samples
+        assert longer or num_samples == 1000
 
 
 # --- propose dispatch ---------------------------------------------------------------
@@ -327,7 +359,7 @@ def test_callable_reserved_token_dropped_with_diagnostic(tiny_inv, with_inventor
 def test_builtin_rules_the_inventory_cannot_hold_are_dropped_with_diagnostic(default_inv, tiny_inv):
     # "p" is in the examples' inventory but not in the one given to propose.
     request = ProposalRequest(pairs(default_inv, ("pa", "pe"), ("apa", "ape"), ("ka", "ka")), 20)
-    offered = builtin_enumerative_propose(request, tiny_inv)
+    offered = builtin_enumerative_propose(request)
     result = propose(builtin_proposer(), request, tiny_inv)
     dropped = [i for i, rule in enumerate(offered) if rule not in result.rules]
     assert dropped and result.rules
@@ -336,6 +368,52 @@ def test_builtin_rules_the_inventory_cannot_hold_are_dropped_with_diagnostic(def
     for i, diagnostic in zip(dropped, result.diagnostics):
         assert diagnostic.startswith(f"dropped invalid candidate {i} from builtin: ")
         assert diagnostic.endswith("phone 'p' not in inventory")
+
+
+def test_invalid_builtin_rules_do_not_take_the_places_of_valid_ones(default_inv, tiny_inv):
+    # "p" is in the examples' inventory but not in the one given to propose.
+    request = ProposalRequest(pairs(default_inv, ("pa", "pe"), ("apa", "ape"), ("ka", "ka")), 2)
+    result = propose(builtin_proposer(), request, tiny_inv)
+    assert len(result.rules) == 2 and len(result.diagnostics) == 2
+    for rule in result.rules:
+        rule.validate(tiny_inv)
+
+
+BAD_RULE = Rule([IsNothing()], [0], [Insert(("zz",))])  # phone not in inventory
+
+
+@pytest.mark.parametrize(
+    "order, diagnosed", [(("good", "good", "bad"), 0), (("bad", "good", "good"), 1)]
+)
+def test_the_gate_stops_once_num_samples_valid_rules_are_kept(tiny_inv, order, diagnosed):
+    rules = {"good": sub_rule("a", 0, "a", "e"), "bad": BAD_RULE}
+    handle = callable_proposer(lambda req: [rules[kind] for kind in order], "stub")
+    result = propose(handle, ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 2), tiny_inv)
+    assert result.rules == [rules["good"]] * 2
+    assert len(result.diagnostics) == diagnosed
+
+
+@pytest.mark.parametrize(
+    "candidate",
+    [
+        Rule([PhoneSet({"a"}), IsNothing(), "j"], [0], [Delete()]),
+        Rule([PhoneSet({"a"}), IsNothing(), Predicate()], [0], [Delete()]),
+        Rule([PhoneSet({"a"}), IsNothing(), Not(Predicate())], [0], [Delete()]),
+        Rule([PhoneSet({"a"})], [0], ["e"]),
+        Rule([PhoneSet({"a"})], [0], [MappingFn()]),
+        rule_to_obj(sub_rule("a", 0, "a", "e")),
+    ],
+    ids=["str-predicate", "bare-predicate", "not-bare-predicate", "str-mapping", "bare-mapping", "dict"],
+)
+def test_the_gate_drops_what_the_rule_engine_cannot_run(tiny_inv, candidate):
+    handle = callable_proposer(lambda req: [candidate], "stub")
+    result = propose(handle, ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 4), tiny_inv)
+    assert result.rules == []
+    assert len(result.diagnostics) == 1
+    assert result.diagnostics[0].startswith("dropped invalid candidate 0 from stub: ")
+    diagnostics = []
+    assert induce_single_law(handle, search_dataset(tiny_inv), inv=tiny_inv, diagnostics=diagnostics) == []
+    assert diagnostics == result.diagnostics
 
 
 def test_propose_never_returns_invalid_rules(default_inv):

@@ -136,7 +136,7 @@ def test_induce_keeps_the_builtin_order_on_the_same_pairs(default_inv):
     law = gen_smp_law(default_inv, SmpSpec(seed=7), rng)
     case = gen_smp_examples(default_inv, law, 50, rng, name="c7-72")
     request = ProposalRequest([(p.source, p.target) for p in case.dataset.pairs], 20)
-    builtin = builtin_enumerative_propose(request, default_inv)
+    builtin = builtin_enumerative_propose(request)
     ranked = induce_single_law(builtin_proposer(), case.dataset, samples=20, inv=default_inv)
     assert [serialize_rule(rule) for rule, _ in ranked] == [serialize_rule(r) for r in builtin]
     assert [report.reward for _, report in ranked[:2]] == [1.0, 1.0]
