@@ -37,7 +37,7 @@ from cascade_forge.proposers import (
     ensemble_proposer,
     external_proposer,
 )
-from cascade_forge.resources import atomic_write, dumps
+from cascade_forge.resources import atomic_write, dumps, pairs_tsv
 from cascade_forge.rule_engine import (
     Cascade,
     RuleError,
@@ -56,6 +56,7 @@ from cascade_forge.synthgen import (
     GenerationError,
     LingSpec,
     SmpSpec,
+    case_files,
     gen_ling_corpus,
     gen_multilaw_evalset,
     gen_smp_corpus,
@@ -116,13 +117,17 @@ def _tokenize(word: str, inv: Inventory, where: str):
         raise CliError(f"{where}: {exc}", EXIT_TOKENIZE) from None
 
 
+def _data_lines(path: str):
+    """Each ``(lineno, line)`` of the file that is neither blank nor a ``%`` comment."""
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+        if line.strip() and not line.lstrip().startswith("%"):
+            yield lineno, line
+
+
 def read_pairs(path: str, inv: Inventory) -> Dataset:
-    """Two-column TSV (protoform<TAB>reflex); ``%``-prefixed lines are comments."""
+    """Two-column TSV (protoform<TAB>reflex) of ``_data_lines``."""
     pairs: list[ExamplePair] = []
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("%"):
-            continue
+    for lineno, line in _data_lines(path):
         if "\t" not in line:
             raise CliError(f"{path}:{lineno}: expected 'source<TAB>target'", EXIT_PARSE)
         source_text, target_text = line.split("\t", 1)
@@ -135,12 +140,10 @@ def read_pairs(path: str, inv: Inventory) -> Dataset:
 
 
 def read_words(path: str, inv: Inventory) -> list:
+    """One word per ``_data_lines`` line, surrounding whitespace stripped."""
     words = []
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        words.append(_tokenize(line, inv, f"{path}:{lineno}"))
+    for lineno, line in _data_lines(path):
+        words.append(_tokenize(line.strip(), inv, f"{path}:{lineno}"))
     if not words:
         raise CliError(f"{path}: no words", EXIT_PARSE)
     return words
@@ -209,7 +212,7 @@ def cmd_apply(args) -> int:
             columns = [word.surface, *[w.surface for w in trace]]
             print("\t".join(columns))
         else:
-            print(f"{word.surface}\t{final.surface}")
+            print(pairs_tsv([(word, final)]), end="")
     return EXIT_OK
 
 
@@ -313,6 +316,7 @@ def cmd_induce(args) -> int:
     }
     manifest = _manifest(args, config_obj, [args.pairs, args.inventory or ""])
     _write_manifest(args.out, manifest)
+    atomic_write(os.path.join(args.out, "config.json"), dumps(config_obj))
     diagnostics: list[str] = []
 
     if args.mode == "single":
@@ -321,24 +325,13 @@ def cmd_induce(args) -> int:
             diagnostics=diagnostics,
         )
         rewards = [report.reward for _, report in ranked]
-        atomic_write(
-            os.path.join(args.out, "config.json"),
-            dumps(config_obj),
-        )
-        atomic_write(
-            os.path.join(args.out, "ranked.json"),
-            dumps([
-                {"rule": rule_to_obj(rule), "reward": report.reward, "pass": report.passed}
-                for rule, report in ranked
-            ]),
-        )
-        if ranked:
-            best_rule, best_report = ranked[0]
-            atomic_write(
-                os.path.join(args.out, "best.json"),
-                dumps({"rule": rule_to_obj(best_rule), "reward": best_report.reward,
-                       "pass": best_report.passed}),
-            )
+        ranked_obj = [
+            {"rule": rule_to_obj(rule), "reward": report.reward, "pass": report.passed}
+            for rule, report in ranked
+        ]
+        atomic_write(os.path.join(args.out, "ranked.json"), dumps(ranked_obj))
+        if ranked_obj:
+            atomic_write(os.path.join(args.out, "best.json"), dumps(ranked_obj[0]))
     else:
         beams = beam_search_cascade(
             handle, dataset, config, inv=inv, use_ites=args.ites, run_dir=args.out,
@@ -407,19 +400,29 @@ def _refuse_earlier_run(out_dir: str, rerun: str | None = None) -> None:
         raise CliError(f"--out {out_dir} holds {manifest} from an earlier {command!r} run", EXIT_PARSE)
 
 
-def _refuse_stale_cases(out_dir: str, count: int) -> None:
-    """Exit 2 if ``out_dir`` holds a ``case_*`` entry beyond the ``count`` this run writes.
+def _refuse_stale_cases(out_dir: str, count: int, rules: int) -> None:
+    """Exit 2 if a ``case_*`` entry in ``out_dir`` holds anything this run would not write.
 
-    The manifest would not count it, and deleting it could delete a user's file.
+    This run writes the ``case_files`` of ``count`` cases of ``rules`` rules
+    each.  A case beyond ``count``, or another ground truth's file beside a
+    case's own, would be left mixed with this run's output, and deleting it
+    could delete a user's file.
     """
+    written = {path for index in range(count) for path in case_files(index, rules)}
+    cases = {os.path.dirname(path) for path in written}
     names = os.listdir(out_dir) if os.path.isdir(out_dir) else []
-    written = {f"case_{index:04d}" for index in range(count)}
-    stale = sorted(n for n in names if n.startswith("case_") and n not in written)
-    if stale:
-        raise CliError(f"--out {out_dir} holds {stale[0]}, which this run would not write", EXIT_PARSE)
+    for name in sorted(n for n in names if n.startswith("case_")):
+        path = os.path.join(out_dir, name)
+        held = [name]
+        if name in cases and os.path.isdir(path):
+            held = [os.path.join(name, inner) for inner in sorted(os.listdir(path))]
+        stale = [entry for entry in held if entry not in written]
+        if stale:
+            raise CliError(f"--out {out_dir} holds {stale[0]}, which this run would not write", EXIT_PARSE)
 
 
-# Each generator's options recorded in the manifest; the first is its case count.
+# Each generator's options recorded in the manifest.  The first is its case
+# count and, for ling and multilaw, the second its rules per case.
 _GENERATE_OPTIONS = {
     "smp": ("laws", "n", "seed"),
     "ling": ("langs", "rules", "protoforms", "min_applicable", "seed"),
@@ -431,7 +434,8 @@ def cmd_generate(args) -> int:
     options = _GENERATE_OPTIONS[args.generator]
     _check_out_dir(args.out)
     _refuse_earlier_run(args.out, "generate")
-    _refuse_stale_cases(args.out, getattr(args, options[0]))
+    rules = 1 if args.generator == "smp" else getattr(args, options[1])
+    _refuse_stale_cases(args.out, getattr(args, options[0]), rules)
     inv = _load_inventory(args.inventory)
     config = {"generator": args.generator, **{name: getattr(args, name) for name in options}}
     manifest = _manifest(args, config, [args.inventory or "", getattr(args, "pool", None) or ""])
@@ -468,8 +472,7 @@ def cmd_select_examples(args) -> int:
     inv = _load_inventory(args.inventory)
     dataset = read_pairs(args.pairs, inv)
     filtered, triggers = select_examples_ites(dataset.pairs)
-    lines = [f"{p.source.surface}\t{p.target.surface}" for p in filtered]
-    atomic_write(args.out, "\n".join(lines) + ("\n" if lines else ""))
+    atomic_write(args.out, pairs_tsv((p.source, p.target) for p in filtered))
     print(f"kept {len(filtered)}/{len(dataset.pairs)} pairs; "
           f"trigger phones: {' '.join(sorted(triggers)) if triggers else '(none)'}")
     if not filtered:

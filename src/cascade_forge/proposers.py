@@ -577,7 +577,8 @@ def propose(
     rule that is no ``Rule`` or fails ``Rule.validate`` against ``inv`` is
     dropped with a diagnostic, and the gate stops once ``num_samples``
     valid rules are kept, so an invalid rule never takes a valid one's
-    place.  An ensemble keeps the first copy of equal rules and does not
+    place.  A callable that returns something not iterable gives no rules
+    and one diagnostic.  An ensemble keeps the first copy of equal rules and does not
     cut the union, so it returns up to ``num_samples`` rules per member.
     External proposers get their requests through ``sessions`` (see
     ``external_propose``).
@@ -594,7 +595,12 @@ def propose(
     if handle.kind == "external":
         result = external_propose(handle.command, request, inv, sessions)
     else:
-        result = ProposeResult(list(handle.fn(request)), [])
+        returned = handle.fn(request)
+        try:
+            rules_in = iter(returned)
+        except TypeError:
+            return ProposeResult([], [f"{handle.name} returned a {type(returned).__name__}, not rules"])
+        result = ProposeResult(list(rules_in), [])
     rules: list[Rule] = []
     for i, rule in enumerate(result.rules):
         if len(rules) == request.num_samples:

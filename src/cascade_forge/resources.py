@@ -1,4 +1,4 @@
-"""Loaders for the bundled data files, and the one writer of output files.
+"""Loaders for the bundled data files, and the one writer of output files and pairs TSV.
 
 The Tangkhulic law corpus holds 26 hand-encoded historical sound laws
 from three Tangkhulic languages, each with environment/mapping example
@@ -57,6 +57,11 @@ def tangkhulic_laws(inv: Inventory | None = None) -> list[CorpusLaw]:
 def dumps(obj) -> str:
     """JSON text as every output file holds it: sorted keys, indented, newline-terminated."""
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+
+
+def pairs_tsv(pairs) -> str:
+    """Pairs TSV text: one ``source<TAB>target`` surface line per ``(source, target)`` word pair."""
+    return "".join(f"{source.surface}\t{target.surface}\n" for source, target in pairs)
 
 
 def atomic_write(path: str, text: str) -> None:

@@ -203,10 +203,15 @@ class Rule:
 
         Rule JSON, proposers and the generators all check rules here.
         Every predicate and mapping must be one of the kinds defined here,
-        and every phone the rule names (phone sets, substitute keys and
-        targets, inserts) must be a non-empty symbol other than ``#``/``@``
-        and, given an inventory, one of its phones.
+        every change position and feature index an ``int`` (not a ``bool``),
+        every substitute target a tuple, the name a string or ``None``, and
+        every phone the rule names (phone sets, substitute keys and targets,
+        inserts) a non-empty string other than ``#``/``@`` and, given an
+        inventory, one of its phones.  So a rule that passes serializes to
+        rule JSON that ``parse_rule`` reads back as an equal rule.
         """
+        if self.name is not None and not isinstance(self.name, str):
+            raise RuleError(f"rule name {self.name!r} is not a string")
         if not self.predicates:
             raise RuleError("rule has no predicates")
         if not self.change_pos:
@@ -215,6 +220,9 @@ class Rule:
             raise RuleError(
                 f"{len(self.change_pos)} change positions but {len(self.mappings)} mappings"
             )
+        for pos in self.change_pos:
+            if type(pos) is not int:
+                raise RuleError(f"change position {pos!r} is not an integer")
         if len(set(self.change_pos)) != len(self.change_pos):
             raise RuleError("duplicate change positions")
         for pos, fn in zip(self.change_pos, self.mappings):
@@ -243,6 +251,8 @@ class Rule:
                     # The JSON object keeps one target per key.
                     raise RuleError(f"substitute at position {pos} maps a phone twice")
                 for key, value in fn.mapping:
+                    if not isinstance(value, tuple):
+                        raise RuleError(f"substitute target for {key!r} is not a tuple of phones")
                     if not value:
                         raise RuleError(f"substitute target for {key!r} is empty")
                     for phone in (key, *value):
@@ -252,7 +262,7 @@ class Rule:
 
 
 def _check_phone(symbol: str, where: str, inv: Inventory | None) -> None:
-    if not symbol or symbol in RESERVED_TOKENS:
+    if not isinstance(symbol, str) or not symbol or symbol in RESERVED_TOKENS:
         raise RuleError(f"{where}: {symbol!r} is not a phone")
     if inv is not None and symbol not in inv:
         raise RuleError(f"{where}: phone {symbol!r} not in inventory")
@@ -267,7 +277,8 @@ def _validate_predicate(pred: Predicate, position: int, inv: Inventory | None) -
     if isinstance(pred, PhoneSet):
         if not pred.phones:
             raise RuleError(f"empty phone set at position {position}")
-        for symbol in sorted(pred.phones):
+        # key=str: a phone that is not a string fails _check_phone, not the sort.
+        for symbol in sorted(pred.phones, key=str):
             _check_phone(symbol, f"phone set at position {position}", inv)
     elif isinstance(pred, FeatureReq):
         indices = [idx for idx, _ in pred.reqs]
@@ -275,6 +286,8 @@ def _validate_predicate(pred: Predicate, position: int, inv: Inventory | None) -
             # The JSON object keeps one value per index.
             raise RuleError(f"feature requirement at position {position} names an index twice")
         for idx, value in pred.reqs:
+            if type(idx) is not int:
+                raise RuleError(f"feature index {idx!r} at position {position} is not an integer")
             if not _is_bit(value):
                 raise RuleError(f"feature requirement value {value!r} at position {position}")
             if not 0 <= idx < (MAX_FEATURES if inv is None else inv.num_features):
@@ -548,12 +561,16 @@ def rule_from_obj(obj: Any, path: str = "", inv: Inventory | None = None) -> Rul
     return rule
 
 
-def parse_rule(text: str, inv: Inventory | None = None) -> Rule:
+def _loads(text: str) -> Any:
+    """The JSON value of rule or cascade text; malformed JSON is a ``RuleParseError``."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise RuleParseError(f"invalid JSON: {exc}") from None
-    return rule_from_obj(obj, "", inv)
+
+
+def parse_rule(text: str, inv: Inventory | None = None) -> Rule:
+    return rule_from_obj(_loads(text), "", inv)
 
 
 def cascade_to_obj(cascade: Cascade) -> list[dict[str, Any]]:
@@ -570,8 +587,4 @@ def cascade_from_obj(obj: Any, inv: Inventory | None = None) -> Cascade:
 
 
 def parse_cascade(text: str, inv: Inventory | None = None) -> Cascade:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise RuleParseError(f"invalid JSON: {exc}") from None
-    return cascade_from_obj(obj, inv)
+    return cascade_from_obj(_loads(text), inv)

@@ -22,7 +22,7 @@ exit status they end with is reported to the search's diagnostics.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from cascade_forge.metrics import (
@@ -143,10 +143,6 @@ def induce_single_law(
     return rank_rules(result.rules, Scorer(dataset.sources, dataset.targets), inv)
 
 
-def _forms_fingerprint(forms: Sequence[TokenizedWord]) -> tuple[tuple[str, ...], ...]:
-    return tuple(w.tokens for w in forms)
-
-
 def _rank_key(hypothesis: Hypothesis) -> tuple[float, int, str]:
     return (-hypothesis.reward, len(hypothesis.cascade), serialize_cascade(hypothesis.cascade))
 
@@ -164,17 +160,13 @@ def beam_search_cascade(
 
     Beams rank by reward; ties prefer fewer rules, then serialization order.
 
-    With ``run_dir``, writes ``config.json``, ``beams/step_<i>.json`` after
-    each step, and ``best.json`` and ``log.txt`` at the end there.
+    With ``run_dir``, writes ``beams/step_<i>.json`` after each step, and
+    ``best.json`` and ``log.txt`` at the end there; a run's ``config.json``
+    is the CLI's to write.
     """
     sources = dataset.sources
     targets = dataset.targets
     log_lines: list[str] = []
-    if run_dir:
-        config_obj = asdict(config)
-        config_obj["proposer"] = handle.name
-        config_obj["use_ites"] = use_ites
-        atomic_write(os.path.join(run_dir, "config.json"), dumps(config_obj))
 
     scorer = Scorer(sources, targets)
     initial = reward_report(sources, sources, targets)
@@ -201,10 +193,9 @@ def beam_search_cascade(
             deduped: list[Hypothesis] = []
             seen_forms = set()
             for candidate in candidates:
-                fingerprint = _forms_fingerprint(candidate.forms)
-                if fingerprint in seen_forms:
+                if candidate.forms in seen_forms:
                     continue
-                seen_forms.add(fingerprint)
+                seen_forms.add(candidate.forms)
                 deduped.append(candidate)
                 if len(deduped) == config.beam_width:
                     break

@@ -55,9 +55,8 @@ from cascade_forge.rule_engine import (
     cascade_to_obj,
     find_sites,
     layout_rule,
-    rule_to_obj,
 )
-from cascade_forge.resources import atomic_write, dumps
+from cascade_forge.resources import atomic_write, dumps, pairs_tsv
 
 GENERATOR_VERSION = 1
 
@@ -610,24 +609,22 @@ def nonce_word(inv: Inventory, profile: NonceProfile, rng: Random) -> TokenizedW
 # --- corpus writing ----------------------------------------------------------------
 
 
+def case_files(index: int, rules: int) -> tuple[str, str]:
+    """Case ``index``'s ground truth (``rule.json`` for one rule, else ``cascade.json``)
+    and ``pairs.tsv``, as paths relative to the corpus root."""
+    case_dir = f"case_{index:04d}"
+    truth = "rule.json" if rules == 1 else "cascade.json"
+    return os.path.join(case_dir, truth), os.path.join(case_dir, "pairs.tsv")
+
+
 def write_corpus(out_dir: str, cases: Sequence[SynthCase], manifest: dict) -> None:
-    """Write ``case_<idx>/{rule.json|cascade.json,pairs.tsv}`` plus a manifest."""
+    """Write each case's ``case_files`` (the ground truth as rule or cascade
+    JSON, the pairs as ``resources.pairs_tsv``) plus a manifest."""
     for index, case in enumerate(cases):
-        case_dir = os.path.join(out_dir, f"case_{index:04d}")
-        if len(case.ground_truth) == 1:
-            atomic_write(
-                os.path.join(case_dir, "rule.json"),
-                dumps(rule_to_obj(case.ground_truth.rules[0])),
-            )
-        else:
-            atomic_write(
-                os.path.join(case_dir, "cascade.json"),
-                dumps(cascade_to_obj(case.ground_truth)),
-            )
-        lines = [
-            f"{pair.source.surface}\t{pair.target.surface}" for pair in case.dataset.pairs
-        ]
-        atomic_write(os.path.join(case_dir, "pairs.tsv"), "\n".join(lines) + "\n")
+        truth, pairs = case_files(index, len(case.ground_truth))
+        obj = cascade_to_obj(case.ground_truth)
+        atomic_write(os.path.join(out_dir, truth), dumps(obj[0] if len(obj) == 1 else obj))
+        atomic_write(os.path.join(out_dir, pairs), pairs_tsv(zip(case.dataset.sources, case.dataset.targets)))
     full_manifest = dict(manifest)
     full_manifest["cases"] = len(cases)
     full_manifest["generator_version"] = GENERATOR_VERSION

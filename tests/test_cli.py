@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from cascade_forge.cli import main
-from cascade_forge.synthgen import GENERATOR_VERSION
+from cascade_forge.cli import main, read_pairs, read_words
+from cascade_forge.phonology import default_inventory
+from cascade_forge.search import select_examples_ites
+from cascade_forge.synthgen import GENERATOR_VERSION, SmpSpec, gen_smp_corpus, write_corpus
 
 A_TO_E_RULE = {
     "predicates": [
@@ -44,7 +46,8 @@ def tree_bytes(root, exclude=("manifest.json", "log.txt")):
             if name in exclude:
                 continue
             path = os.path.join(base, name)
-            out[os.path.relpath(path, root)] = open(path, "rb").read()
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
     return out
 
 
@@ -223,8 +226,8 @@ def test_induce_cascade_mode_layout(workdir, capsys):
     assert (workdir / "cascrun" / "beams" / "step_001.json").exists()
     assert (workdir / "cascrun" / "best.json").exists()
     config = json.loads((workdir / "cascrun" / "config.json").read_text())
-    assert config["beam_width"] == 4 and config["samples_per_step"] == 1
     manifest = json.loads((workdir / "cascrun" / "manifest.json").read_text())
+    assert config == manifest["config"]
     assert manifest["config"]["beams"] == 4
     assert manifest["config"]["max_steps"] == 3
     assert manifest["config"]["samples"] == 1
@@ -369,6 +372,28 @@ def test_generate_refuses_an_out_dir_holding_cases_it_would_not_write(workdir, c
     assert code == 0
     assert json.loads((workdir / "d" / "manifest.json").read_text())["cases"] == 4
     assert (workdir / "d" / "notes.txt").read_text() == "mine\n"
+
+
+@pytest.mark.parametrize(
+    "first, second, held",
+    [
+        (("smp", "--laws", "2", "--n", "10"),
+         ("multilaw", "--sets", "2", "--rules-per-set", "2", "--words", "10", "--pool-laws", "4"),
+         "rule.json"),
+        (("ling", "--langs", "1", "--rules", "3", "--protoforms", "10"),
+         ("ling", "--langs", "1", "--rules", "1", "--protoforms", "10"),
+         "cascade.json"),
+    ],
+    ids=["smp-then-multilaw", "ling-3-then-ling-1"],
+)
+def test_generate_refuses_a_case_holding_another_ground_truth(workdir, capsys, first, second, held):
+    code, _, _ = run(capsys, "generate", *first, "--out", "d")
+    assert code == 0
+    before = tree_bytes(workdir / "d", exclude=())
+    code, _, err = run(capsys, "generate", *second, "--out", "d")
+    assert code == 2
+    assert f"holds case_0000/{held}, which this run would not write" in err
+    assert tree_bytes(workdir / "d", exclude=()) == before
 
 
 EVAL_OUT = ("eval", "--pairs", "pairs.tsv", "--cascade", "cascade.json", "--out", "run")
@@ -603,6 +628,38 @@ def test_select_examples_out_naming_a_directory_exits_2(workdir, capsys):
     assert err.startswith("error: ") and "adir" in err
     assert sorted(os.listdir(workdir)) == before
     assert os.listdir(workdir / "adir") == []
+
+
+def surface_pairs(pairs):
+    return [(p.source.surface, p.target.surface) for p in pairs]
+
+
+def test_every_pairs_tsv_writer_reads_back_through_read_pairs(workdir, capsys):
+    inv = default_inventory()
+    cases = gen_smp_corpus(inv, SmpSpec(examples_per_law=10, seed=4), laws=1)
+    write_corpus("corpus", cases, {})
+    written = surface_pairs(cases[0].dataset.pairs)
+    assert surface_pairs(read_pairs(os.path.join("corpus", "case_0000", "pairs.tsv"), inv).pairs) == written
+
+    (workdir / "mixed.tsv").write_text("aj\tej\ntu\ttu\nka\tka\n", encoding="utf-8")
+    code, _, _ = run(capsys, "select-examples", "--pairs", "mixed.tsv", "--out", "sel.tsv")
+    assert code == 0
+    filtered, _ = select_examples_ites(read_pairs("mixed.tsv", inv).pairs)
+    assert surface_pairs(read_pairs("sel.tsv", inv).pairs) == surface_pairs(filtered)
+
+    code, out, _ = run(capsys, "apply", "--cascade", "cascade.json", "--pairs", "mixed.tsv")
+    assert code == 0
+    (workdir / "applied.tsv").write_text(out, encoding="utf-8")
+    assert surface_pairs(read_pairs("applied.tsv", inv).pairs) == [("aj", "ej"), ("tu", "tu"), ("ka", "ka")]
+
+
+@pytest.mark.parametrize("line", ["", "\t", "% c", "  % c"])
+def test_read_pairs_and_read_words_skip_the_same_lines(workdir, line):
+    inv = default_inventory()
+    (workdir / "skip.tsv").write_text(f"{line}\naj\tej\n", encoding="utf-8")
+    (workdir / "skip.txt").write_text(f"{line}\naj\n", encoding="utf-8")
+    assert surface_pairs(read_pairs("skip.tsv", inv).pairs) == [("aj", "ej")]
+    assert [word.surface for word in read_words("skip.txt", inv)] == ["aj"]
 
 
 # --- inventory check -------------------------------------------------------------------

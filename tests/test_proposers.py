@@ -416,6 +416,31 @@ def test_the_gate_drops_what_the_rule_engine_cannot_run(tiny_inv, candidate):
     assert diagnostics == result.diagnostics
 
 
+@pytest.mark.parametrize(
+    "returned",
+    [
+        [Rule([PhoneSet({"a"})], ["0"], [Delete()])],
+        [Rule([PhoneSet({"a"})], [0.0], [Delete()])],
+        [Rule([PhoneSet({"a"})], [False], [Delete()])],
+        [Rule([PhoneSet({"a", 1})], [0], [Delete()])],
+        [Rule([PhoneSet({"a"})], [0], [Delete()], name=5)],
+        None,
+        [Rule([FeatureReq({True: 1})], [0], [Delete()])],
+        [Rule([PhoneSet({"a"})], [0], [Substitute((("a", "e"),))])],
+    ],
+    ids=["str-position", "float-position", "bool-position", "int-phone", "int-name", "none-returned",
+         "bool-feature-index", "str-substitute-target"],
+)
+def test_the_gate_turns_malformed_rule_objects_into_one_diagnostic(tiny_inv, returned):
+    handle = callable_proposer(lambda req: returned, "stub")
+    result = propose(handle, ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 4), tiny_inv)
+    assert result.rules == []
+    assert len(result.diagnostics) == 1
+    diagnostics = []
+    assert induce_single_law(handle, search_dataset(tiny_inv), inv=tiny_inv, diagnostics=diagnostics) == []
+    assert diagnostics == result.diagnostics
+
+
 def test_propose_never_returns_invalid_rules(default_inv):
     wild = Rule([PhoneSet({"a"})], [0], [Insert(("a",))])  # insert not on is-nothing
     handle = callable_proposer(lambda req: [wild], "wild")

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import random
@@ -38,7 +39,12 @@ from cascade_forge.rule_engine import (
     serialize_cascade,
     serialize_rule,
 )
-from cascade_forge.proposers import candidate_to_rule, extract_edit_candidates
+from cascade_forge.proposers import (
+    ProposalRequest,
+    builtin_enumerative_propose,
+    candidate_to_rule,
+    extract_edit_candidates,
+)
 from cascade_forge.synthgen import (
     LingSpec,
     SmpSpec,
@@ -624,6 +630,78 @@ def test_random_rules_roundtrip(default_inv):
         parsed = parse_rule(text, default_inv)
         assert parsed == rule
         assert serialize_rule(parsed) == text
+
+
+# Values a callable proposer might put where a rule expects a phone, a
+# position, a predicate, a mapping or a name.
+ODD_VALUES = ("0", 0.0, False, None, 1, "", "#", ("a",))
+
+
+def _with(obj, **fields):
+    """A copy of frozen ``obj`` with ``fields`` set as given, bypassing its constructor."""
+    new = copy.copy(obj)
+    for name, value in fields.items():
+        object.__setattr__(new, name, value)
+    return new
+
+
+def _put(items, index, value):
+    return (*items[:index], value, *items[index + 1:])
+
+
+def _slots(rule):
+    """One function per slot of ``rule``: it gives the rule with that slot set to its argument."""
+    slots = [lambda v: _with(rule, name=v)]
+    for i in range(len(rule.change_pos)):
+        slots.append(lambda v, i=i: _with(rule, change_pos=_put(rule.change_pos, i, v)))
+    for i, pred in enumerate(rule.predicates):
+        def set_pred(new, i=i):
+            return _with(rule, predicates=_put(rule.predicates, i, new))
+        slots.append(set_pred)
+        if isinstance(pred, PhoneSet):
+            for phone in sorted(pred.phones):
+                slots.append(lambda v, p=pred, ph=phone, s=set_pred: s(_with(p, phones=p.phones - {ph} | {v})))
+    for i, fn in enumerate(rule.mappings):
+        def set_fn(new, i=i):
+            return _with(rule, mappings=_put(rule.mappings, i, new))
+        slots.append(set_fn)
+        if isinstance(fn, Insert):
+            for j in range(len(fn.phones)):
+                slots.append(lambda v, f=fn, j=j, s=set_fn: s(_with(f, phones=_put(f.phones, j, v))))
+        if isinstance(fn, Substitute):
+            for j, (key, target) in enumerate(fn.mapping):
+                def set_entry(entry, f=fn, j=j, s=set_fn):
+                    return s(_with(f, mapping=_put(f.mapping, j, entry)))
+                slots.append(lambda v, t=target, e=set_entry: e((v, t)))
+                slots.append(lambda v, key=key, e=set_entry: e((key, v)))
+                for k in range(len(target)):
+                    slots.append(lambda v, key=key, t=target, k=k, e=set_entry: e((key, _put(t, k, v))))
+    return slots
+
+
+def test_validate_rejects_or_passes_any_odd_slot_value_and_what_passes_round_trips(default_inv):
+    rules = []
+    for i in range(100):
+        rng = task_rng(15, "odd-slot", i)
+        law = gen_smp_law(default_inv, SmpSpec(), rng)
+        rules.append(law)
+        case = gen_smp_examples(default_inv, law, 10, rng)
+        request = ProposalRequest(list(zip(case.dataset.sources, case.dataset.targets)), 1)
+        rules.extend(builtin_enumerative_propose(request)[:1])
+    assert len(rules) == 200
+    rng = random.Random(15)
+    outcomes = {"passed": 0, "rejected": 0}
+    for rule in rules:
+        odd = rng.choice(_slots(rule))(rng.choice(ODD_VALUES))
+        for inv in (None, default_inv):
+            try:
+                odd.validate(inv)
+            except RuleError:
+                outcomes["rejected"] += 1
+                continue
+            outcomes["passed"] += 1
+            assert parse_rule(serialize_rule(odd), inv) == odd
+    assert outcomes["passed"] and outcomes["rejected"]
 
 
 def test_cascade_roundtrip(tiny_inv):

@@ -280,7 +280,6 @@ def test_beam_search_run_dir_layout(tiny_inv, tmp_path):
         SearchConfig(beam_width=2, samples_per_step=1, max_steps=3),
         inv=tiny_inv, run_dir=str(run_dir),
     )
-    assert (run_dir / "config.json").exists()
     assert (run_dir / "best.json").exists()
     assert (run_dir / "log.txt").exists()
     assert sorted(p.name for p in (run_dir / "beams").iterdir()) == ["step_001.json"]

@@ -398,7 +398,8 @@ def corpus_tree(root):
     for base, _, files in os.walk(root):
         for name in files:
             path = os.path.join(base, name)
-            tree[os.path.relpath(path, root)] = open(path, "rb").read()
+            with open(path, "rb") as fh:
+                tree[os.path.relpath(path, root)] = fh.read()
     return tree
 
 
