@@ -440,7 +440,11 @@ def cmd_generate(args) -> int:
     config = {"generator": args.generator, **{name: getattr(args, name) for name in options}}
     manifest = _manifest(args, config, [args.inventory or "", getattr(args, "pool", None) or ""])
     if args.generator == "smp":
-        cases = gen_smp_corpus(inv, SmpSpec(examples_per_law=args.n, seed=args.seed), args.laws)
+        try:
+            spec = SmpSpec(examples_per_law=args.n, seed=args.seed)
+        except ValueError as exc:
+            raise CliError(f"--n {args.n}: {exc}", EXIT_PARSE) from None
+        cases = gen_smp_corpus(inv, spec, args.laws)
     elif args.generator == "ling":
         spec = LingSpec(
             num_languages=args.langs,

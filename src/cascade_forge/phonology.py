@@ -286,14 +286,15 @@ def requirement_masks(requirements: Iterable[tuple[int, int]]) -> tuple[int, int
     Bit ``i`` of ``ones`` (``zeros``) is set where feature ``i`` must be 1
     (0).  A value that is neither, or an index required to hold two values,
     sets both bits, which no phone has.  ``span`` is one past the highest
-    index (0 without requirements) and unbounded if an index is negative or
-    at least :data:`MAX_FEATURES`, so no inventory narrower than ``span``
-    accepts the requirements; such an index gets no bit, so an index read
-    from untrusted input costs no memory before validation rejects it.
+    index (0 without requirements) and unbounded if an index is not an
+    ``int``, is negative or is at least :data:`MAX_FEATURES`, so no inventory
+    narrower than ``span`` accepts the requirements; such an index gets no
+    bit, so an index read from untrusted input costs no memory and raises
+    nothing before validation rejects it.
     """
     ones = zeros = span = 0
     for idx, value in requirements:
-        if idx < 0 or idx >= MAX_FEATURES:
+        if type(idx) is not int or idx < 0 or idx >= MAX_FEATURES:
             span = sys.maxsize
             continue
         bit = 1 << idx

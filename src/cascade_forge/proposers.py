@@ -9,15 +9,17 @@ edge), and returns its whole pool ranked with ``rank_rules`` on the
 requesting examples.  ``rank_rules`` is the one ranking of candidate
 rules: by reward, then fewer predicates, then canonical serialization.
 
-``propose`` is the one gate: it takes the rules a callable or external
-proposer returns in order, drops each invalid one with a diagnostic, and
-keeps the first ``num_samples`` valid ones, so an invalid rule never
-takes a valid rule's place.
+``propose`` is the one gate: it reads the rules a callable returns, or
+the programs of an external reply, in order, decodes and validates each
+once, drops each invalid one with a diagnostic, and keeps the first
+``num_samples`` valid ones, so an invalid rule never takes a valid rule's
+place and nothing after the cut is read.
 
 External proposers are child processes speaking one JSON object per line
-on stdin/stdout.  A search keeps one process per command for all of its
-requests (``ProposerSessions``).  Invalid or late replies degrade to an
-empty candidate list with diagnostics and never abort a search.
+on stdin/stdout; ``external_propose`` only exchanges the lines.  A search
+keeps one process per command for all of its requests
+(``ProposerSessions``).  Invalid or late replies degrade to an empty
+candidate list with diagnostics and never abort a search.
 Ensembles pool their members' candidates, deduplicated by rule equality
 (which ignores a rule's name); the pool is not cut to ``num_samples``.
 """
@@ -27,11 +29,11 @@ from __future__ import annotations
 import json
 import os
 import selectors
-import shlex
 import subprocess
 import tempfile
 import time
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
@@ -108,8 +110,9 @@ def builtin_proposer() -> ProposerHandle:
     return callable_proposer(builtin_enumerative_propose, "builtin")
 
 
-def external_proposer(command: str | Sequence[str], name: str | None = None) -> ProposerHandle:
-    argv = tuple(shlex.split(command)) if isinstance(command, str) else tuple(command)
+def external_proposer(command: Sequence[str], name: str | None = None) -> ProposerHandle:
+    """The program ``command`` (an argv sequence, run without a shell) as a proposer."""
+    argv = tuple(command)
     if not argv:
         raise ValueError("external proposer command is empty")
     return ProposerHandle(kind="external", name=name or argv[0], command=argv)
@@ -240,15 +243,18 @@ def candidate_to_rule(candidate: EditCandidate) -> Rule:
 def builtin_enumerative_propose(request: ProposalRequest) -> list[Rule]:
     """Deterministic candidate rules, best first by ``rank_rules`` on the request's examples.
 
-    Candidates supported by fewer changed pairs are pruned first, the pool is
-    capped, and the whole pool is returned ranked; ``propose`` keeps ``num_samples``.
+    A candidate's support is the number of changed pairs it comes from.  The
+    pool holds the candidates with at least two supporting pairs, or every
+    candidate when none has two, most supported first and capped at
+    ``MAX_POOL``; the whole pool is returned ranked, and ``propose`` keeps
+    ``num_samples``.
     """
     changed = [(s, t) for s, t in request.examples if s.phones != t.phones]
     if not changed:
         return []
 
     support = Counter(c for s, t in changed for c in extract_edit_candidates(s, t))
-    min_support = min(2, len(changed))
+    min_support = min(2, max(support.values()))
     # most_common sorts stably, so candidates of equal support keep discovery order.
     pool = [c for c, n in support.most_common() if n >= min_support][:MAX_POOL]
 
@@ -527,39 +533,23 @@ class ProposerSessions:
 def external_propose(
     command: Sequence[str],
     request: ProposalRequest,
-    inv: Inventory | None = None,
     sessions: ProposerSessions | None = None,
 ) -> ProposeResult:
     """One request line out, one response line in, within the timeout.
 
-    ``TIMEOUT_ENV_VAR`` sets the timeout and is read for each request; a
-    value that is not a positive integer raises ValueError.  The request
-    goes to the command's process in ``sessions``; without sessions, a
-    process is started for this one request and closed after it.  Every
-    failure mode (spawn error, timeout, crash, malformed reply, invalid
-    program) degrades to dropped candidates plus a diagnostic.
+    Returns the reply's programs as sent, undecoded; ``propose`` decodes and
+    validates them.  ``TIMEOUT_ENV_VAR`` sets the timeout and is read for
+    each request; a value that is not a positive integer raises ValueError.
+    The request goes to the command's process in ``sessions``; without
+    sessions, a process is started for this one request and closed after
+    it.  Every failure mode (spawn error, timeout, crash, malformed reply)
+    degrades to no programs plus a diagnostic.
     """
-    if sessions is not None:
-        return _ask(sessions.session(command), request, inv)
+    line = (json.dumps(request_to_obj(request), ensure_ascii=False) + "\n").encode("utf-8")
     exits: list[str] = []
-    with ProposerSessions(exits) as own:
-        result = _ask(own.session(command), request, inv)
-    result.diagnostics += exits
-    return result
-
-
-def _ask(session: _Session, request: ProposalRequest, inv: Inventory | None) -> ProposeResult:
-    line = json.dumps(request_to_obj(request), ensure_ascii=False) + "\n"
-    programs, diagnostics = session.exchange(line.encode("utf-8"), _timeout_seconds())
-    if programs is None:
-        return ProposeResult([], diagnostics)
-    rules: list[Rule] = []
-    for i, program in enumerate(programs):
-        try:
-            rules.append(rule_from_obj(program, f"/programs/{i}", inv))
-        except RuleError as exc:
-            diagnostics.append(f"dropped invalid program {i}: {exc}")
-    return ProposeResult(rules, diagnostics)
+    with ProposerSessions(exits) if sessions is None else nullcontext(sessions) as active:
+        programs, diagnostics = active.session(command).exchange(line, _timeout_seconds())
+    return ProposeResult(programs or [], diagnostics + exits)
 
 
 # --- dispatch -----------------------------------------------------------------
@@ -573,13 +563,17 @@ def propose(
 ) -> ProposeResult:
     """Run a proposer; an ensemble returns the union of its members' results.
 
-    Every other proposer's rules pass one gate, in the order returned: a
-    rule that is no ``Rule`` or fails ``Rule.validate`` against ``inv`` is
-    dropped with a diagnostic, and the gate stops once ``num_samples``
-    valid rules are kept, so an invalid rule never takes a valid one's
-    place.  A callable that returns something not iterable gives no rules
-    and one diagnostic.  An ensemble keeps the first copy of equal rules and does not
-    cut the union, so it returns up to ``num_samples`` rules per member.
+    Every other proposer's reply passes one gate, item by item in the order
+    returned.  An external program is decoded with ``rule_from_obj`` against
+    ``inv``, which validates it; a callable's item must be a ``Rule`` that
+    passes ``Rule.validate`` against ``inv``.  An item that fails is dropped
+    with the diagnostic ``dropped invalid candidate {i} from {name}:
+    {reason}``, ``i`` being its index in the reply.  The gate stops once
+    ``num_samples`` valid rules are kept, so an invalid rule never takes a
+    valid one's place and the items after the cut are never read.  A
+    callable that returns something not iterable gives no rules and one
+    diagnostic.  An ensemble keeps the first copy of equal rules and does
+    not cut the union, so it returns up to ``num_samples`` rules per member.
     External proposers get their requests through ``sessions`` (see
     ``external_propose``).
     """
@@ -593,7 +587,7 @@ def propose(
                 pooled.setdefault(rule)
         return ProposeResult(list(pooled), diagnostics)
     if handle.kind == "external":
-        result = external_propose(handle.command, request, inv, sessions)
+        result = external_propose(handle.command, request, sessions)
     else:
         returned = handle.fn(request)
         try:
@@ -602,13 +596,17 @@ def propose(
             return ProposeResult([], [f"{handle.name} returned a {type(returned).__name__}, not rules"])
         result = ProposeResult(list(rules_in), [])
     rules: list[Rule] = []
-    for i, rule in enumerate(result.rules):
+    for i, item in enumerate(result.rules):
         if len(rules) == request.num_samples:
             break
         try:
-            if not isinstance(rule, Rule):
-                raise RuleError(f"expected a Rule, got {type(rule).__name__}")
-            rule.validate(inv)
+            if handle.kind == "external":
+                rule = rule_from_obj(item, f"/programs/{i}", inv)
+            elif isinstance(item, Rule):
+                rule = item
+                rule.validate(inv)
+            else:
+                raise RuleError(f"expected a Rule, got {type(item).__name__}")
         except RuleError as exc:
             result.diagnostics.append(f"dropped invalid candidate {i} from {handle.name}: {exc}")
             continue

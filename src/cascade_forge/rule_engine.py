@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Collection, Mapping, Sequence
 
 from cascade_forge.phonology import (
     BOUNDARY,
@@ -38,11 +38,22 @@ class RuleError(ValueError):
 
 
 class RuleParseError(RuleError):
-    """Raised for malformed rule JSON; carries a JSON-pointer-style location."""
+    """Raised for malformed rule JSON; the message starts with a JSON-pointer-style location."""
 
     def __init__(self, message: str, path: str = ""):
         super().__init__(f"{path or '/'}: {message}")
-        self.path = path
+
+
+def _sorted_items(items: Collection[Any]) -> tuple:
+    """``items`` sorted, or in the given order when they do not sort.
+
+    Items that do not sort (a ``str`` key beside an ``int`` one) fail
+    ``Rule.validate``, not the constructor.
+    """
+    try:
+        return tuple(sorted(items))
+    except TypeError:
+        return tuple(items)
 
 
 # --- predicates -------------------------------------------------------------
@@ -103,11 +114,11 @@ class FeatureReq(Predicate):
     matching a token is two mask tests; it takes no part in equality.
     """
 
-    reqs: tuple[tuple[int, int], ...]  # sorted (feature index, value) pairs
+    reqs: tuple[tuple[int, int], ...]  # sorted (feature index, value) pairs, if they sort
     masks: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, reqs):
-        items = tuple(sorted(dict(reqs).items())) if not isinstance(reqs, tuple) else tuple(sorted(reqs))
+        items = _sorted_items(reqs if isinstance(reqs, tuple) else dict(reqs).items())
         object.__setattr__(self, "reqs", items)
         object.__setattr__(self, "masks", requirement_masks(items))
 
@@ -150,11 +161,9 @@ class Substitute(MappingFn):
     mapping: tuple[tuple[str, tuple[str, ...]], ...]
 
     def __init__(self, mapping):
-        if isinstance(mapping, tuple):
-            items = tuple(sorted(mapping))
-        else:
-            items = tuple(sorted((k, tuple(v)) for k, v in dict(mapping).items()))
-        object.__setattr__(self, "mapping", items)
+        if not isinstance(mapping, tuple):
+            mapping = [(k, tuple(v)) for k, v in dict(mapping).items()]
+        object.__setattr__(self, "mapping", _sorted_items(mapping))
 
     def get(self, phone: str) -> tuple[str, ...] | None:
         for key, value in self.mapping:

@@ -491,6 +491,15 @@ def test_generate_below_a_regular_file_exits_2_before_generating(workdir, capsys
     assert calls == []
 
 
+@pytest.mark.parametrize("n", ["12", "0", "-10"])
+def test_generate_smp_bad_n_exits_2_naming_the_option(workdir, capsys, n):
+    before = tree_bytes(workdir, exclude=())
+    code, _, err = run(capsys, "generate", "smp", "--laws", "1", "--n", n, "--out", "corpus")
+    assert code == 2
+    assert err == f"error: --n {n}: examples_per_law must be a positive multiple of 10\n"
+    assert tree_bytes(workdir, exclude=()) == before and not (workdir / "corpus").exists()
+
+
 def test_generate_multilaw_counts(workdir, capsys):
     code, _, _ = run(capsys, "generate", "multilaw", "--sets", "2", "--rules-per-set", "3",
                      "--words", "10", "--pool-laws", "8", "--seed", "2", "--out", "ml")

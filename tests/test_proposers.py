@@ -199,6 +199,24 @@ def test_builtin_respects_num_samples(tiny_inv):
     assert len(propose(builtin_proposer(), request, tiny_inv).rules) == 3
 
 
+def test_builtin_pools_singly_supported_candidates_when_none_has_two(default_inv):
+    # The two pairs share no edit, so every candidate has one supporting pair.
+    request = ProposalRequest(pairs(default_inv, ("pa", "pe"), ("ko", "ku")), 20)
+    rules = builtin_enumerative_propose(request)
+    assert rules
+    assert sub_rule("a", 0, "a", "e") in rules and sub_rule("o", 0, "o", "u") in rules
+
+
+def test_beam_search_recovers_two_laws_seen_once_each(default_inv):
+    items = [("pa", "pe"), ("ko", "ku"), ("ti", "ti")]
+    dataset = Dataset([
+        ExamplePair(tokenize(s, default_inv), tokenize(t, default_inv), f"p{i}") for i, (s, t) in enumerate(items)
+    ])
+    config = SearchConfig(beam_width=5, samples_per_step=5, max_steps=3)
+    beams = beam_search_cascade(builtin_proposer(), dataset, config, default_inv)
+    assert beams[0].reward == 1.0
+
+
 @pytest.mark.parametrize("num_samples", [2.5, 1.0, True, "3"])
 def test_request_num_samples_must_be_an_integer(tiny_inv, num_samples):
     with pytest.raises(ValueError, match="num_samples must be a positive integer"):
@@ -441,6 +459,24 @@ def test_the_gate_turns_malformed_rule_objects_into_one_diagnostic(tiny_inv, ret
     assert diagnostics == result.diagnostics
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Rule([FeatureReq({"0": 1})], [0], [Delete()]),
+        lambda: Rule([FeatureReq({0.0: 1})], [0], [Delete()]),
+        lambda: Rule([FeatureReq({"0": 1, 1: 1})], [0], [Delete()]),
+        lambda: Rule([PhoneSet({"a"})], [0], [Substitute((("a", ("e",)), (1, ("e",))))]),
+    ],
+    ids=["str-feature-index", "float-feature-index", "unsortable-feature-indices", "unsortable-substitute-keys"],
+)
+def test_a_callable_can_build_odd_rule_parts_and_the_gate_drops_them(tiny_inv, build):
+    handle = callable_proposer(lambda req: [build()], "stub")
+    result = propose(handle, ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 4), tiny_inv)
+    assert result.rules == []
+    assert len(result.diagnostics) == 1
+    assert result.diagnostics[0].startswith("dropped invalid candidate 0 from stub: ")
+
+
 def test_propose_never_returns_invalid_rules(default_inv):
     wild = Rule([PhoneSet({"a"})], [0], [Insert(("a",))])  # insert not on is-nothing
     handle = callable_proposer(lambda req: [wild], "wild")
@@ -516,8 +552,24 @@ def test_external_reserved_token_dropped_with_diagnostic(tmp_path, tiny_inv, wit
     result = propose(external_proposer(command), ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 4), inv)
     assert result.rules == [sub_rule("a", 0, "a", "e")]
     assert len(result.diagnostics) == 1
-    assert result.diagnostics[0].startswith("dropped invalid program 0")
+    assert result.diagnostics[0].startswith("dropped invalid candidate 0 from ")
     assert "'@' is not a phone" in result.diagnostics[0]
+
+
+def test_external_programs_are_decoded_and_validated_once_up_to_the_cut(tmp_path, tiny_inv, monkeypatch):
+    other = rule_to_obj(sub_rule("j", 0, "j", "i"))
+    command = write_stub(tmp_path, "three.py", f"""
+        import sys, json
+        sys.stdin.readline()
+        print(json.dumps({{"v": 1, "programs": [{json.dumps(VALID_RULE_OBJ)}, {json.dumps(other)}, {{"junk": 1}}]}}))
+    """)
+    validated = []
+    validate = Rule.validate
+    monkeypatch.setattr(Rule, "validate", lambda rule, inv=None: validated.append(rule) or validate(rule, inv))
+    result = propose(external_proposer(command), ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 2), tiny_inv)
+    assert result.rules == [sub_rule("a", 0, "a", "e"), sub_rule("j", 0, "j", "i")]
+    assert validated == result.rules
+    assert result.diagnostics == []  # the junk after the cut is never read
 
 
 def test_external_malformed_line(tmp_path, tiny_inv):
@@ -586,7 +638,7 @@ def test_external_boolean_feature_requirement_dropped(tmp_path, tiny_inv):
     result = propose(external_proposer(command), ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 4), tiny_inv)
     assert result.rules == [sub_rule("a", 0, "a", "e")]
     assert len(result.diagnostics) == 1
-    assert result.diagnostics[0].startswith("dropped invalid program 0")
+    assert result.diagnostics[0].startswith("dropped invalid candidate 0 from ")
     assert "/programs/0/predicates/0/reqs/0" in result.diagnostics[0]
 
 
@@ -605,7 +657,7 @@ def test_external_feature_index_that_is_not_decimal_digits_dropped(tmp_path, tin
     result = propose(external_proposer(command), ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 4), tiny_inv)
     assert result.rules == [sub_rule("a", 0, "a", "e")]
     assert len(result.diagnostics) == 1
-    assert result.diagnostics[0].startswith("dropped invalid program 0")
+    assert result.diagnostics[0].startswith("dropped invalid candidate 0 from ")
     assert "/programs/0/predicates/0/reqs: feature index must be decimal digits" in result.diagnostics[0]
 
 
@@ -626,7 +678,7 @@ def test_external_feature_index_past_any_inventory_dropped(tmp_path, tiny_inv, w
     result = propose(external_proposer(command), ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 4), inv)
     assert result.rules == [sub_rule("a", 0, "a", "e")]
     assert len(result.diagnostics) == 1
-    assert result.diagnostics[0].startswith("dropped invalid program 0")
+    assert result.diagnostics[0].startswith("dropped invalid candidate 0 from ")
     assert "feature index 100000000000000000000 out of range" in result.diagnostics[0]
 
 
@@ -646,7 +698,7 @@ def test_external_feature_index_with_a_leading_zero_dropped(tmp_path, tiny_inv):
     result = propose(external_proposer(command), ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 4), tiny_inv)
     assert result.rules == [sub_rule("a", 0, "a", "e")]
     assert len(result.diagnostics) == 1
-    assert result.diagnostics[0].startswith("dropped invalid program 0")
+    assert result.diagnostics[0].startswith("dropped invalid candidate 0 from ")
     assert "/programs/0/predicates/0/reqs: feature index must be decimal digits" in result.diagnostics[0]
     assert "'00'" in result.diagnostics[0]
 

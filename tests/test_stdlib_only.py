@@ -1,8 +1,13 @@
-"""The package runs on the standard library alone.
+"""The package runs on the standard library alone, and imports nothing it leaves unused.
 
 Every ``import`` and ``from ... import`` anywhere in ``src/cascade_forge``,
 at module level or inside a function, names a standard-library module or
 ``cascade_forge`` itself (relative imports stay inside the package).
+
+Every name a module binds by a module-level import is read in that
+module, or its import line says ``# noqa: F401``; ``__init__.py``
+re-exports and is exempt.  The benchmark's tracer counts the bindings of
+the functions it wraps, so a leftover import would change its counts.
 """
 
 import ast
@@ -31,3 +36,25 @@ def test_package_imports_only_the_standard_library():
         if root != "cascade_forge" and root not in sys.stdlib_module_names
     ]
     assert foreign == []
+
+
+def unused_bindings(tree, lines):
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                yield alias.lineno, name
+
+
+def test_package_modules_read_every_name_they_import():
+    modules = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+    assert modules, PACKAGE
+    unused = []
+    for path in modules:
+        text = path.read_text("utf-8")
+        tree = ast.parse(text, str(path))
+        unused += [f"{path.name}:{lineno}: {name}" for lineno, name in unused_bindings(tree, text.splitlines())]
+    assert unused == []
