@@ -18,7 +18,6 @@ from cascade_forge.phonology import (
     TokenizedWord,
     default_inventory,
     detokenize,
-    feature_match,
     load_inventory,
     realize_feature_change,
     tokenize,
@@ -65,7 +64,6 @@ __all__ = [
     "apply_rule",
     "default_inventory",
     "detokenize",
-    "feature_match",
     "find_sites",
     "load_inventory",
     "parse_cascade",

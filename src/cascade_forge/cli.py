@@ -167,7 +167,7 @@ def _load_cascade(args) -> tuple[Inventory, Cascade]:
 
 def _manifest(args, config: dict, inputs: list[str]) -> dict:
     return {
-        "command": [os.path.basename(sys.argv[0] or "cascade-forge"), *map(str, _argv_tail(args))],
+        "command": [os.path.basename(sys.argv[0] or "cascade-forge"), *map(str, args._raw_argv)],
         "config": config,
         "seed": getattr(args, "seed", None),
         "version": __version__,
@@ -175,10 +175,6 @@ def _manifest(args, config: dict, inputs: list[str]) -> dict:
         "finished_at_utc": None,
         "inputs": {path: _sha256(path) for path in inputs if path and os.path.exists(path)},
     }
-
-
-def _argv_tail(args) -> list[str]:
-    return getattr(args, "_raw_argv", [])
 
 
 def _write_manifest(out_dir: str, manifest: dict) -> None:
@@ -299,11 +295,6 @@ def cmd_induce(args) -> int:
 
     if args.samples is None:
         args.samples = 20 if args.mode == "single" else 1
-    config = SearchConfig(
-        beam_width=args.beams,
-        samples_per_step=args.samples if args.mode == "cascade" else 1,
-        max_steps=args.max_steps,
-    )
     config_obj = {
         "mode": args.mode,
         "proposer": args.proposer,
@@ -333,6 +324,7 @@ def cmd_induce(args) -> int:
         if ranked_obj:
             atomic_write(os.path.join(args.out, "best.json"), dumps(ranked_obj[0]))
     else:
+        config = SearchConfig(beam_width=args.beams, samples_per_step=args.samples, max_steps=args.max_steps)
         beams = beam_search_cascade(
             handle, dataset, config, inv=inv, use_ites=args.ites, run_dir=args.out,
             diagnostics=diagnostics,
@@ -458,14 +450,16 @@ def cmd_generate(args) -> int:
         if args.pool:
             pool = _parse_file(parse_cascade, args.pool, "pool", inv)
         else:
-            smp_spec = SmpSpec(seed=args.seed)
             pool = Cascade([
-                gen_smp_law(inv, smp_spec, task_rng(args.seed, "pool", i), name=f"pool-{i:03d}")
+                gen_smp_law(inv, SmpSpec(), task_rng(args.seed, "pool", i), name=f"pool-{i:03d}")
                 for i in range(args.pool_laws)
             ])
         cases = gen_multilaw_evalset(
             inv, pool, args.rules_per_set, args.sets, args.words, task_rng(args.seed, "multilaw")
         )
+    # The manifest goes first, as in eval and induce: case files that a
+    # failed write leaves behind sit beside it, so a later run refuses --out.
+    _write_manifest(args.out, manifest)
     manifest["finished_at_utc"] = _now()
     write_corpus(args.out, cases, manifest)
     print(f"wrote {len(cases)} cases to {args.out}")

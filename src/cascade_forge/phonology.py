@@ -14,8 +14,10 @@ word-edge insertions expressible.
 Feature vectors are ternary: +1 and 0 are real values, -1 means the
 feature is unspecified for that phone and never satisfies a requirement.
 Feature arithmetic runs on bit masks: bit ``i`` of a phone's ``ones``
-(``zeros``) is set where feature ``i`` is 1 (0), and requirements are
-turned into masks of the same shape by :func:`requirement_masks`.
+(``zeros``) is set where feature ``i`` is 1 (0).  Each phone builds these
+from its own vector; any other ``(index, value)`` pairs become masks only
+through :func:`requirement_masks`, and :meth:`Inventory.satisfies` alone
+tests a phone against requirement masks.
 """
 
 from __future__ import annotations
@@ -264,22 +266,6 @@ def detokenize(word: TokenizedWord) -> str:
     return word.surface
 
 
-def feature_match(phone: Phone, requirements: Mapping[int, int]) -> bool:
-    """True iff every required feature index has exactly the required value.
-
-    Unspecified values (-1) never satisfy a requirement, and a required
-    value other than 0 or 1 matches no phone; an empty requirement map
-    matches every phone.
-    """
-    features = phone.features
-    for idx, value in requirements.items():
-        if idx < 0 or idx >= len(features):
-            raise InventoryError(f"feature index {idx} out of range (F={len(features)})")
-        if value not in (0, 1) or features[idx] != value:
-            return False
-    return True
-
-
 def requirement_masks(requirements: Iterable[tuple[int, int]]) -> tuple[int, int, int]:
     """``(ones, zeros, span)`` for partial requirements of ``(index, value)`` pairs.
 
@@ -316,24 +302,20 @@ def realize_feature_change(
 
     Distance is Hamming distance over the specified entries of the target
     vector; ties go to the earlier phone in inventory order.  An empty change
-    map returns the phone itself.  The target is held as masks ``t1``/``t0``
-    of its 1 and 0 entries, and the distance to a candidate is the count of
-    target bits missing from the candidate's masks, which every phone builds
-    at construction.
+    map returns the phone itself; an index outside the vector or a value
+    other than 0 or 1 raises ``InventoryError``.  The changes become masks
+    through :func:`requirement_masks`, the target is held as masks
+    ``t1``/``t0`` of its 1 and 0 entries, and the distance to a candidate is
+    the count of target bits missing from the candidate's masks.
     """
     if not changes:
         return phone
     width = len(phone.features)
-    set_ones = set_zeros = 0
-    for idx, value in changes.items():
-        if idx < 0 or idx >= width:
-            raise InventoryError(f"feature index {idx} out of range (F={width})")
-        if value not in (0, 1):
-            raise InventoryError(f"change value must be 0 or 1, got {value!r}")
-        if value:
-            set_ones |= 1 << idx
-        else:
-            set_zeros |= 1 << idx
+    set_ones, set_zeros, span = requirement_masks(changes.items())
+    if span > width:
+        raise InventoryError(f"feature index out of range (F={width}) in {dict(changes)!r}")
+    if set_ones & set_zeros:
+        raise InventoryError(f"change values must be 0 or 1, got {dict(changes)!r}")
     kept = ~(set_ones | set_zeros)
     t1 = (phone.ones & kept) | set_ones
     t0 = (phone.zeros & kept) | set_zeros

@@ -111,7 +111,12 @@ def builtin_proposer() -> ProposerHandle:
 
 
 def external_proposer(command: Sequence[str], name: str | None = None) -> ProposerHandle:
-    """The program ``command`` (an argv sequence, run without a shell) as a proposer."""
+    """The program ``command`` (an argv sequence, run without a shell) as a proposer.
+
+    A ``str`` is refused with ``TypeError`` rather than split into characters.
+    """
+    if isinstance(command, str):
+        raise TypeError(f"external proposer command must be an argv sequence, not the string {command!r}")
     argv = tuple(command)
     if not argv:
         raise ValueError("external proposer command is empty")

@@ -84,17 +84,15 @@ def select_examples_ites(
     """Drop identity pairs that carry no change-triggering phones.
 
     The trigger set holds every source phone within one position of an edit
-    operation across all changed pairs.  Changed pairs are always retained
-    and the original order is preserved; with all-identity input everything
-    is dropped.
+    operation across all changed pairs, the pairs whose source and target
+    phones differ.  Changed pairs are always retained and the original
+    order is preserved; with all-identity input everything is dropped.
     """
     triggers: set[str] = set()
-    changed_ids: set[str] = set()
     for pair in pairs:
         src = pair.source.phones
         if src == pair.target.phones:
             continue
-        changed_ids.add(pair.id)
         for op in edit_script(src, pair.target.phones):
             lo = op.pos - 1
             hi = op.pos if op.kind == "ins" else op.pos + 1
@@ -104,7 +102,7 @@ def select_examples_ites(
     filtered = [
         pair
         for pair in pairs
-        if pair.id in changed_ids or any(p in triggers for p in pair.source.phones)
+        if pair.source.phones != pair.target.phones or any(p in triggers for p in pair.source.phones)
     ]
     return filtered, triggers
 

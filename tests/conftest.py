@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -30,3 +31,17 @@ def default_inv():
 @pytest.fixture(scope="session")
 def tiny_inv():
     return load_inventory(TINY_INVENTORY)
+
+
+def tree_bytes(root, exclude=()):
+    """Every file under ``root`` by its relative path, as bytes, skipping
+    the file names in ``exclude``."""
+    out = {}
+    for base, _, files in os.walk(root):
+        for name in files:
+            if name in exclude:
+                continue
+            path = os.path.join(base, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out

@@ -43,6 +43,16 @@ def dp_distance(a: tuple[str, ...], b: tuple[str, ...]) -> int:
     return table[len(a)][len(b)]
 
 
+def feature_holds(features: tuple[int, ...], reqs) -> bool:
+    """True iff each ``(index, value)`` of ``reqs`` has a value of 0 or 1
+    equal to ``features[index]``.
+
+    An unspecified feature (-1) satisfies no requirement, not even a
+    required -1, and empty requirements hold for every vector.
+    """
+    return all(value in (0, 1) and features[index] == value for index, value in reqs)
+
+
 def _pred_holds(pred, token, first, last, inv) -> bool:
     if isinstance(pred, PhoneSet):
         return token in pred.phones
@@ -55,8 +65,7 @@ def _pred_holds(pred, token, first, last, inv) -> bool:
     if isinstance(pred, FeatureReq):
         if token in (BOUNDARY, SEPARATOR) or inv is None or token not in inv:
             return False
-        features = inv.phone(token).features
-        return all(features[i] == v for i, v in pred.reqs)
+        return feature_holds(inv.phone(token).features, pred.reqs)
     if isinstance(pred, Not):
         return not _pred_holds(pred.inner, token, first, last, inv)
     raise AssertionError(f"unexpected predicate {pred!r}")

@@ -8,7 +8,6 @@ log files carry timestamps and are excluded by design).
 
 import json
 import math
-import os
 import random
 import stat
 import sys
@@ -56,6 +55,7 @@ from cascade_forge.synthgen import (
     verify_case,
 )
 
+from conftest import tree_bytes
 from oracles import brute_distance, make_ground_truth_proposer, reference_apply
 
 
@@ -276,18 +276,6 @@ def test_c08_ites_soundness(inv):
     verdict(8, "example-selection soundness 500/500", started)
 
 
-def _tree_bytes(root, exclude=("manifest.json", "log.txt")):
-    out = {}
-    for base, _, files in os.walk(root):
-        for name in files:
-            if name in exclude:
-                continue
-            path = os.path.join(base, name)
-            with open(path, "rb") as fh:
-                out[os.path.relpath(path, root)] = fh.read()
-    return out
-
-
 def test_c09_cli_determinism(tmp_path, capsys):
     started = time.monotonic()
     (tmp_path / "pairs.tsv").write_text("kaj\tkej\naja\teje\nta\tta\n", encoding="utf-8")
@@ -305,7 +293,7 @@ def test_c09_cli_determinism(tmp_path, capsys):
             code = cli_main([*command, "--out", str(out_dir)])
             capsys.readouterr()
             assert code == 0
-            outputs.append(_tree_bytes(out_dir))
+            outputs.append(tree_bytes(out_dir, ("manifest.json", "log.txt")))
         assert outputs[0] == outputs[1], f"command {index} not reproducible"
         assert outputs[0], "no artifacts produced"
     verdict(9, "seeded commands byte-identical 3/3", started)

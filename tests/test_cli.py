@@ -10,6 +10,7 @@ from cascade_forge.cli import main, read_pairs, read_words
 from cascade_forge.phonology import default_inventory
 from cascade_forge.search import select_examples_ites
 from cascade_forge.synthgen import GENERATOR_VERSION, SmpSpec, gen_smp_corpus, write_corpus
+from conftest import tree_bytes
 
 A_TO_E_RULE = {
     "predicates": [
@@ -37,18 +38,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def tree_bytes(root, exclude=("manifest.json", "log.txt")):
-    out = {}
-    for base, _, files in os.walk(root):
-        for name in files:
-            if name in exclude:
-                continue
-            path = os.path.join(base, name)
-            with open(path, "rb") as fh:
-                out[os.path.relpath(path, root)] = fh.read()
-    return out
 
 
 # --- apply -----------------------------------------------------------------------
@@ -289,11 +278,11 @@ def test_induce_into_an_earlier_run_exits_2_before_writing(workdir, capsys, mode
     code, _, _ = run(capsys, "induce", "--pairs", "pairs.tsv", "--mode", mode, "--out", "run")
     assert code == 0
     (workdir / "same.tsv").write_text("tu\ttu\nka\tka\n", encoding="utf-8")
-    before = tree_bytes(workdir / "run", exclude=())
+    before = tree_bytes(workdir / "run")
     code, out, err = run(capsys, "induce", "--pairs", "same.tsv", "--out", "run")
     assert code == 2 and out == ""
     assert err == f"error: --out run holds {os.path.join('run', 'manifest.json')} from an earlier run\n"
-    assert tree_bytes(workdir / "run", exclude=()) == before
+    assert tree_bytes(workdir / "run") == before
 
 
 def test_induce_into_an_existing_empty_directory(workdir, capsys):
@@ -308,7 +297,8 @@ def test_induce_determinism(workdir, capsys):
         code, _, _ = run(capsys, "induce", "--pairs", "pairs.tsv", "--mode", "single",
                          "--seed", "9", "--out", name)
         assert code == 0
-    assert tree_bytes(workdir / "d1") == tree_bytes(workdir / "d2")
+    timed = ("manifest.json", "log.txt")
+    assert tree_bytes(workdir / "d1", timed) == tree_bytes(workdir / "d2", timed)
 
 
 # --- generate ----------------------------------------------------------------------
@@ -319,7 +309,8 @@ def test_generate_smp_deterministic(workdir, capsys):
         code, _, _ = run(capsys, "generate", "smp", "--laws", "3", "--n", "20",
                          "--seed", "7", "--out", name)
         assert code == 0
-    assert tree_bytes(workdir / "g1") == tree_bytes(workdir / "g2")
+    timed = ("manifest.json", "log.txt")
+    assert tree_bytes(workdir / "g1", timed) == tree_bytes(workdir / "g2", timed)
     assert (workdir / "g1" / "case_0002" / "rule.json").exists()
     manifest = json.loads((workdir / "g1" / "manifest.json").read_text())
     assert manifest["generator_version"] == GENERATOR_VERSION
@@ -351,22 +342,47 @@ def test_generate_writes_one_manifest_stamped_before_generating(workdir, capsys,
     monkeypatch.setattr(synthgen, "atomic_write", write)
     code, _, _ = run(capsys, "generate", "smp", "--laws", "2", "--n", "10", "--out", "g")
     assert code == 0
-    assert events == ["clock", "generate", "clock", "manifest"]
+    # the unfinished manifest is written after generating, before any case file
+    assert events == ["clock", "generate", "manifest", "clock", "manifest"]
     manifest = json.loads((workdir / "g" / "manifest.json").read_text())
-    assert (manifest["started_at_utc"], manifest["finished_at_utc"]) == ("t1", "t3")
+    assert (manifest["started_at_utc"], manifest["finished_at_utc"]) == ("t1", "t4")
     assert manifest["config"] == {"generator": "smp", "laws": 2, "n": 10, "seed": 0}
     assert "spec" not in manifest
+
+
+def test_generate_that_fails_writing_cases_leaves_a_manifest_that_stops_induce(
+    workdir, capsys, monkeypatch
+):
+    from cascade_forge import synthgen
+
+    real_write, calls = synthgen.atomic_write, []
+
+    def write(path, text):
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError(28, "No space left on device")
+        real_write(path, text)
+
+    monkeypatch.setattr(synthgen, "atomic_write", write)
+    code, _, _ = run(capsys, "generate", "smp", "--laws", "3", "--n", "10", "--out", "d")
+    assert code == 2
+    assert sorted(os.listdir(workdir / "d" / "case_0000")) == ["pairs.tsv", "rule.json"]
+    monkeypatch.setattr(synthgen, "atomic_write", real_write)
+    code, _, err = run(capsys, "induce", "--pairs", "pairs.tsv", "--out", "d")
+    assert code == 2
+    assert err == f"error: --out d holds {os.path.join('d', 'manifest.json')} from an earlier run\n"
+    assert json.loads((workdir / "d" / "manifest.json").read_text())["finished_at_utc"] is None
 
 
 def test_generate_refuses_an_out_dir_holding_cases_it_would_not_write(workdir, capsys):
     code, _, _ = run(capsys, "generate", "smp", "--laws", "3", "--n", "10", "--out", "d")
     assert code == 0
     (workdir / "d" / "notes.txt").write_text("mine\n", encoding="utf-8")
-    before = tree_bytes(workdir / "d", exclude=())
+    before = tree_bytes(workdir / "d")
     code, _, err = run(capsys, "generate", "smp", "--laws", "2", "--n", "10", "--out", "d")
     assert code == 2
     assert "case_0002" in err
-    assert tree_bytes(workdir / "d", exclude=()) == before
+    assert tree_bytes(workdir / "d") == before
     # a run that rewrites every case present may reuse the directory
     code, _, _ = run(capsys, "generate", "smp", "--laws", "4", "--n", "10", "--out", "d")
     assert code == 0
@@ -389,11 +405,11 @@ def test_generate_refuses_an_out_dir_holding_cases_it_would_not_write(workdir, c
 def test_generate_refuses_a_case_holding_another_ground_truth(workdir, capsys, first, second, held):
     code, _, _ = run(capsys, "generate", *first, "--out", "d")
     assert code == 0
-    before = tree_bytes(workdir / "d", exclude=())
+    before = tree_bytes(workdir / "d")
     code, _, err = run(capsys, "generate", *second, "--out", "d")
     assert code == 2
     assert f"holds case_0000/{held}, which this run would not write" in err
-    assert tree_bytes(workdir / "d", exclude=()) == before
+    assert tree_bytes(workdir / "d") == before
 
 
 EVAL_OUT = ("eval", "--pairs", "pairs.tsv", "--cascade", "cascade.json", "--out", "run")
@@ -412,12 +428,12 @@ GENERATE_OUT = ("generate", "smp", "--laws", "1", "--n", "10", "--out", "run")
 def test_generate_and_eval_refuse_an_out_dir_another_command_wrote(workdir, capsys, first, second):
     code, _, _ = run(capsys, *first)
     assert code == 0
-    before = tree_bytes(workdir / "run", exclude=())
+    before = tree_bytes(workdir / "run")
     code, out, err = run(capsys, *second)
     assert code == 2 and out == ""
     manifest = os.path.join("run", "manifest.json")
     assert err == f"error: --out run holds {manifest} from an earlier {first[0]!r} run\n"
-    assert tree_bytes(workdir / "run", exclude=()) == before
+    assert tree_bytes(workdir / "run") == before
 
 
 @pytest.mark.parametrize("argv", [GENERATE_OUT, EVAL_OUT], ids=["generate", "eval"])
@@ -432,7 +448,7 @@ def test_generate_and_eval_refuse_a_manifest_that_is_not_a_run_manifest(workdir,
     assert code == 2 and out == ""
     manifest = os.path.join("run", "manifest.json")
     assert err == f"error: --out run holds {manifest}, which is not a run manifest\n"
-    assert tree_bytes(workdir / "run", exclude=()) == {"manifest.json": text.encode("utf-8")}
+    assert tree_bytes(workdir / "run") == {"manifest.json": text.encode("utf-8")}
 
 
 def test_eval_may_rewrite_its_own_out_dir(workdir, capsys):
@@ -460,22 +476,22 @@ out_dir_commands = pytest.mark.parametrize(
 @out_dir_commands
 def test_out_naming_a_regular_file_exits_2_before_writing(workdir, capsys, argv):
     (workdir / "afile").write_text("mine\n", encoding="utf-8")
-    before = tree_bytes(workdir, exclude=())
+    before = tree_bytes(workdir)
     code, out, err = run(capsys, *argv, "--out", "afile")
     assert code == 2
     assert err == "error: --out afile exists and is not a directory\n"
     assert out == ""
-    assert tree_bytes(workdir, exclude=()) == before
+    assert tree_bytes(workdir) == before
 
 
 @out_dir_commands
 def test_out_below_a_regular_file_exits_2(workdir, capsys, argv):
     (workdir / "afile").write_text("mine\n", encoding="utf-8")
-    before = tree_bytes(workdir, exclude=())
+    before = tree_bytes(workdir)
     code, _, err = run(capsys, *argv, "--out", "afile/sub")
     assert code == 2
     assert err.startswith("error: ") and "afile/sub" in err
-    assert tree_bytes(workdir, exclude=()) == before
+    assert tree_bytes(workdir) == before
 
 
 @pytest.mark.parametrize("out", ["afile/sub", "afile/sub/deeper"])
@@ -493,11 +509,11 @@ def test_generate_below_a_regular_file_exits_2_before_generating(workdir, capsys
 
 @pytest.mark.parametrize("n", ["12", "0", "-10"])
 def test_generate_smp_bad_n_exits_2_naming_the_option(workdir, capsys, n):
-    before = tree_bytes(workdir, exclude=())
+    before = tree_bytes(workdir)
     code, _, err = run(capsys, "generate", "smp", "--laws", "1", "--n", n, "--out", "corpus")
     assert code == 2
     assert err == f"error: --n {n}: examples_per_law must be a positive multiple of 10\n"
-    assert tree_bytes(workdir, exclude=()) == before and not (workdir / "corpus").exists()
+    assert tree_bytes(workdir) == before and not (workdir / "corpus").exists()
 
 
 def test_generate_multilaw_counts(workdir, capsys):

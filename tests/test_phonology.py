@@ -17,13 +17,13 @@ from cascade_forge.phonology import (
     TokenizeError,
     default_inventory,
     detokenize,
-    feature_match,
     load_inventory,
     realize_feature_change,
     requirement_masks,
     tokenize,
     validate_word,
 )
+from oracles import feature_holds
 
 
 def test_load_inventory_basic():
@@ -164,25 +164,31 @@ def test_canonical_layout_even_odd_invariant(default_inv):
                 assert token == BOUNDARY or token not in (BOUNDARY, SEPARATOR)
 
 
+def _holds(phone, reqs):
+    """``Inventory.satisfies`` for ``phone`` and the requirement map ``reqs``."""
+    return Inventory([phone]).satisfies(phone.symbol, requirement_masks(reqs.items()))
+
+
 def test_feature_match_empty_requirements(default_inv):
     for phone in default_inv.phones:
-        assert feature_match(phone, {})
+        assert default_inv.satisfies(phone.symbol, requirement_masks(()))
+    assert default_inv.matching_phones(()) == frozenset(default_inv.symbols)
 
 
 def test_feature_match_basic():
     phone = Phone("x", (1, 0, 0))
-    assert feature_match(phone, {0: 1})
-    assert not feature_match(phone, {0: 1, 1: 1})
-    assert feature_match(phone, {0: 1, 1: 0, 2: 0})
+    assert _holds(phone, {0: 1})
+    assert not _holds(phone, {0: 1, 1: 1})
+    assert _holds(phone, {0: 1, 1: 0, 2: 0})
 
 
 def test_feature_match_unspecified_never_satisfies():
     phone = Phone("x", (-1, 0, 1))
-    assert not feature_match(phone, {0: 0})
-    assert not feature_match(phone, {0: 1})
+    assert not _holds(phone, {0: 0})
+    assert not _holds(phone, {0: 1})
     # nor does requiring a value other than 0 or 1 match anything
-    assert not feature_match(phone, {0: -1})
-    assert not feature_match(phone, {2: 2})
+    assert not _holds(phone, {0: -1})
+    assert not _holds(phone, {2: 2})
 
 
 def test_feature_match_monotone_under_growing_requirements():
@@ -195,14 +201,14 @@ def test_feature_match_monotone_under_growing_requirements():
         previous = True
         for idx in indices:
             reqs[idx] = rng.choice((0, 1))
-            current = feature_match(phone, reqs)
+            current = inv.satisfies(phone.symbol, requirement_masks(reqs.items()))
             assert previous or not current  # once false, stays false
             previous = current
 
 
 def test_feature_match_index_out_of_range():
-    with pytest.raises(InventoryError):
-        feature_match(Phone("x", (0,)), {4: 1})
+    with pytest.raises(InventoryError, match="out of range"):
+        Inventory([Phone("x", (0,))]).matching_phones(((4, 1),))
 
 
 def test_realize_empty_changes_is_identity(default_inv):
@@ -269,7 +275,7 @@ def test_matching_phones_agrees_with_feature_match(default_inv):
         for _ in range(20):
             indices = rng.sample(range(inv.num_features), rng.randint(0, min(4, inv.num_features)))
             reqs = tuple(sorted((i, rng.choice((0, 1, 0, 1, -1, 2))) for i in indices))
-            expected = frozenset(p.symbol for p in inv.phones if feature_match(p, dict(reqs)))
+            expected = frozenset(p.symbol for p in inv.phones if feature_holds(p.features, reqs))
             assert inv.matching_phones(reqs) == expected
 
 
@@ -298,6 +304,8 @@ def test_inventory_rejects_more_than_max_features():
     ({3: 1}, "out of range"),
     ({-1: 1}, "out of range"),
     ({0: 2}, "0 or 1"),
+    ({1.0: 1}, "out of range"),
+    ({True: 1}, "out of range"),
 ])
 def test_realize_rejects_bad_changes(changes, message):
     inv = load_inventory("a\t0,1,0\nb\t1,1,0\n")
@@ -312,7 +320,7 @@ def test_realize_idempotent_when_changes_hold(default_inv):
         changes = {rng.randrange(default_inv.num_features): rng.choice((0, 1))
                    for _ in range(rng.randint(1, 5))}
         once = realize_feature_change(phone, changes, default_inv)
-        if feature_match(once, changes):
+        if feature_holds(once.features, changes.items()):
             assert realize_feature_change(once, changes, default_inv) == once
 
 

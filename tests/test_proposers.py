@@ -602,6 +602,14 @@ def test_external_spawn_failure(tiny_inv):
     assert any("spawn failed" in d for d in result.diagnostics)
 
 
+def test_external_proposer_refuses_a_string_command():
+    # A string would be read as a sequence of one-character arguments.
+    with pytest.raises(TypeError, match="argv sequence"):
+        external_proposer("python3 stub.py")
+    assert external_proposer(("python3", "stub.py")).command == ("python3", "stub.py")
+    assert external_proposer(["python3", "stub.py"], name="s").command == ("python3", "stub.py")
+
+
 def test_timeout_env_var(tmp_path, tiny_inv, monkeypatch):
     command = write_stub(tmp_path, "sleepy2.py", """
         import sys, time

@@ -1,7 +1,7 @@
 import copy
+import functools
 import hashlib
 import json
-import os
 
 import pytest
 
@@ -40,6 +40,7 @@ from cascade_forge.synthgen import (
     verify_case,
     write_corpus,
 )
+from conftest import tree_bytes
 
 
 def boundary_kind(rule):
@@ -203,12 +204,17 @@ def test_ling_rule_applies_to_min_protoforms(default_inv):
         assert applies >= spec.min_applicable
 
 
+@functools.cache
+def _ling_corpus(inv, min_applicable):
+    """The seed-0 corpus of 30 languages, built once for every test that reads it."""
+    return gen_ling_corpus(inv, LingSpec(num_languages=30, min_applicable=min_applicable, seed=0))
+
+
 @pytest.mark.parametrize("min_applicable", [2, 3])
 def test_every_ling_rule_changes_min_applicable_forms(default_inv, min_applicable):
     # A site is not a change: a substitution whose matched phones realize to
     # themselves edits nothing, so each rule is checked on its cascade input.
-    spec = LingSpec(num_languages=30, min_applicable=min_applicable, seed=0)
-    for case in gen_ling_corpus(default_inv, spec):
+    for case in _ling_corpus(default_inv, min_applicable):
         forms = [pair.source for pair in case.dataset.pairs]
         for rule in case.ground_truth.rules:
             outputs = [apply_rule(rule, w, default_inv) for w in forms]
@@ -279,8 +285,7 @@ def _corpus_digest(cases):
 def test_ling_corpus_bytes_are_pinned(default_inv, min_applicable):
     # Every cascade and word pair of 30 languages: a change to how rules
     # are drawn, realized or tested for applicability shows here.
-    spec = LingSpec(num_languages=30, min_applicable=min_applicable, seed=0)
-    assert _corpus_digest(gen_ling_corpus(default_inv, spec)) == LING_CORPUS_DIGESTS[min_applicable]
+    assert _corpus_digest(_ling_corpus(default_inv, min_applicable)) == LING_CORPUS_DIGESTS[min_applicable]
 
 
 def test_smp_corpus_bytes_are_pinned(default_inv):
@@ -393,16 +398,6 @@ def test_multilaw_rejects_fewer_than_one_rule_per_set(default_inv, rules_per_set
 # --- corpus writing and determinism --------------------------------------------------------
 
 
-def corpus_tree(root):
-    tree = {}
-    for base, _, files in os.walk(root):
-        for name in files:
-            path = os.path.join(base, name)
-            with open(path, "rb") as fh:
-                tree[os.path.relpath(path, root)] = fh.read()
-    return tree
-
-
 def test_write_corpus_layout(default_inv, tmp_path):
     cases = gen_smp_corpus(default_inv, SmpSpec(examples_per_law=20, seed=20), laws=2)
     out = tmp_path / "corpus"
@@ -422,7 +417,7 @@ def test_corpus_generation_is_byte_deterministic(default_inv, tmp_path):
     for name in ("one", "two"):
         cases = gen_smp_corpus(default_inv, spec, laws=3)
         write_corpus(str(tmp_path / name), cases, {"generator": "smp", "seed": 21})
-    one, two = corpus_tree(tmp_path / "one"), corpus_tree(tmp_path / "two")
+    one, two = tree_bytes(tmp_path / "one"), tree_bytes(tmp_path / "two")
     assert one == two
 
 
