@@ -128,9 +128,9 @@ def read_pairs(path: str, inv: Inventory) -> Dataset:
     """Two-column TSV (protoform<TAB>reflex) of ``_data_lines``."""
     pairs: list[ExamplePair] = []
     for lineno, line in _data_lines(path):
-        if "\t" not in line:
+        if line.count("\t") != 1:
             raise CliError(f"{path}:{lineno}: expected 'source<TAB>target'", EXIT_PARSE)
-        source_text, target_text = line.split("\t", 1)
+        source_text, target_text = line.split("\t")
         source = _tokenize(source_text, inv, f"{path}:{lineno} source")
         target = _tokenize(target_text, inv, f"{path}:{lineno} target")
         pairs.append(ExamplePair(source, target, f"L{lineno:04d}"))
@@ -386,7 +386,7 @@ def _refuse_earlier_run(out_dir: str, rerun: str | None = None) -> None:
     try:
         with open(manifest, encoding="utf-8") as fh:
             command = json.load(fh)["command"][1]
-    except (OSError, ValueError, LookupError, TypeError):
+    except (OSError, ValueError, LookupError, TypeError, RecursionError):
         raise CliError(f"--out {out_dir} holds {manifest}, which is not a run manifest", EXIT_PARSE) from None
     if command != rerun:
         raise CliError(f"--out {out_dir} holds {manifest} from an earlier {command!r} run", EXIT_PARSE)
@@ -438,13 +438,17 @@ def cmd_generate(args) -> int:
             raise CliError(f"--n {args.n}: {exc}", EXIT_PARSE) from None
         cases = gen_smp_corpus(inv, spec, args.laws)
     elif args.generator == "ling":
-        spec = LingSpec(
-            num_languages=args.langs,
-            rules_per_language=args.rules,
-            protoforms_per_language=args.protoforms,
-            min_applicable=args.min_applicable,
-            seed=args.seed,
-        )
+        try:
+            spec = LingSpec(
+                num_languages=args.langs,
+                rules_per_language=args.rules,
+                protoforms_per_language=args.protoforms,
+                min_applicable=args.min_applicable,
+                seed=args.seed,
+            )
+        except ValueError:
+            message = f"--min-applicable {args.min_applicable}: must be at most --protoforms {args.protoforms}"
+            raise CliError(message, EXIT_PARSE) from None
         cases = gen_ling_corpus(inv, spec)
     else:
         if args.pool:

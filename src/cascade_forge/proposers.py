@@ -311,10 +311,10 @@ _STALE_OUTPUT = "proposer wrote output that answers no request; restarted it"
 
 
 def _programs(reply: bytes) -> tuple[list | None, str | None]:
-    """The ``programs`` list of a reply line, or None and what is wrong with it."""
+    """The ``programs`` list of a reply line, or None and what is wrong with it (too deep to decode, say)."""
     try:
         obj = json.loads(reply.decode("utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         return None, f"malformed proposer response: {exc}"
     programs = obj.get("programs") if isinstance(obj, dict) else None
     if not isinstance(programs, list):

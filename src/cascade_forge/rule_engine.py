@@ -38,7 +38,7 @@ class RuleError(ValueError):
 
 
 class RuleParseError(RuleError):
-    """Raised for malformed rule JSON; the message starts with a JSON-pointer-style location."""
+    """Raised for rule JSON that fails to decode or validate; the message starts with a JSON-pointer path."""
 
     def __init__(self, message: str, path: str = ""):
         super().__init__(f"{path or '/'}: {message}")
@@ -216,8 +216,9 @@ class Rule:
         every substitute target a tuple, the name a string or ``None``, and
         every phone the rule names (phone sets, substitute keys and targets,
         inserts) a non-empty string other than ``#``/``@`` and, given an
-        inventory, one of its phones.  So a rule that passes serializes to
-        rule JSON that ``parse_rule`` reads back as an equal rule.
+        inventory, one of its phones; ``not`` nests at most ``MAX_NOT_DEPTH``
+        deep.  So a rule that passes hashes without exhausting the stack, and
+        serializes to rule JSON that ``parse_rule`` reads back as an equal rule.
         """
         if self.name is not None and not isinstance(self.name, str):
             raise RuleError(f"rule name {self.name!r} is not a string")
@@ -244,7 +245,7 @@ class Rule:
                 if not isinstance(pred, IsNothing):
                     raise RuleError(f"insert at position {pos} requires an is-nothing predicate")
                 if not fn.phones:
-                    raise RuleError("insert sequence is empty")
+                    raise RuleError(f"insert sequence is empty at position {pos}")
                 for phone in fn.phones:
                     _check_phone(phone, f"insert at position {pos}", inv)
             elif not isinstance(pred, (PhoneSet, FeatureReq, Not)):
@@ -254,7 +255,7 @@ class Rule:
                 )
             if isinstance(fn, Substitute):
                 if not fn.mapping:
-                    raise RuleError("substitute map is empty")
+                    raise RuleError(f"substitute map is empty at position {pos}")
                 keys = [key for key, _ in fn.mapping]
                 if len(set(keys)) != len(keys):
                     # The JSON object keeps one target per key.
@@ -263,7 +264,7 @@ class Rule:
                     if not isinstance(value, tuple):
                         raise RuleError(f"substitute target for {key!r} is not a tuple of phones")
                     if not value:
-                        raise RuleError(f"substitute target for {key!r} is empty")
+                        raise RuleError(f"substitute target for {key!r} is empty at position {pos}")
                     for phone in (key, *value):
                         _check_phone(phone, f"substitute at position {pos}", inv)
         for i, pred in enumerate(self.predicates):
@@ -277,12 +278,15 @@ def _check_phone(symbol: str, where: str, inv: Inventory | None) -> None:
         raise RuleError(f"{where}: phone {symbol!r} not in inventory")
 
 
-def _is_bit(value: object) -> bool:
-    """An int 0 or 1; ``True`` and ``1.0`` equal 1 but serialize differently."""
-    return type(value) is int and value in (0, 1)
+MAX_NOT_DEPTH = 8  # the most ``not`` predicates one predicate may nest
 
 
 def _validate_predicate(pred: Predicate, position: int, inv: Inventory | None) -> None:
+    depth = 0
+    while isinstance(pred, Not):
+        pred, depth = pred.inner, depth + 1
+        if depth > MAX_NOT_DEPTH:
+            raise RuleError(f"'not' nested over {MAX_NOT_DEPTH} deep at position {position}")
     if isinstance(pred, PhoneSet):
         if not pred.phones:
             raise RuleError(f"empty phone set at position {position}")
@@ -297,12 +301,11 @@ def _validate_predicate(pred: Predicate, position: int, inv: Inventory | None) -
         for idx, value in pred.reqs:
             if type(idx) is not int:
                 raise RuleError(f"feature index {idx!r} at position {position} is not an integer")
-            if not _is_bit(value):
+            # True and 1.0 equal 1 but serialize differently.
+            if type(value) is not int or value not in (0, 1):
                 raise RuleError(f"feature requirement value {value!r} at position {position}")
             if not 0 <= idx < (MAX_FEATURES if inv is None else inv.num_features):
                 raise RuleError(f"feature index {idx} out of range at position {position}")
-    elif isinstance(pred, Not):
-        _validate_predicate(pred.inner, position, inv)
     elif not isinstance(pred, (IsNothing, WordStart, WordEnd)):
         raise RuleError(f"unknown predicate {pred!r} at position {position}")
 
@@ -488,15 +491,13 @@ def _expect(obj: Any, kind: type, path: str, what: str) -> Any:
 
 
 def predicate_from_obj(obj: Any, path: str = "") -> Predicate:
+    """The predicate a JSON object describes, read for JSON shape only (see ``rule_from_obj``)."""
     _expect(obj, dict, path, "an object")
     kind = obj.get("kind")
     if kind == "phone_set":
         phones = _expect(obj.get("phones"), list, f"{path}/phones", "a list")
-        if not phones:
-            raise RuleParseError("empty phone set", f"{path}/phones")
-        for i, symbol in enumerate(phones):
-            _expect(symbol, str, f"{path}/phones/{i}", "a string")
-        return PhoneSet(phones)
+        # A frozenset needs hashable members: [["a"]] would raise TypeError.
+        return PhoneSet(_expect(s, str, f"{path}/phones/{i}", "a string") for i, s in enumerate(phones))
     if kind == "is_nothing":
         return IsNothing()
     if kind == "word_start":
@@ -504,9 +505,8 @@ def predicate_from_obj(obj: Any, path: str = "") -> Predicate:
     if kind == "word_end":
         return WordEnd()
     if kind == "feature_req":
-        reqs_obj = _expect(obj.get("reqs"), dict, f"{path}/reqs", "an object")
-        reqs: dict[int, int] = {}
-        for key, value in reqs_obj.items():
+        reqs = _expect(obj.get("reqs"), dict, f"{path}/reqs", "an object")
+        for key in reqs:
             # int() would also read "1_0", "+5", " 5" and non-ASCII digits, and
             # a leading zero would let "5" and "05" name one feature.
             if not (isinstance(key, str) and key.isascii() and key.isdigit() and (key == "0" or key[0] != "0")):
@@ -514,10 +514,7 @@ def predicate_from_obj(obj: Any, path: str = "") -> Predicate:
                     f"feature index must be decimal digits without a leading zero, got {key!r}",
                     f"{path}/reqs",
                 )
-            if not _is_bit(value):
-                raise RuleParseError(f"requirement value must be 0 or 1, got {value!r}", f"{path}/reqs/{key}")
-            reqs[int(key)] = value
-        return FeatureReq(reqs)
+        return FeatureReq({int(key): value for key, value in reqs.items()})
     if kind == "not":
         return Not(predicate_from_obj(obj.get("inner"), f"{path}/inner"))
     raise RuleParseError(f"unknown predicate kind {kind!r}", f"{path}/kind")
@@ -530,51 +527,48 @@ def mapping_from_obj(obj: Any, path: str = "") -> MappingFn:
         return Delete()
     if kind == "substitute":
         map_obj = _expect(obj.get("map"), dict, f"{path}/map", "an object")
-        mapping: dict[str, tuple[str, ...]] = {}
-        for key, value in map_obj.items():
-            seq = _expect(value, list, f"{path}/map/{key}", "a list")
-            if not seq:
-                raise RuleParseError("empty substitute target", f"{path}/map/{key}")
-            mapping[key] = tuple(_expect(s, str, f"{path}/map/{key}", "a string") for s in seq)
-        return Substitute(mapping)
+        return Substitute({
+            key: tuple(_expect(value, list, f"{path}/map/{key}", "a list")) for key, value in map_obj.items()
+        })
     if kind == "insert":
-        phones = _expect(obj.get("phones"), list, f"{path}/phones", "a list")
-        if not phones:
-            raise RuleParseError("empty insert sequence", f"{path}/phones")
-        return Insert(_expect(s, str, f"{path}/phones", "a string") for s in phones)
+        return Insert(_expect(obj.get("phones"), list, f"{path}/phones", "a list"))
     raise RuleParseError(f"unknown mapping kind {kind!r}", f"{path}/kind")
 
 
 def rule_from_obj(obj: Any, path: str = "", inv: Inventory | None = None) -> Rule:
-    _expect(obj, dict, path, "an object")
-    predicates = [
-        predicate_from_obj(p, f"{path}/predicates/{i}")
-        for i, p in enumerate(_expect(obj.get("predicates"), list, f"{path}/predicates", "a list"))
-    ]
-    change_pos = _expect(obj.get("change_pos"), list, f"{path}/change_pos", "a list")
-    for i, pos in enumerate(change_pos):
-        if not isinstance(pos, int) or isinstance(pos, bool):
-            raise RuleParseError(f"expected an integer, got {pos!r}", f"{path}/change_pos/{i}")
-    mappings = [
-        mapping_from_obj(m, f"{path}/mappings/{i}")
-        for i, m in enumerate(_expect(obj.get("mappings"), list, f"{path}/mappings", "a list"))
-    ]
-    name = obj.get("name")
-    if name is not None:
-        _expect(name, str, f"{path}/name", "a string")
-    rule = Rule(predicates, change_pos, mappings, name)
+    """The rule a JSON object describes, validated against ``inv``.
+
+    The decoders check only JSON shape, at the offending member's path.
+    ``Rule.validate`` alone judges content; its ``RuleError``, like nesting
+    too deep to decode, becomes a ``RuleParseError`` at ``path``.
+    """
     try:
+        _expect(obj, dict, path, "an object")
+        predicates = [
+            predicate_from_obj(p, f"{path}/predicates/{i}")
+            for i, p in enumerate(_expect(obj.get("predicates"), list, f"{path}/predicates", "a list"))
+        ]
+        change_pos = _expect(obj.get("change_pos"), list, f"{path}/change_pos", "a list")
+        mappings = [
+            mapping_from_obj(m, f"{path}/mappings/{i}")
+            for i, m in enumerate(_expect(obj.get("mappings"), list, f"{path}/mappings", "a list"))
+        ]
+        rule = Rule(predicates, change_pos, mappings, obj.get("name"))
         rule.validate(inv)
+    except RuleParseError:
+        raise
     except RuleError as exc:
         raise RuleParseError(str(exc), path) from None
+    except RecursionError:
+        raise RuleParseError("nesting too deep", path) from None
     return rule
 
 
 def _loads(text: str) -> Any:
-    """The JSON value of rule or cascade text; malformed JSON is a ``RuleParseError``."""
+    """The JSON value of rule or cascade text; malformed or over-deep JSON is a ``RuleParseError``."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise RuleParseError(f"invalid JSON: {exc}") from None
 
 

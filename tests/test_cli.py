@@ -233,19 +233,64 @@ def test_induce_with_ites_flag(workdir, capsys):
     assert manifest["config"]["ites"] is True
 
 
-def empty_exec_stub(workdir):
-    """An ``exec:`` proposer spec for a stub that answers one request with no programs."""
-    import stat as stat_mod
+def reply_stub(workdir, reply):
+    """An ``exec:`` proposer spec for a stub that answers every request with the line ``reply``."""
     import sys as sys_mod
+    (workdir / "reply.txt").write_text(reply, encoding="utf-8")
     stub = workdir / "stub.py"
     stub.write_text(
-        "import json, sys\n"
-        "sys.stdin.readline()\n"
-        'print(json.dumps({"v": 1, "programs": []}))\n',
+        "import sys\n"
+        f"reply = open({str(workdir / 'reply.txt')!r}, encoding='utf-8').read()\n"
+        "for line in sys.stdin:\n"
+        "    print(reply, flush=True)\n",
         encoding="utf-8",
     )
-    stub.chmod(stub.stat().st_mode | stat_mod.S_IEXEC)
     return f"exec:{sys_mod.executable} {stub}"
+
+
+def empty_exec_stub(workdir):
+    """An ``exec:`` proposer spec for a stub that answers with no programs."""
+    return reply_stub(workdir, json.dumps({"v": 1, "programs": []}))
+
+
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
+
+
+def deep_not_rule(depth):
+    """A_TO_E_RULE with its first phone set wrapped in ``depth`` nested ``not`` predicates."""
+    pred = A_TO_E_RULE["predicates"][0]
+    for _ in range(depth):
+        pred = {"kind": "not", "inner": pred}
+    return {**A_TO_E_RULE, "predicates": [pred, *A_TO_E_RULE["predicates"][1:]]}
+
+
+@pytest.mark.parametrize("deep", ["array", "not"])
+def test_induce_survives_an_over_deep_reply(workdir, capsys, deep):
+    # Both replies once ended the run in a RecursionError traceback.
+    programs = DEEP_ARRAY if deep == "array" else json.dumps([deep_not_rule(600)])
+    stub = reply_stub(workdir, '{"v": 1, "programs": %s}' % programs)
+    code, _, _ = run(capsys, "induce", "--pairs", "pairs.tsv", "--mode", "single",
+                     "--proposer", stub, "--out", "deep")
+    assert code == 0
+    diagnostics = (workdir / "deep" / "diagnostics.txt").read_text(encoding="utf-8").splitlines()
+    assert len(diagnostics) == 1
+    if deep == "array":
+        assert diagnostics[0].startswith("malformed proposer response: ")
+    else:
+        assert diagnostics[0].startswith("dropped invalid candidate 0 from ")
+        assert diagnostics[0].endswith(": /programs/0: 'not' nested over 8 deep at position 0")
+
+
+@pytest.mark.parametrize("deep", ["array", "not"])
+def test_apply_over_deep_rule_exits_2(workdir, capsys, deep):
+    text = DEEP_ARRAY if deep == "array" else json.dumps(deep_not_rule(600))
+    (workdir / "deep.json").write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "apply", "--rule", "deep.json", "--words", "words.txt")
+    assert code == 2 and out == ""
+    if deep == "array":
+        assert err.startswith("error: rule deep.json: /: invalid JSON: ")
+    else:
+        assert err == "error: rule deep.json: /: 'not' nested over 8 deep at position 0\n"
 
 
 def test_induce_ensemble_with_exec_stub(workdir, capsys):
@@ -438,8 +483,8 @@ def test_generate_and_eval_refuse_an_out_dir_another_command_wrote(workdir, caps
 
 @pytest.mark.parametrize("argv", [GENERATE_OUT, EVAL_OUT], ids=["generate", "eval"])
 @pytest.mark.parametrize(
-    "text", ["not json\n", "{}\n", '{"command": ["cascade-forge"]}\n'],
-    ids=["not-json", "no-command", "no-subcommand"],
+    "text", ["not json\n", "{}\n", '{"command": ["cascade-forge"]}\n', DEEP_ARRAY],
+    ids=["not-json", "no-command", "no-subcommand", "nested-too-deep"],
 )
 def test_generate_and_eval_refuse_a_manifest_that_is_not_a_run_manifest(workdir, capsys, argv, text):
     (workdir / "run").mkdir()
@@ -505,6 +550,15 @@ def test_generate_below_a_regular_file_exits_2_before_generating(workdir, capsys
     assert code == 2
     assert err == f"error: --out {out}: afile is not a directory\n"
     assert calls == []
+
+
+def test_generate_ling_min_applicable_above_protoforms_exits_2_naming_the_options(workdir, capsys):
+    before = tree_bytes(workdir)
+    code, _, err = run(capsys, "generate", "ling", "--protoforms", "3", "--min-applicable", "5",
+                       "--out", "corpus")
+    assert code == 2
+    assert err == "error: --min-applicable 5: must be at most --protoforms 3\n"
+    assert tree_bytes(workdir) == before and not (workdir / "corpus").exists()
 
 
 @pytest.mark.parametrize("n", ["12", "0", "-10"])
@@ -710,6 +764,23 @@ def test_pairs_file_without_tab_exits_2(workdir, capsys):
     (workdir / "nota.tsv").write_text("just-one-column\n", encoding="utf-8")
     code, _, err = run(capsys, "eval", "--cascade", "cascade.json", "--pairs", "nota.tsv")
     assert code == 2
+
+
+PAIRS_COMMANDS = {
+    "eval": ("eval", "--cascade", "cascade.json"),
+    "induce": ("induce", "--out", "run"),
+    "apply": ("apply", "--rule", "rule.json"),
+    "select-examples": ("select-examples", "--out", "sel.tsv"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PAIRS_COMMANDS))
+def test_pairs_line_with_a_second_tab_exits_2(workdir, capsys, command):
+    # No phone holds a tab, so the line once failed to tokenize (exit 3).
+    (workdir / "three.tsv").write_text("kaj\tkej\npa\tpe\tx\n", encoding="utf-8")
+    code, out, err = run(capsys, *PAIRS_COMMANDS[command], "--pairs", "three.tsv")
+    assert code == 2 and out == ""
+    assert err == "error: three.tsv:2: expected 'source<TAB>target'\n"
 
 
 def test_pairs_allow_empty_reflex(workdir, capsys):

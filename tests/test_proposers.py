@@ -44,7 +44,11 @@ from cascade_forge.rule_engine import (
     Substitute,
     WordEnd,
     WordStart,
+    MAX_NOT_DEPTH,
+    RuleError,
+    RuleParseError,
     apply_rule,
+    parse_rule,
     rule_to_obj,
     serialize_rule,
 )
@@ -647,7 +651,7 @@ def test_external_boolean_feature_requirement_dropped(tmp_path, tiny_inv):
     assert result.rules == [sub_rule("a", 0, "a", "e")]
     assert len(result.diagnostics) == 1
     assert result.diagnostics[0].startswith("dropped invalid candidate 0 from ")
-    assert "/programs/0/predicates/0/reqs/0" in result.diagnostics[0]
+    assert result.diagnostics[0].endswith(": /programs/0: feature requirement value True at position 0")
 
 
 def test_external_feature_index_that_is_not_decimal_digits_dropped(tmp_path, tiny_inv):
@@ -709,6 +713,109 @@ def test_external_feature_index_with_a_leading_zero_dropped(tmp_path, tiny_inv):
     assert result.diagnostics[0].startswith("dropped invalid candidate 0 from ")
     assert "/programs/0/predicates/0/reqs: feature index must be decimal digits" in result.diagnostics[0]
     assert "'00'" in result.diagnostics[0]
+
+
+def _deep_not_program(depth):
+    """VALID_RULE_OBJ with its phone set wrapped in ``depth`` nested ``not`` predicates."""
+    pred = VALID_RULE_OBJ["predicates"][0]
+    for _ in range(depth):
+        pred = {"kind": "not", "inner": pred}
+    return {**VALID_RULE_OBJ, "predicates": [pred]}
+
+
+def test_external_program_nested_past_the_not_bound_dropped(tmp_path, tiny_inv):
+    # 600 nested `not`s decode, but hashing the rule would exhaust the stack.
+    reply = json.dumps({"v": 1, "programs": [_deep_not_program(600), _deep_not_program(MAX_NOT_DEPTH)]})
+    command = write_stub(tmp_path, "deep_not.py", f"""
+        import sys
+        sys.stdin.readline()
+        print({reply!r})
+    """)
+    result = propose(external_proposer(command), ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 4), tiny_inv)
+    assert len(result.rules) == 1 and hash(result.rules[0]) is not None
+    assert len(result.diagnostics) == 1
+    assert result.diagnostics[0].startswith("dropped invalid candidate 0 from ")
+    assert result.diagnostics[0].endswith(f": /programs/0: 'not' nested over {MAX_NOT_DEPTH} deep at position 0")
+
+
+def test_external_reply_nested_past_the_json_decoder_is_malformed(tmp_path, tiny_inv):
+    command = write_stub(tmp_path, "deep_array.py", """
+        import sys
+        sys.stdin.readline()
+        print('{"programs": ' + '[' * 100000 + ']' * 100000 + '}')
+    """)
+    result = propose(external_proposer(command), ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 4), tiny_inv)
+    assert result.rules == []
+    assert len(result.diagnostics) == 1
+    assert result.diagnostics[0].startswith("malformed proposer response: ")
+
+
+_A_SET = [{"kind": "phone_set", "phones": ["a"]}]
+
+# Each fault the rule-JSON decoder leaves to Rule.validate: its rule JSON,
+# and the same rule built in code.
+CONTENT_FAULTS = {
+    "empty-phone-set": (
+        {"predicates": [{"kind": "phone_set", "phones": []}], "change_pos": [0],
+         "mappings": [{"kind": "delete"}]},
+        Rule([PhoneSet([])], [0], [Delete()]),
+    ),
+    "non-bit-feature-value": (
+        {"predicates": [{"kind": "feature_req", "reqs": {"0": True}}], "change_pos": [0],
+         "mappings": [{"kind": "delete"}]},
+        Rule([FeatureReq({0: True})], [0], [Delete()]),
+    ),
+    "empty-substitute-target": (
+        {"predicates": _A_SET, "change_pos": [0], "mappings": [{"kind": "substitute", "map": {"a": []}}]},
+        Rule([PhoneSet(["a"])], [0], [Substitute({"a": ()})]),
+    ),
+    "non-string-substitute-phone": (
+        {"predicates": _A_SET, "change_pos": [0], "mappings": [{"kind": "substitute", "map": {"a": ["e", 1]}}]},
+        Rule([PhoneSet(["a"])], [0], [Substitute({"a": ("e", 1)})]),
+    ),
+    "empty-insert": (
+        {"predicates": [{"kind": "is_nothing"}], "change_pos": [0],
+         "mappings": [{"kind": "insert", "phones": []}]},
+        Rule([IsNothing()], [0], [Insert([])]),
+    ),
+    "non-string-insert-phone": (
+        {"predicates": [{"kind": "is_nothing"}], "change_pos": [0],
+         "mappings": [{"kind": "insert", "phones": ["a", 2]}]},
+        Rule([IsNothing()], [0], [Insert(["a", 2])]),
+    ),
+    "non-integer-change-position": (
+        {"predicates": _A_SET, "change_pos": [0.0], "mappings": [{"kind": "delete"}]},
+        Rule([PhoneSet(["a"])], [0.0], [Delete()]),
+    ),
+    "non-string-name": (
+        {"predicates": _A_SET, "change_pos": [0], "mappings": [{"kind": "delete"}], "name": 7},
+        Rule([PhoneSet(["a"])], [0], [Delete()], name=7),
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CONTENT_FAULTS))
+def test_rule_json_and_callables_get_one_judge(tmp_path, tiny_inv, fault):
+    obj, built = CONTENT_FAULTS[fault]
+    with pytest.raises(RuleError) as judged:
+        built.validate(tiny_inv)
+    reason = str(judged.value)
+    with pytest.raises(RuleParseError) as parsed:
+        parse_rule(json.dumps(obj), tiny_inv)
+    assert str(parsed.value) == f"/: {reason}"
+
+    reply = json.dumps({"v": 1, "programs": [obj]})
+    command = write_stub(tmp_path, "fault.py", f"""
+        import sys
+        sys.stdin.readline()
+        print({reply!r})
+    """)
+    request = ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 4)
+    external = propose(external_proposer(command, "p"), request, tiny_inv)
+    in_code = propose(callable_proposer(lambda req: [built], "p"), request, tiny_inv)
+    assert external.rules == in_code.rules == []
+    assert external.diagnostics == [f"dropped invalid candidate 0 from p: /programs/0: {reason}"]
+    assert in_code.diagnostics == [f"dropped invalid candidate 0 from p: {reason}"]
 
 
 def test_request_wire_format(tiny_inv):

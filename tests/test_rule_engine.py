@@ -15,6 +15,7 @@ from cascade_forge.phonology import (
     validate_word,
 )
 from cascade_forge.rule_engine import (
+    MAX_NOT_DEPTH,
     Cascade,
     Delete,
     FeatureReq,
@@ -579,7 +580,7 @@ def test_parse_errors_carry_paths():
         parse_rule('{"predicates":[{"kind":"phone_set","phones":["a"]}],"change_pos":[5],"mappings":[{"kind":"delete"}]}')
     with pytest.raises(RuleParseError):
         parse_rule("not json")
-    with pytest.raises(RuleParseError, match="phones"):
+    with pytest.raises(RuleParseError, match="^/: empty phone set at position 0$"):
         parse_rule('{"predicates":[{"kind":"phone_set","phones":[]}],"change_pos":[0],"mappings":[{"kind":"delete"}]}')
 
 
@@ -592,8 +593,9 @@ def test_feature_requirement_value_must_be_int_bit(value):
         '{"predicates":[{"kind":"feature_req","reqs":{"0":%s}}],'
         '"change_pos":[0],"mappings":[{"kind":"delete"}]}' % value
     )
-    with pytest.raises(RuleParseError, match="/predicates/0/reqs/0: requirement value"):
+    with pytest.raises(RuleParseError) as raised:
         parse_rule(text)
+    assert str(raised.value) == f"/: feature requirement value {json.loads(value)!r} at position 0"
 
 
 @pytest.mark.parametrize("key", ["1_0", "+5", " 5", "\u0663", "05"])
@@ -606,6 +608,20 @@ def test_feature_index_must_be_ascii_decimal_digits(key):
     })
     with pytest.raises(RuleParseError, match="/predicates/0/reqs: feature index must be decimal digits"):
         parse_rule(text)
+
+
+def test_not_nesting_is_bounded():
+    def nested(depth):
+        pred = PhoneSet(["a"])
+        for _ in range(depth):
+            pred = Not(pred)
+        return Rule([pred], [0], [Delete()])
+
+    nested(MAX_NOT_DEPTH).validate()
+    for depth in (MAX_NOT_DEPTH + 1, 100_000):
+        # Checked without recursion, before the rule is ever hashed.
+        with pytest.raises(RuleError, match=f"^'not' nested over {MAX_NOT_DEPTH} deep at position 0$"):
+            nested(depth).validate()
 
 
 @pytest.mark.parametrize("value", [True, 1.0])
