@@ -51,6 +51,7 @@ from cascade_forge.rule_engine import (
     Substitute,
     WordEnd,
     WordStart,
+    anchored_words,
     apply_rule,
     layout_rule,
     rule_from_obj,
@@ -274,11 +275,17 @@ def rank_rules(
 
     Rules are deduplicated by equality, which ignores ``name``, keeping the
     first copy, and ordered by reward, then fewer predicates, then serialization.
+    A rule is applied only to the sources holding its anchor; every other
+    prediction is the source itself, whose distance the scorer knows.
     """
     scored: dict[Rule, RewardReport] = {}
+    anchored = anchored_words(scorer.sources)
     for rule in rules:
         if rule not in scored:
-            scored[rule] = scorer.report([apply_rule(rule, s, inv) for s in scorer.sources])
+            preds = list(scorer.sources)
+            for i in anchored(rule):
+                preds[i] = apply_rule(rule, preds[i], inv)
+            scored[rule] = scorer.report(preds)
     order = sorted(scored, key=lambda r: (-scored[r].reward, len(r.predicates), serialize_rule(r)))
     return [(rule, scored[rule]) for rule in order]
 

@@ -14,13 +14,20 @@ recorded sites would edit the same token index, the leftmost site wins and
 the conflicting mapping is skipped.
 Rules and cascades are immutable after construction and application is
 pure, so everything here is safe for unrestricted concurrent use.
+
+Matching filters, then verifies: a rule's anchor is its top-level phone-set
+predicate with the fewest phones, and the predicate chain is evaluated only
+at the starts where the anchor's token is one of those phones, so an
+unvalidated predicate raises only once such a window reaches it.
+``anchored_words`` applies the same filter to a list of words, naming the
+words a rule can match at all.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Collection, Mapping, Sequence
+from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
 
 from cascade_forge.phonology import (
     BOUNDARY,
@@ -54,6 +61,19 @@ def _sorted_items(items: Collection[Any]) -> tuple:
         return tuple(sorted(items))
     except TypeError:
         return tuple(items)
+
+
+QUOTE_LIMIT = 80  # the most characters of a value a diagnostic quotes
+
+
+def _quote(value: Any) -> str:
+    """``repr(value)``, cut to ``QUOTE_LIMIT`` characters ending in ``…``.
+
+    Rules arrive from outside programs, so a diagnostic quoting one of
+    their values must not grow with it.
+    """
+    text = repr(value)
+    return text if len(text) <= QUOTE_LIMIT else text[: QUOTE_LIMIT - 1] + "…"
 
 
 # --- predicates -------------------------------------------------------------
@@ -193,19 +213,39 @@ class Insert(MappingFn):
 class Rule:
     """One sound law: environment predicates, change positions, mappings.
 
-    ``name`` is free-form metadata and excluded from equality.
+    ``name`` is free-form metadata and excluded from equality.  ``anchor``
+    is ``(offset, phones)`` of the top-level phone-set predicate with the
+    fewest phones, the lowest offset winning a tie, or None when there is
+    none (a phone set inside ``not`` never anchors); every site holds one
+    of ``phones`` at ``offset``.  It is built at construction and takes no
+    part in equality.  The hash is computed on first use and cached, so a
+    slot that does not hash fails where the rule is first hashed, not here.
     """
 
     predicates: tuple[Predicate, ...]
     change_pos: tuple[int, ...]
     mappings: tuple[MappingFn, ...]
     name: str | None = field(default=None, compare=False)
+    anchor: tuple[int, frozenset[str]] | None = field(init=False, repr=False, compare=False)
 
     def __init__(self, predicates, change_pos, mappings, name=None):
         object.__setattr__(self, "predicates", tuple(predicates))
         object.__setattr__(self, "change_pos", tuple(change_pos))
         object.__setattr__(self, "mappings", tuple(mappings))
         object.__setattr__(self, "name", name)
+        anchor = None
+        for offset, pred in enumerate(self.predicates):
+            if isinstance(pred, PhoneSet) and (anchor is None or len(pred.phones) < len(anchor[1])):
+                anchor = (offset, pred.phones)
+        object.__setattr__(self, "anchor", anchor)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.predicates, self.change_pos, self.mappings))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def validate(self, inv: Inventory | None = None) -> None:
         """Raise ``RuleError`` unless the rule is well formed.
@@ -221,7 +261,7 @@ class Rule:
         serializes to rule JSON that ``parse_rule`` reads back as an equal rule.
         """
         if self.name is not None and not isinstance(self.name, str):
-            raise RuleError(f"rule name {self.name!r} is not a string")
+            raise RuleError(f"rule name {_quote(self.name)} is not a string")
         if not self.predicates:
             raise RuleError("rule has no predicates")
         if not self.change_pos:
@@ -232,12 +272,12 @@ class Rule:
             )
         for pos in self.change_pos:
             if type(pos) is not int:
-                raise RuleError(f"change position {pos!r} is not an integer")
+                raise RuleError(f"change position {_quote(pos)} is not an integer")
         if len(set(self.change_pos)) != len(self.change_pos):
             raise RuleError("duplicate change positions")
         for pos, fn in zip(self.change_pos, self.mappings):
             if not isinstance(fn, (Delete, Substitute, Insert)):
-                raise RuleError(f"unknown mapping {fn!r} at position {pos}")
+                raise RuleError(f"unknown mapping {_quote(fn)} at position {pos}")
             if pos < 0 or pos >= len(self.predicates):
                 raise RuleError(f"change position {pos} outside environment of length {len(self.predicates)}")
             pred = self.predicates[pos]
@@ -262,9 +302,9 @@ class Rule:
                     raise RuleError(f"substitute at position {pos} maps a phone twice")
                 for key, value in fn.mapping:
                     if not isinstance(value, tuple):
-                        raise RuleError(f"substitute target for {key!r} is not a tuple of phones")
+                        raise RuleError(f"substitute target for {_quote(key)} is not a tuple of phones")
                     if not value:
-                        raise RuleError(f"substitute target for {key!r} is empty at position {pos}")
+                        raise RuleError(f"substitute target for {_quote(key)} is empty at position {pos}")
                     for phone in (key, *value):
                         _check_phone(phone, f"substitute at position {pos}", inv)
         for i, pred in enumerate(self.predicates):
@@ -273,9 +313,9 @@ class Rule:
 
 def _check_phone(symbol: str, where: str, inv: Inventory | None) -> None:
     if not isinstance(symbol, str) or not symbol or symbol in RESERVED_TOKENS:
-        raise RuleError(f"{where}: {symbol!r} is not a phone")
+        raise RuleError(f"{where}: {_quote(symbol)} is not a phone")
     if inv is not None and symbol not in inv:
-        raise RuleError(f"{where}: phone {symbol!r} not in inventory")
+        raise RuleError(f"{where}: phone {_quote(symbol)} not in inventory")
 
 
 MAX_NOT_DEPTH = 8  # the most ``not`` predicates one predicate may nest
@@ -300,14 +340,14 @@ def _validate_predicate(pred: Predicate, position: int, inv: Inventory | None) -
             raise RuleError(f"feature requirement at position {position} names an index twice")
         for idx, value in pred.reqs:
             if type(idx) is not int:
-                raise RuleError(f"feature index {idx!r} at position {position} is not an integer")
+                raise RuleError(f"feature index {_quote(idx)} at position {position} is not an integer")
             # True and 1.0 equal 1 but serialize differently.
             if type(value) is not int or value not in (0, 1):
-                raise RuleError(f"feature requirement value {value!r} at position {position}")
+                raise RuleError(f"feature requirement value {_quote(value)} at position {position}")
             if not 0 <= idx < (MAX_FEATURES if inv is None else inv.num_features):
                 raise RuleError(f"feature index {idx} out of range at position {position}")
     elif not isinstance(pred, (IsNothing, WordStart, WordEnd)):
-        raise RuleError(f"unknown predicate {pred!r} at position {position}")
+        raise RuleError(f"unknown predicate {_quote(pred)} at position {position}")
 
 
 def layout_rule(
@@ -368,15 +408,28 @@ def find_sites(rule: Rule, word: TokenizedWord, inv: Inventory | None = None) ->
     """All start indices where the environment matches, scanning left to right.
 
     Sites are detected on the given word only; windows running past the end
-    never match.  Overlapping sites are all recorded.
+    never match.  Overlapping sites are all recorded.  Only the starts whose
+    token at the rule's anchor offset is one of its anchor phones are tried
+    (every start when the rule has no anchor), and the whole predicate
+    chain is evaluated there, so a predicate that cannot match (an unknown
+    kind, or a feature requirement without an inventory) raises only once
+    such a window reaches it.
     """
     tokens = word.tokens
     n = len(tokens)
     last = n - 1
     preds = rule.predicates
     width = len(preds)
+    if rule.anchor is None:
+        starts: Iterable[int] = range(n - width + 1)
+    else:
+        # Token i of the slice is the anchor token of the window starting at i;
+        # a stop below ``at`` would count from the end, so no window fits.
+        at, phones = rule.anchor
+        stop = at + n - width + 1
+        starts = [i for i, token in enumerate(tokens[at:stop]) if token in phones] if stop > at else ()
     sites: list[int] = []
-    for start in range(n - width + 1):
+    for start in starts:
         for offset, pred in enumerate(preds):
             pos = start + offset
             if not pred.matches(tokens[pos], pos == 0, pos == last, inv):
@@ -423,6 +476,29 @@ def apply_rule(
         elif token != SEPARATOR:
             phones.append(token)
     return TokenizedWord.from_phones(phones)
+
+
+def anchored_words(words: Sequence[TokenizedWord]) -> Callable[[Rule], Iterable[int]]:
+    """For a rule, the ascending indices into ``words`` of those it can match.
+
+    The index maps every token of the words (``#`` and ``@`` too) to the
+    words holding it and is built once per word list.  A rule with an anchor
+    can match only the words holding one of its anchor phones; ``apply_rule``
+    returns every other word as the very object it was given.  A rule
+    without an anchor can match every word.
+    """
+    holding: dict[str, set[int]] = {}
+    for i, word in enumerate(words):
+        for token in word.tokens:
+            holding.setdefault(token, set()).add(i)
+    every = range(len(words))
+
+    def candidates(rule: Rule) -> Iterable[int]:
+        if rule.anchor is None:
+            return every
+        return sorted(set().union(*(holding.get(phone, ()) for phone in rule.anchor[1])))
+
+    return candidates
 
 
 def apply_cascade(
@@ -511,13 +587,13 @@ def predicate_from_obj(obj: Any, path: str = "") -> Predicate:
             # a leading zero would let "5" and "05" name one feature.
             if not (isinstance(key, str) and key.isascii() and key.isdigit() and (key == "0" or key[0] != "0")):
                 raise RuleParseError(
-                    f"feature index must be decimal digits without a leading zero, got {key!r}",
+                    f"feature index must be decimal digits without a leading zero, got {_quote(key)}",
                     f"{path}/reqs",
                 )
         return FeatureReq({int(key): value for key, value in reqs.items()})
     if kind == "not":
         return Not(predicate_from_obj(obj.get("inner"), f"{path}/inner"))
-    raise RuleParseError(f"unknown predicate kind {kind!r}", f"{path}/kind")
+    raise RuleParseError(f"unknown predicate kind {_quote(kind)}", f"{path}/kind")
 
 
 def mapping_from_obj(obj: Any, path: str = "") -> MappingFn:
@@ -532,7 +608,7 @@ def mapping_from_obj(obj: Any, path: str = "") -> MappingFn:
         })
     if kind == "insert":
         return Insert(_expect(obj.get("phones"), list, f"{path}/phones", "a list"))
-    raise RuleParseError(f"unknown mapping kind {kind!r}", f"{path}/kind")
+    raise RuleParseError(f"unknown mapping kind {_quote(kind)}", f"{path}/kind")
 
 
 def rule_from_obj(obj: Any, path: str = "", inv: Inventory | None = None) -> Rule:

@@ -39,6 +39,7 @@ from cascade_forge.resources import atomic_write, dumps
 from cascade_forge.rule_engine import (
     Cascade,
     Rule,
+    anchored_words,
     apply_rule,
     cascade_to_obj,
     serialize_cascade,
@@ -179,9 +180,13 @@ def beam_search_cascade(
                 result = propose(handle, request, inv, sessions=sessions)
                 if diagnostics is not None:
                     diagnostics.extend(result.diagnostics)
+                anchored = anchored_words(beam.forms)
                 for rule in result.rules:
                     proposed_any = True
-                    forms = tuple(apply_rule(rule, form, inv) for form in beam.forms)
+                    successor = list(beam.forms)
+                    for i in anchored(rule):
+                        successor[i] = apply_rule(rule, successor[i], inv)
+                    forms = tuple(successor)
                     report = scorer.report(forms, (beam.forms, beam.per_pair))
                     cascade = Cascade(beam.cascade.rules + (rule,))
                     candidates.append(

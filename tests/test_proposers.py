@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from cascade_forge.metrics import Dataset, ExamplePair, reward
+from cascade_forge.metrics import Dataset, ExamplePair, Scorer, reward
 from cascade_forge.phonology import TokenizedWord, tokenize
 from cascade_forge.proposers import (
     MAX_POOL,
@@ -29,6 +29,7 @@ from cascade_forge.proposers import (
     extract_edit_candidates,
     external_proposer,
     propose,
+    rank_rules,
     request_to_obj,
 )
 from cascade_forge.rule_engine import (
@@ -54,6 +55,8 @@ from cascade_forge.rule_engine import (
 )
 from cascade_forge.search import SearchConfig, beam_search_cascade, hypothesis_to_obj, induce_single_law
 from cascade_forge.synthgen import GenerationError, SmpSpec, gen_smp_examples, gen_smp_law, task_rng
+
+from oracles import reference_apply
 
 
 def pairs(inv, *items):
@@ -259,6 +262,32 @@ def test_builtin_pool_cap_keeps_discovery_order_among_ties(default_inv):
     rules = builtin_enumerative_propose(ProposalRequest(examples, 1000))
     assert len(rules) == MAX_POOL
     assert _rules_digest(rules) == "4aa246e24e568c06f156a1cbef0edfe758efe852bffeed96b81738240c71a11d"
+
+
+def test_rank_rules_equals_applying_every_rule_to_every_source(default_inv):
+    # rank_rules applies a rule only to the sources holding its anchor; the
+    # reference applies every rule to every source through the oracle.
+    unanchored = [Rule([Not(PhoneSet({"a"}))], [0], [Delete()]), Rule([FeatureReq({0: 1})], [0], [Delete()])]
+    checked = 0
+    for i in range(12):
+        rng = task_rng(0, "rank-anchor", i)
+        law = gen_smp_law(default_inv, SmpSpec(), rng)
+        try:
+            case = gen_smp_examples(default_inv, law, 20, rng)
+        except GenerationError:
+            continue
+        sources, targets = case.dataset.sources, case.dataset.targets
+        rules = [candidate_to_rule(c) for s, t in zip(sources, targets) for c in extract_edit_candidates(s, t)]
+        rules += [law, *unanchored]
+        scorer = Scorer(sources, targets)
+        reports = {}
+        for rule in rules:
+            if rule not in reports:
+                reports[rule] = scorer.report([reference_apply(rule, s, default_inv) for s in sources])
+        order = sorted(reports, key=lambda r: (-reports[r].reward, len(r.predicates), serialize_rule(r)))
+        assert rank_rules(rules, scorer, default_inv) == [(rule, reports[rule]) for rule in order]
+        checked += 1
+    assert checked >= 10
 
 
 def test_propose_keeps_the_first_num_samples_rules_of_the_builtin_pool(default_inv):
@@ -470,8 +499,11 @@ def test_the_gate_turns_malformed_rule_objects_into_one_diagnostic(tiny_inv, ret
         lambda: Rule([FeatureReq({0.0: 1})], [0], [Delete()]),
         lambda: Rule([FeatureReq({"0": 1, 1: 1})], [0], [Delete()]),
         lambda: Rule([PhoneSet({"a"})], [0], [Substitute((("a", ("e",)), (1, ("e",))))]),
+        # Hashed lazily, so the unhashable slot fails the gate, not the constructor.
+        lambda: Rule([PhoneSet({"a"})], [[0]], [Delete()]),
     ],
-    ids=["str-feature-index", "float-feature-index", "unsortable-feature-indices", "unsortable-substitute-keys"],
+    ids=["str-feature-index", "float-feature-index", "unsortable-feature-indices", "unsortable-substitute-keys",
+         "unhashable-change-position"],
 )
 def test_a_callable_can_build_odd_rule_parts_and_the_gate_drops_them(tiny_inv, build):
     handle = callable_proposer(lambda req: [build()], "stub")

@@ -16,6 +16,7 @@ from cascade_forge.phonology import (
 )
 from cascade_forge.rule_engine import (
     MAX_NOT_DEPTH,
+    QUOTE_LIMIT,
     Cascade,
     Delete,
     FeatureReq,
@@ -31,6 +32,7 @@ from cascade_forge.rule_engine import (
     Substitute,
     WordEnd,
     WordStart,
+    anchored_words,
     apply_cascade,
     apply_rule,
     find_sites,
@@ -430,6 +432,108 @@ def test_every_predicate_kind_matches_oracles_at_any_offset(inv_fixture, request
     assert sites > 1000
 
 
+def test_anchor_is_the_smallest_top_level_phone_set():
+    a, ab, bc = PhoneSet({"a"}), PhoneSet({"a", "b"}), PhoneSet({"b", "c"})
+    assert Rule([ab, IsNothing(), a], [2], [Delete()]).anchor == (2, frozenset({"a"}))
+    assert Rule([ab, IsNothing(), bc], [0], [Delete()]).anchor == (0, frozenset({"a", "b"}))  # lowest offset
+    assert Rule([Not(a), IsNothing(), bc], [2], [Delete()]).anchor == (2, frozenset({"b", "c"}))
+    assert Rule([Not(a)], [0], [Delete()]).anchor is None  # a phone set inside not never anchors
+    assert Rule([WordStart(), IsNothing(), FeatureReq({0: 1})], [2], [Delete()]).anchor is None
+    # The anchor takes no part in equality or repr.
+    assert "anchor" not in repr(Rule([a], [0], [Delete()]))
+
+
+# Phones of the tiny inventory plus the structural tokens, so that an
+# unvalidated phone set on "#" or "@" is drawn too.
+ANCHOR_TOKENS = ("a", "e", "i", "j", "k", "t", BOUNDARY, SEPARATOR)
+
+
+def _random_anchored_rule(rng, width):
+    """A rule of ``width`` predicates, each a phone set of 1-3 tokens, a
+    negated phone set, or a structural predicate, with random changes; it is
+    not validated, so phone sets may hold ``#`` or ``@``."""
+    preds = []
+    for _ in range(width):
+        kind = rng.choice(("phone_set", "phone_set", "not_phone_set", "is_nothing", "word_edge"))
+        if kind == "phone_set":
+            preds.append(PhoneSet(rng.sample(ANCHOR_TOKENS, rng.randint(1, 3))))
+        elif kind == "not_phone_set":
+            preds.append(Not(PhoneSet(rng.sample(ANCHOR_TOKENS, rng.randint(1, 2)))))
+        elif kind == "is_nothing":
+            preds.append(IsNothing())
+        else:
+            preds.append(rng.choice((WordStart(), WordEnd())))
+    changes = {}
+    for offset, pred in enumerate(preds):
+        if rng.random() < 0.5:
+            continue
+        if isinstance(pred, IsNothing):
+            changes[offset] = Insert(rng.sample("aeikt", rng.randint(1, 2)))
+        elif isinstance(pred, (PhoneSet, Not)):
+            changes[offset] = rng.choice((Delete(), Substitute({"a": ("e",), "t": ("k", "i")})))
+    if not changes:
+        changes[0] = Delete()
+    ordered = sorted(changes.items())
+    return Rule(preds, [p for p, _ in ordered], [fn for _, fn in ordered])
+
+
+def test_anchored_matching_equals_the_oracles_at_every_offset():
+    rng = random.Random("anchor-offsets")
+    offsets, ties, multi, not_only, structural = set(), 0, 0, 0, set()
+    for i in range(3000):
+        rule = _random_anchored_rule(rng, 1 + i % 6)
+        sets = [(len(p.phones), k) for k, p in enumerate(rule.predicates) if isinstance(p, PhoneSet)]
+        if sets:
+            size, offset = min(sets)
+            assert rule.anchor == (offset, rule.predicates[offset].phones)
+            offsets.add((len(rule.predicates), offset))
+            ties += sum(1 for s, _ in sets if s == size) > 1
+            multi += size > 1
+            structural.update(rule.anchor[1] & {BOUNDARY, SEPARATOR})
+        else:
+            assert rule.anchor is None
+            not_only += any(isinstance(p, Not) for p in rule.predicates)
+        words = [
+            TokenizedWord.from_phones([rng.choice("aeijkt") for _ in range(rng.randint(0, 6))])
+            for _ in range(4)
+        ]
+        anchored = anchored_words(words)(rule)
+        assert list(anchored) == sorted(set(anchored))
+        for k, word in enumerate(words):
+            assert find_sites(rule, word) == scan_sites(rule, word)
+            out = apply_rule(rule, word)
+            assert out == reference_apply(rule, word)
+            if k not in anchored:
+                assert out is word
+    assert offsets == {(width, offset) for width in range(1, 7) for offset in range(width)}
+    assert ties > 100 and multi > 100 and not_only > 10
+    assert structural == {BOUNDARY, SEPARATOR}
+
+
+def test_a_word_without_the_anchor_is_not_visited(tiny_inv):
+    words = [tokenize(w, tiny_inv) for w in ("kat", "tit", "jaj", "kik")]
+    anchored = anchored_words(words)
+    rule = sub_rule("aj", 0, "a", "e")
+    assert list(anchored(rule)) == [0, 2]
+    # Structural tokens are indexed too: every word holds "#" and "@".
+    assert list(anchored(Rule([PhoneSet({BOUNDARY})], [0], [Delete()]))) == [0, 1, 2, 3]
+    assert list(anchored(Rule([Not(PhoneSet({"a"}))], [0], [Delete()]))) == [0, 1, 2, 3]
+    # Only a visited window can raise: no word holds "e" before the unknown predicate.
+    unknown = Rule([PhoneSet({"e"}), IsNothing(), Unknown()], [0], [Delete()])
+    assert list(anchored(unknown)) == []
+
+
+def test_rule_hash_is_the_field_tuple_hash_computed_once():
+    rule = sub_rule("aj", 0, "a", "e")
+    assert "_hash" not in vars(rule)
+    assert hash(rule) == hash((rule.predicates, rule.change_pos, rule.mappings))
+    assert vars(rule)["_hash"] == hash(rule)
+    # Built from an unhashable slot, a rule fails only where it is hashed.
+    unhashable = Rule([PhoneSet({"a"})], [[0]], [Delete()])
+    with pytest.raises(TypeError):
+        hash(unhashable)
+
+
 class Unknown(Predicate):
     """A predicate kind that does not say how it matches."""
 
@@ -582,6 +686,29 @@ def test_parse_errors_carry_paths():
         parse_rule("not json")
     with pytest.raises(RuleParseError, match="^/: empty phone set at position 0$"):
         parse_rule('{"predicates":[{"kind":"phone_set","phones":[]}],"change_pos":[0],"mappings":[{"kind":"delete"}]}')
+
+
+@pytest.mark.parametrize(
+    "member, value, start",
+    [
+        ("name", list(range(5000)), "/: rule name [0, 1, 2, "),
+        ("phone", "x" * 20_000, "/: phone set at position 0: phone 'xxx"),
+        ("kind", ["nope"] * 5000, "/predicates/0/kind: unknown predicate kind ['nope', "),
+    ],
+)
+def test_a_rule_diagnostic_quotes_a_bounded_part_of_a_value(tiny_inv, member, value, start):
+    obj = {"predicates": [{"kind": "phone_set", "phones": ["a"]}], "change_pos": [0], "mappings": [{"kind": "delete"}]}
+    if member == "name":
+        obj["name"] = value
+    elif member == "phone":
+        obj["predicates"][0]["phones"] = [value]
+    else:
+        obj["predicates"][0]["kind"] = value
+    with pytest.raises(RuleParseError) as raised:
+        parse_rule(json.dumps(obj), tiny_inv)
+    message = str(raised.value)
+    assert message.startswith(start)
+    assert "…" in message and len(message) < QUOTE_LIMIT + 60
 
 
 

@@ -173,6 +173,16 @@ def test_beam_search_degenerate_single_step(tiny_inv):
     assert beams[0].reward == reward(ds.sources, list(beams[0].forms), ds.targets)
 
 
+def test_beam_search_keeps_the_forms_a_rule_cannot_reach(tiny_inv):
+    # Only "kaj" holds the anchor "j"; "kat" holds "a" but no "j".
+    ds = dataset(tiny_inv, ("kaj", "kej"), ("kat", "ket"), ("tu", "tu"))
+    cfg = SearchConfig(beam_width=1, samples_per_step=1, max_steps=1)
+    (beam,) = beam_search(callable_proposer(lambda r: [sub_rule("aj", 0, "a", "e")]), ds, cfg, inv=tiny_inv)
+    assert len(beam.cascade) == 1
+    assert [f.surface for f in beam.forms] == ["kej", "kat", "tu"]
+    assert beam.forms[1] is ds.pairs[1].source and beam.forms[2] is ds.pairs[2].source
+
+
 def test_beam_search_expansion_counts(tiny_inv):
     calls = []
 
