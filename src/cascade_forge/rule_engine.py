@@ -259,6 +259,8 @@ class Rule:
         inventory, one of its phones; ``not`` nests at most ``MAX_NOT_DEPTH``
         deep.  So a rule that passes hashes without exhausting the stack, and
         serializes to rule JSON that ``parse_rule`` reads back as an equal rule.
+        Without an inventory a feature requirement cannot match, so a rule
+        holding one, under ``not`` too, fails once every other check passes.
         """
         if self.name is not None and not isinstance(self.name, str):
             raise RuleError(f"rule name {_quote(self.name)} is not a string")
@@ -307,8 +309,11 @@ class Rule:
                         raise RuleError(f"substitute target for {_quote(key)} is empty at position {pos}")
                     for phone in (key, *value):
                         _check_phone(phone, f"substitute at position {pos}", inv)
-        for i, pred in enumerate(self.predicates):
-            _validate_predicate(pred, i, inv)
+        bases = [_validate_predicate(pred, i, inv) for i, pred in enumerate(self.predicates)]
+        if inv is None:
+            for i, base in enumerate(bases):
+                if isinstance(base, FeatureReq):
+                    raise RuleError(f"feature requirement at position {i} needs an inventory")
 
 
 def _check_phone(symbol: str, where: str, inv: Inventory | None) -> None:
@@ -321,7 +326,8 @@ def _check_phone(symbol: str, where: str, inv: Inventory | None) -> None:
 MAX_NOT_DEPTH = 8  # the most ``not`` predicates one predicate may nest
 
 
-def _validate_predicate(pred: Predicate, position: int, inv: Inventory | None) -> None:
+def _validate_predicate(pred: Predicate, position: int, inv: Inventory | None) -> Predicate:
+    """Check one predicate; returns it with its ``not`` wrappers removed."""
     depth = 0
     while isinstance(pred, Not):
         pred, depth = pred.inner, depth + 1
@@ -348,6 +354,7 @@ def _validate_predicate(pred: Predicate, position: int, inv: Inventory | None) -
                 raise RuleError(f"feature index {idx} out of range at position {position}")
     elif not isinstance(pred, (IsNothing, WordStart, WordEnd)):
         raise RuleError(f"unknown predicate {_quote(pred)} at position {position}")
+    return pred
 
 
 def layout_rule(

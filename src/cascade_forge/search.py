@@ -50,8 +50,11 @@ from cascade_forge.rule_engine import (
 class SearchConfig:
     """Beam-search limits.
 
-    There is no seed: the search draws no random numbers, so the dataset,
-    this config and the proposer's replies fix its result.
+    ``beam_width``, ``samples_per_step`` and ``max_steps`` must each be an
+    ``int`` (not a ``bool``) of at least 1; a fractional width would never
+    be reached and leave the beam unbounded.  There is no seed: the search
+    draws no random numbers, so the dataset, this config and the proposer's
+    replies fix its result.
     """
 
     beam_width: int = 20
@@ -60,8 +63,10 @@ class SearchConfig:
     early_stop_on_perfect: bool = True
 
     def __post_init__(self) -> None:
-        if self.beam_width < 1 or self.samples_per_step < 1 or self.max_steps < 1:
-            raise ValueError("beam_width, samples_per_step and max_steps must all be >= 1")
+        for name in ("beam_width", "samples_per_step", "max_steps"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,19 @@ def reference_apply(rule, word: TokenizedWord, inv=None) -> TokenizedWord:
     return TokenizedWord(tuple(tokens))
 
 
+def assert_case_reproduced(case, inv) -> None:
+    """Assert a generated case's master invariant with ``reference_apply``:
+    folding the ground-truth rules over each source gives its target."""
+    for pair in case.dataset.pairs:
+        produced = pair.source
+        for rule in case.ground_truth.rules:
+            produced = reference_apply(rule, produced, inv)
+        assert produced == pair.target, (
+            f"case {case.dataset.name}: pair {pair.id} not reproduced "
+            f"({produced.surface!r} != {pair.target.surface!r})"
+        )
+
+
 def make_ground_truth_proposer(cascade, sources, inv):
     """A proposer that knows the true cascade.
 

@@ -52,11 +52,10 @@ from cascade_forge.synthgen import (
     gen_smp_law,
     sample_change_ops,
     task_rng,
-    verify_case,
 )
 
 from conftest import tree_bytes
-from oracles import brute_distance, make_ground_truth_proposer, reference_apply
+from oracles import assert_case_reproduced, brute_distance, make_ground_truth_proposer, reference_apply
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +160,7 @@ def test_c04_generator_self_consistency(inv):
         rng = task_rng(4, "c4smp", i)
         rule = gen_smp_law(inv, smp_spec, rng)
         case = gen_smp_examples(inv, rule, 50, rng, name=f"c4-{i}")
-        verify_case(case, inv)
+        assert_case_reproduced(case, inv)
         counts = {}
         for pair in case.dataset.pairs:
             group = pair.id.rsplit("-", 1)[0]
@@ -172,7 +171,7 @@ def test_c04_generator_self_consistency(inv):
     for i in range(200):
         rng = task_rng(4, "c4ling", i)
         case = gen_ling_language(inv, ling_spec, rng, name=f"c4l-{i}")
-        verify_case(case, inv)
+        assert_case_reproduced(case, inv)
         sources = [p.source for p in case.dataset.pairs]
         forms = sources
         for rule in case.ground_truth.rules:

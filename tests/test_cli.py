@@ -316,6 +316,30 @@ def test_induce_missing_proposer_exits_4(workdir, capsys):
     assert "not found" in err
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["--pairs", "missing.tsv"], 2, "error: cannot read missing.tsv: "),
+        (["--pairs", "comments.tsv"], 2, "error: comments.tsv: no pairs\n"),
+        (["--pairs", "pairs.tsv", "--proposer", "exec:"], 4, "error: empty exec: proposer command\n"),
+        (["--pairs", "pairs.tsv", "--proposer", "foo"], 2, "error: unknown proposer spec 'foo' "),
+    ],
+)
+def test_induce_that_cannot_start_exits_without_creating_out(workdir, capsys, argv, code, message):
+    (workdir / "comments.tsv").write_text("% a comment\n\n% another\n", encoding="utf-8")
+    exit_code, out, err = run(capsys, "induce", *argv, "--out", "never")
+    assert exit_code == code and out == ""
+    assert err.startswith(message)
+    assert not (workdir / "never").exists()
+
+
+def test_apply_to_an_empty_word_list_exits_2(workdir, capsys):
+    (workdir / "empty.txt").write_text("", encoding="utf-8")
+    code, out, err = run(capsys, "apply", "--rule", "rule.json", "--words", "empty.txt")
+    assert code == 2 and out == ""
+    assert err == "error: empty.txt: no words\n"
+
+
 @pytest.mark.parametrize("mode", ["single", "cascade"])
 def test_induce_into_an_earlier_run_exits_2_before_writing(workdir, capsys, mode):
     # Identity pairs would leave the first run's best.json beside a summary

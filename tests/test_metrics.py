@@ -290,6 +290,11 @@ def test_reward_at_m_averages_instances():
     assert reward_at_m([[1.0], [0.0]], 1) == 0.5
 
 
+def test_reward_at_m_refuses_an_instance_without_rewards():
+    with pytest.raises(ValueError, match="^instance with no hypothesis rewards$"):
+        reward_at_m([[1.0], []], 1)
+
+
 def test_reward_at_m_non_increasing_in_m():
     rng = random.Random(59)
     for _ in range(100):

@@ -72,6 +72,19 @@ def test_load_inventory_bad_value():
         load_inventory("a\t0,2\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a\t1,0\nb 1,0\n", "line 2: expected 'symbol<TAB>values', got 'b 1,0'"),
+        ("a\t1,x", "line 1: non-integer feature value in '1,x'"),
+    ],
+)
+def test_load_inventory_names_a_malformed_line(text, message):
+    with pytest.raises(InventoryError) as raised:
+        load_inventory(text)
+    assert str(raised.value) == message
+
+
 def test_tokenize_simple(tiny_inv):
     word = tokenize("aj", tiny_inv)
     assert word.tokens == ("#", "@", "a", "@", "j", "@", "#")

@@ -819,6 +819,14 @@ CONTENT_FAULTS = {
         {"predicates": _A_SET, "change_pos": [0.0], "mappings": [{"kind": "delete"}]},
         Rule([PhoneSet(["a"])], [0.0], [Delete()]),
     ),
+    "no-change-positions": (
+        {"predicates": _A_SET, "change_pos": [], "mappings": []},
+        Rule([PhoneSet(["a"])], [], []),
+    ),
+    "empty-substitute-map": (
+        {"predicates": _A_SET, "change_pos": [0], "mappings": [{"kind": "substitute", "map": {}}]},
+        Rule([PhoneSet(["a"])], [0], [Substitute({})]),
+    ),
     "non-string-name": (
         {"predicates": _A_SET, "change_pos": [0], "mappings": [{"kind": "delete"}], "name": 7},
         Rule([PhoneSet(["a"])], [0], [Delete()], name=7),
@@ -848,6 +856,76 @@ def test_rule_json_and_callables_get_one_judge(tmp_path, tiny_inv, fault):
     assert external.rules == in_code.rules == []
     assert external.diagnostics == [f"dropped invalid candidate 0 from p: /programs/0: {reason}"]
     assert in_code.diagnostics == [f"dropped invalid candidate 0 from p: {reason}"]
+
+
+def test_a_shape_fault_in_an_external_program_is_dropped_at_its_member(tmp_path, tiny_inv):
+    merge = {"predicates": _A_SET, "change_pos": [0], "mappings": [{"kind": "merge"}]}
+    reply = json.dumps({"v": 1, "programs": [merge, VALID_RULE_OBJ]})
+    command = write_stub(tmp_path, "merge.py", f"""
+        import sys
+        sys.stdin.readline()
+        print({reply!r})
+    """)
+    result = propose(external_proposer(command, "p"), ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 4), tiny_inv)
+    assert result.rules == [sub_rule("a", 0, "a", "e")]
+    assert result.diagnostics == [
+        "dropped invalid candidate 0 from p: /programs/0/mappings/0/kind: unknown mapping kind 'merge'"
+    ]
+
+
+FEATURE_RULE = Rule([FeatureReq({0: 1})], [0], [Delete()])
+
+
+@pytest.mark.parametrize("search", ["single", "beam"])
+@pytest.mark.parametrize("source", ["callable", "external"])
+@pytest.mark.parametrize("with_inventory", [False, True])
+def test_a_search_without_an_inventory_drops_a_feature_rule(tmp_path, tiny_inv, search, source, with_inventory):
+    # Such a rule once passed the gate and then raised while the search applied it.
+    if source == "callable":
+        handle = callable_proposer(lambda request: [FEATURE_RULE], "feat")
+    else:
+        reply = json.dumps({"v": 1, "programs": [rule_to_obj(FEATURE_RULE)]})
+        handle = external_proposer(write_stub(tmp_path, "feat.py", f"""
+            import sys
+            for line in sys.stdin:
+                print({reply!r}, flush=True)
+        """), "feat")
+    data = Dataset([ExamplePair(s, t, "p0") for s, t in pairs(tiny_inv, ("aj", "j"))])
+    inv = tiny_inv if with_inventory else None
+    diagnostics: list[str] = []
+    if search == "single":
+        ranked = induce_single_law(handle, data, samples=1, inv=inv, diagnostics=diagnostics)
+        found = [rule for rule, _ in ranked]
+    else:
+        config = SearchConfig(beam_width=2, max_steps=1)
+        beams = beam_search_cascade(handle, data, config, inv=inv, diagnostics=diagnostics)
+        found = [rule for beam in beams for rule in beam.cascade.rules]
+    if with_inventory:
+        assert found == [FEATURE_RULE] and diagnostics == []
+    else:
+        where = "/programs/0: " if source == "external" else ""
+        assert found == []
+        assert diagnostics == [
+            f"dropped invalid candidate 0 from feat: {where}feature requirement at position 0 needs an inventory"
+        ]
+
+
+def test_external_reply_without_a_programs_list(tmp_path, tiny_inv):
+    command = write_stub(tmp_path, "no_programs.py", """
+        import sys
+        sys.stdin.readline()
+        print('{"v":1}')
+    """)
+    result = propose(external_proposer(command), ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 4), tiny_inv)
+    assert result.rules == []
+    assert result.diagnostics == ["proposer response has no 'programs' list"]
+
+
+def test_a_request_without_examples_and_a_command_without_argv_are_refused():
+    with pytest.raises(ValueError, match="^proposal request has no examples$"):
+        ProposalRequest([], 1)
+    with pytest.raises(ValueError, match="^external proposer command is empty$"):
+        external_proposer([])
 
 
 def test_request_wire_format(tiny_inv):

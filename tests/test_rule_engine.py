@@ -39,6 +39,7 @@ from cascade_forge.rule_engine import (
     layout_rule,
     parse_cascade,
     parse_rule,
+    rule_from_obj,
     serialize_cascade,
     serialize_rule,
 )
@@ -686,6 +687,54 @@ def test_parse_errors_carry_paths():
         parse_rule("not json")
     with pytest.raises(RuleParseError, match="^/: empty phone set at position 0$"):
         parse_rule('{"predicates":[{"kind":"phone_set","phones":[]}],"change_pos":[0],"mappings":[{"kind":"delete"}]}')
+
+
+DELETE_A = {"predicates": [{"kind": "phone_set", "phones": ["a"]}], "change_pos": [0], "mappings": [{"kind": "delete"}]}
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([], "/: expected an object, got list"),
+        ({**DELETE_A, "predicates": 5}, "/predicates: expected a list, got int"),
+        ({**DELETE_A, "predicates": [{"kind": "phone_set", "phones": [1]}]},
+         "/predicates/0/phones/0: expected a string, got int"),
+        ({**DELETE_A, "mappings": [{"kind": "substitute", "map": {"a": "e"}}]},
+         "/mappings/0/map/a: expected a list, got str"),
+        ({**DELETE_A, "mappings": [{"kind": "merge"}]}, "/mappings/0/kind: unknown mapping kind 'merge'"),
+    ],
+)
+def test_a_rule_json_shape_fault_names_its_member(obj, message):
+    with pytest.raises(RuleParseError) as raised:
+        parse_rule(json.dumps(obj))
+    assert str(raised.value) == message
+
+
+def test_a_rule_object_nested_too_deep_to_decode_is_a_parse_error():
+    # Built in Python, so no JSON decoder stops it before the rule decoder recurses.
+    pred = {"kind": "phone_set", "phones": ["a"]}
+    for _ in range(5000):
+        pred = {"kind": "not", "inner": pred}
+    with pytest.raises(RuleParseError) as raised:
+        rule_from_obj({**DELETE_A, "predicates": [pred]})
+    assert str(raised.value) == "/: nesting too deep"
+
+
+def test_a_feature_rule_is_invalid_without_an_inventory(tiny_inv):
+    # It could not match: FeatureReq.matches raises without an inventory.
+    text = json.dumps({**DELETE_A, "predicates": [{"kind": "feature_req", "reqs": {"0": 1}}]})
+    assert parse_rule(text, tiny_inv) == Rule([FeatureReq({0: 1})], [0], [Delete()])
+    with pytest.raises(RuleParseError) as raised:
+        parse_rule(text)
+    assert str(raised.value) == "/: feature requirement at position 0 needs an inventory"
+
+    negated = Rule([PhoneSet({"a"}), IsNothing(), Not(FeatureReq({0: 1}))], [0], [Delete()])
+    negated.validate(tiny_inv)
+    with pytest.raises(RuleError, match="^feature requirement at position 2 needs an inventory$"):
+        negated.validate()
+    # Every other check comes first.
+    with pytest.raises(RuleError, match="^empty phone set at position 2$"):
+        Rule([FeatureReq({0: 1}), IsNothing(), PhoneSet([])], [0], [Delete()]).validate()
 
 
 @pytest.mark.parametrize(

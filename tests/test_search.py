@@ -1,6 +1,8 @@
 import json
 from dataclasses import replace
 
+import pytest
+
 from cascade_forge.metrics import Dataset, ExamplePair, reward_report
 from cascade_forge.phonology import tokenize
 from cascade_forge.proposers import (
@@ -238,6 +240,14 @@ def test_beam_search_reward_monotone_with_stand_pat(tiny_inv, tmp_path):
     best_rewards = [max(h["reward"] for h in json.loads(p.read_text())) for p in steps]
     for earlier, later in zip(best_rewards, best_rewards[1:]):
         assert later >= earlier
+
+
+@pytest.mark.parametrize("value", [2.5, True, "3", 0])
+@pytest.mark.parametrize("field", ["beam_width", "samples_per_step", "max_steps"])
+def test_search_config_limits_must_be_positive_integers(field, value):
+    # A width of 2.5 was never reached, so the beam grew without bound.
+    with pytest.raises(ValueError, match=f"^{field} must be a positive integer, got "):
+        SearchConfig(**{field: value})
 
 
 def test_beam_search_carries_forward_on_empty_proposals(tiny_inv):

@@ -9,10 +9,13 @@ from cascade_forge import synthgen
 from cascade_forge.phonology import default_inventory, tokenize
 from cascade_forge.rule_engine import (
     Cascade,
+    Delete,
     FeatureReq,
+    Insert,
     IsNothing,
     Not,
     PhoneSet,
+    Rule,
     Substitute,
     WordEnd,
     WordStart,
@@ -37,10 +40,10 @@ from cascade_forge.synthgen import (
     nonce_word,
     sample_change_ops,
     task_rng,
-    verify_case,
     write_corpus,
 )
 from conftest import tree_bytes
+from oracles import assert_case_reproduced
 
 
 def boundary_kind(rule):
@@ -145,7 +148,7 @@ def test_smp_examples_reproduce_targets(default_inv):
         rng = task_rng(6, "repro", i)
         rule = gen_smp_law(default_inv, SmpSpec(), rng)
         case = gen_smp_examples(default_inv, rule, 50, rng)
-        verify_case(case, default_inv)
+        assert_case_reproduced(case, default_inv)
         for pair in case.dataset.pairs:
             assert apply_rule(rule, pair.source, default_inv) == pair.target
 
@@ -240,7 +243,7 @@ def test_ling_language_shape_and_invariant(default_inv):
     case = gen_ling_language(default_inv, spec, rng, name="lang-0")
     assert len(case.ground_truth) == 3
     assert len(case.dataset) == 50
-    verify_case(case, default_inv)
+    assert_case_reproduced(case, default_inv)
     final, trace = apply_cascade(case.ground_truth, case.dataset.pairs[0].source, default_inv)
     assert len(trace) == 3
     assert final == case.dataset.pairs[0].target
@@ -355,7 +358,7 @@ def test_multilaw_shape_and_balance(default_inv):
         assert len(case.dataset) == 20
         unchanged = sum(1 for p in case.dataset.pairs if p.source == p.target)
         assert unchanged >= 10
-        verify_case(case, default_inv)
+        assert_case_reproduced(case, default_inv)
 
 
 def test_multilaw_preserves_pool_order(default_inv):
@@ -380,6 +383,34 @@ def test_multilaw_resolves_each_environment_once_per_set(default_inv, monkeypatc
     cases = gen_multilaw_evalset(default_inv, pool, 3, 2, 20, task_rng(23, "envs"))
     assert len(cases) == 2
     assert len(calls) <= 3 * 2
+
+
+def test_multilaw_over_feature_rules_and_a_rule_without_phones(default_inv):
+    # The smp pools hold phone sets only; feature rules resolve their
+    # environment through the inventory, and a rule with no phone
+    # predicate has none, so its seeded words are plain nonce words.
+    rng = task_rng(19, "ml-ling")
+    protos = [nonce_word(default_inv, PROFILES["spa"], rng) for _ in range(50)]
+    rules = [gen_ling_rule(default_inv, protos, LingSpec(), rng) for _ in range(3)]
+    final = Rule([Not(PhoneSet({"a"})), IsNothing(), WordEnd()], [0], [Delete()])
+    assert all(environment_phones(rule, default_inv) for rule in rules)
+    with pytest.raises(GenerationError, match="no phone predicates"):
+        environment_phones(final, default_inv)
+    cases = gen_multilaw_evalset(default_inv, Cascade([*rules, final]), 4, 3, 20, task_rng(19, "ml"))
+    assert len(cases) == 3
+    for case in cases:
+        assert case.ground_truth.rules == (*rules, final)
+        assert len(case.dataset) == 20
+        assert sum(1 for p in case.dataset.pairs if p.source != p.target) == 10
+        assert_case_reproduced(case, default_inv)
+
+
+def test_multilaw_pool_changing_every_word_exhausts_the_draw_budget(default_inv, monkeypatch):
+    monkeypatch.setattr(synthgen, "MULTILAW_DRAW_BUDGET", 500)
+    append_a = Cascade([Rule([IsNothing(), WordEnd()], [0], [Insert(("a",))])])
+    with pytest.raises(GenerationError) as raised:
+        gen_multilaw_evalset(default_inv, append_a, 1, 1, 20, task_rng(19, "every"))
+    assert str(raised.value) == "draw budget exhausted while building set 0 (10/10 changed, 0/10 unchanged)"
 
 
 def test_multilaw_rejects_small_pool(default_inv):
