@@ -16,18 +16,20 @@ Distances are computed with bit-parallel Levenshtein (Myers 1999, in
 Hyyrö's 2001 formulation): a target becomes one phone -> bitmask table
 and each prediction phone then costs a handful of integer operations.  A
 ``Scorer`` holds those tables and each pair's source distance for one
-fixed set of pairs, and is built once per request or search.  Its
-``report`` re-measures only the predictions that changed: a prediction
-that *is* the prior form of its pair (the source itself unless a prior is
-given) reuses that pair's known distance, which is what ``apply_rule``
-returning its input object unchanged makes common.  ``reward_report`` is
-a one-off ``Scorer``, so every reward goes through the same path.
+fixed set of pairs: a proposal request owns one, which single-law
+induction also ranks on when the request holds every pair, and a beam
+search builds one.  Its ``report`` re-measures only the predictions that
+changed: a prediction that *is* the prior form of its pair (the source
+itself unless a prior is given) reuses that pair's known distance, which
+is what ``apply_rule`` returning its input object unchanged makes common.
+``reward_report`` is a one-off ``Scorer``, so every reward goes through
+the same path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from cascade_forge.phonology import TokenizedWord
 
@@ -148,8 +150,9 @@ _LENGTH_MISMATCH = "length mismatch between sources, predictions and targets"
 class Scorer:
     """Rewards of any number of prediction lists against one fixed set of pairs.
 
-    Built once per request or search, it holds each target's bitmask table
-    and each pair's source-to-target distance, so neither is recomputed.
+    It holds each target's bitmask table and each pair's source-to-target
+    distance, so neither is recomputed.  ``ranked`` is the memo that
+    ``proposers.rank_rules`` keeps of the reports it made on these pairs.
     """
 
     def __init__(
@@ -161,6 +164,7 @@ class Scorer:
         self._targets = tuple(_Target(t.phones) for t in targets)
         self._base = tuple(t.distance(s.phones) for t, s in zip(self._targets, self.sources))
         self._original = sum(self._base)
+        self.ranked: dict = {}
 
     def report(
         self,
@@ -239,14 +243,14 @@ def pass_rate(instance_best_rewards: Sequence[float]) -> float:
 # --- minimal edit scripts ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EditOp:
+class EditOp(NamedTuple):
     """One operation of a minimal edit script over phone sequences.
 
     ``pos`` indexes the source: substitutions and deletions sit on the phone
     they touch, insertions sit on the gap before ``pos`` (``pos == len(src)``
     appends).  Consecutive insertions at one gap are coalesced, so ``new``
-    can hold several phones.
+    can hold several phones.  It compares equal to the plain tuple
+    ``(kind, pos, old, new)``.
     """
 
     kind: str  # "sub" | "del" | "ins"

@@ -6,8 +6,11 @@ randomness: it aligns each changed pair with a minimal edit script, lifts
 groups of nearby edit operations into rules under every context window of
 up to two phones per side (optionally anchored to, or away from, a word
 edge), and returns its whole pool ranked with ``rank_rules`` on the
-requesting examples.  ``rank_rules`` is the one ranking of candidate
+request's own ``scorer``.  ``rank_rules`` is the one ranking of candidate
 rules: by reward, then fewer predicates, then canonical serialization.
+It remembers each report it made on a scorer, so ranking a rule again on
+that scorer (as single-law induction does) applies and scores it no more.
+Edit candidates are named tuples, hashed and compared as plain tuples.
 
 ``propose`` is the one gate: it reads the rules a callable returns, or
 the programs of an external reply, in order, decodes and validates each
@@ -35,7 +38,8 @@ import time
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import IO, Any, Callable, Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from cascade_forge.metrics import EditOp, RewardReport, Scorer, edit_script
 from cascade_forge.metrics import reward  # noqa: F401  (a binding perfbench/tracing.WRAPPED counts)
@@ -79,7 +83,11 @@ RIGHT_EDGES = (WordEnd(), Not(WordEnd()))
 
 @dataclass(frozen=True)
 class ProposalRequest:
-    """Examples plus sampling budget handed to a proposer."""
+    """Examples plus sampling budget handed to a proposer.
+
+    ``scorer``, a ``Scorer`` over the examples, is built on first use; it
+    takes no part in equality, ``repr`` or ``request_to_obj``.
+    """
 
     examples: tuple[tuple[TokenizedWord, TokenizedWord], ...]
     num_samples: int
@@ -93,6 +101,10 @@ class ProposalRequest:
             raise ValueError("proposal request has no examples")
         if type(num_samples) is not int or num_samples < 1:
             raise ValueError(f"num_samples must be a positive integer, got {num_samples!r}")
+
+    @cached_property
+    def scorer(self) -> Scorer:
+        return Scorer([s for s, _ in self.examples], [t for _, t in self.examples])
 
 
 @dataclass(frozen=True)
@@ -146,8 +158,7 @@ class ProposeResult:
 # --- edit candidate extraction ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EditCandidate:
+class EditCandidate(NamedTuple):
     """A group of edit operations plus one context window around them.
 
     ``ops`` hold positions relative to the covered source window: phone
@@ -156,7 +167,8 @@ class EditCandidate:
     window.  ``left_edge``/``right_edge`` are the predicates that side's
     word-edge condition adds beyond its context: ``WordStart()`` or
     ``Not(WordStart())`` on the left, ``WordEnd()`` or ``Not(WordEnd())``
-    on the right, and None when that side is unconstrained.
+    on the right, and None when that side is unconstrained.  It compares
+    equal to the plain tuple of these fields in this order.
     """
 
     ops: tuple[EditOp, ...]
@@ -247,7 +259,7 @@ def candidate_to_rule(candidate: EditCandidate) -> Rule:
 
 
 def builtin_enumerative_propose(request: ProposalRequest) -> list[Rule]:
-    """Deterministic candidate rules, best first by ``rank_rules`` on the request's examples.
+    """Deterministic candidate rules, best first by ``rank_rules`` on ``request.scorer``.
 
     A candidate's support is the number of changed pairs it comes from.  The
     pool holds the candidates with at least two supporting pairs, or every
@@ -264,8 +276,7 @@ def builtin_enumerative_propose(request: ProposalRequest) -> list[Rule]:
     # most_common sorts stably, so candidates of equal support keep discovery order.
     pool = [c for c, n in support.most_common() if n >= min_support][:MAX_POOL]
 
-    scorer = Scorer([s for s, _ in request.examples], [t for _, t in request.examples])
-    return [rule for rule, _ in rank_rules([candidate_to_rule(c) for c in pool], scorer)]
+    return [rule for rule, _ in rank_rules([candidate_to_rule(c) for c in pool], request.scorer)]
 
 
 def rank_rules(
@@ -277,15 +288,29 @@ def rank_rules(
     first copy, and ordered by reward, then fewer predicates, then serialization.
     A rule is applied only to the sources holding its anchor; every other
     prediction is the source itself, whose distance the scorer knows.
+
+    Each report made is kept in ``scorer.ranked`` and serves later calls on
+    the same scorer.  One made without an inventory serves any inventory:
+    without one, a rule that reaches a feature predicate on a phone raises,
+    and nothing else a rule does reads the inventory.  One made with an
+    inventory serves only that same inventory object.
     """
     scored: dict[Rule, RewardReport] = {}
-    anchored = anchored_words(scorer.sources)
+    anchored = None
     for rule in rules:
-        if rule not in scored:
-            preds = list(scorer.sources)
-            for i in anchored(rule):
-                preds[i] = apply_rule(rule, preds[i], inv)
-            scored[rule] = scorer.report(preds)
+        if rule in scored:
+            continue
+        entry = scorer.ranked.get(rule)
+        if entry is not None and (entry[0] is None or entry[0] is inv):
+            scored[rule] = entry[1]
+            continue
+        if anchored is None:
+            anchored = anchored_words(scorer.sources)
+        preds = list(scorer.sources)
+        for i in anchored(rule):
+            preds[i] = apply_rule(rule, preds[i], inv)
+        scored[rule] = scorer.report(preds)
+        scorer.ranked[rule] = (inv, scored[rule])
     order = sorted(scored, key=lambda r: (-scored[r].reward, len(r.predicates), serialize_rule(r)))
     return [(rule, scored[rule]) for rule in order]
 

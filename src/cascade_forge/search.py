@@ -12,7 +12,9 @@ dataset, config, and proposer transcript reproduce identical beams.
 Scoring always uses the full dataset.  One helper builds every proposer
 request, single-law or per beam, from the current forms and the targets;
 example selection (ITES), when on, only narrows which pairs the proposer
-sees.  Single-law candidates are ordered by ``proposers.rank_rules``.
+sees.  Single-law candidates are ordered by ``proposers.rank_rules`` on the
+request's own scorer when the request holds every pair, so the reports the
+builtin proposer made ranking its pool are reused, not re-made.
 
 Each search call keeps one process per external proposer command for all
 of its requests and closes them all when it returns or raises; a non-zero
@@ -137,14 +139,18 @@ def induce_single_law(
     """Request candidates once and order them by ``rank_rules`` on the full dataset.
 
     That is the builtin proposer's own order: reward, then fewer predicates,
-    then serialization.
+    then serialization.  When the request holds every pair (no ITES, or
+    ITES dropped none), the ranking runs on ``request.scorer``, where each
+    rule the builtin already ranked is a memo hit.
     """
     request = _request(dataset.sources, dataset, use_ites, samples, 0)
     with ProposerSessions(diagnostics) as sessions:
         result = propose(handle, request, inv, sessions=sessions)
         if diagnostics is not None:
             diagnostics.extend(result.diagnostics)
-    return rank_rules(result.rules, Scorer(dataset.sources, dataset.targets), inv)
+    full = len(request.examples) == len(dataset)  # ITES keeps the pairs' order
+    scorer = request.scorer if full else Scorer(dataset.sources, dataset.targets)
+    return rank_rules(result.rules, scorer, inv)
 
 
 def _rank_key(hypothesis: Hypothesis) -> tuple[float, int, str]:

@@ -2,6 +2,8 @@ import argparse
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -368,6 +370,36 @@ def test_induce_determinism(workdir, capsys):
         assert code == 0
     timed = ("manifest.json", "log.txt")
     assert tree_bytes(workdir / "d1", timed) == tree_bytes(workdir / "d2", timed)
+
+
+HASH_SEED_SCRIPT = """
+import os, sys
+from cascade_forge.cli import main
+out = sys.argv[1]
+gen = os.path.join(out, "gen")
+assert main(["generate", "smp", "--laws", "4", "--n", "30", "--seed", "21", "--out", gen]) == 0
+for case in sorted(name for name in os.listdir(gen) if name.startswith("case_")):
+    for mode, extra in (("plain", []), ("ites", ["--ites"])):
+        assert main(["induce", "--pairs", os.path.join(gen, case, "pairs.tsv"), "--mode", "single",
+                     "--seed", "21", *extra, "--out", os.path.join(out, mode, case)]) == 0
+"""
+
+
+def test_single_induction_is_byte_identical_across_hash_seeds(tmp_path):
+    # Candidates hash as tuples of strings, whose hashes change with the
+    # hash seed; one process (C09) cannot see order leaking from them.
+    src = Path(__file__).resolve().parent.parent / "src"
+    trees = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"seed{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT, str(out)],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 0, done.stderr
+        trees.append(tree_bytes(out, ("manifest.json", "log.txt")))
+    assert trees[0] == trees[1]
+    assert sum(name.startswith("ites") for name in trees[0]) >= 4
 
 
 # --- generate ----------------------------------------------------------------------

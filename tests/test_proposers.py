@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from cascade_forge import proposers
 from cascade_forge.metrics import Dataset, ExamplePair, Scorer, reward
-from cascade_forge.phonology import TokenizedWord, tokenize
+from cascade_forge.phonology import TokenizedWord, load_inventory, tokenize
 from cascade_forge.proposers import (
     MAX_POOL,
     TIMEOUT_ENV_VAR,
@@ -56,6 +57,7 @@ from cascade_forge.rule_engine import (
 from cascade_forge.search import SearchConfig, beam_search_cascade, hypothesis_to_obj, induce_single_law
 from cascade_forge.synthgen import GenerationError, SmpSpec, gen_smp_examples, gen_smp_law, task_rng
 
+from conftest import TINY_INVENTORY
 from oracles import reference_apply
 
 
@@ -288,6 +290,55 @@ def test_rank_rules_equals_applying_every_rule_to_every_source(default_inv):
         assert rank_rules(rules, scorer, default_inv) == [(rule, reports[rule]) for rule in order]
         checked += 1
     assert checked >= 10
+
+
+def test_request_scorer_is_built_once_and_is_not_part_of_the_request(tiny_inv):
+    examples = [(tokenize("aj", tiny_inv), tokenize("ej", tiny_inv))]
+    request = ProposalRequest(examples, 3)
+    text, obj = repr(request), request_to_obj(request)
+    assert request.scorer is request.scorer
+    assert request.scorer.report([examples[0][1]]).passed
+    assert request == ProposalRequest(examples, 3) and hash(request) == hash(ProposalRequest(examples, 3))
+    assert (repr(request), request_to_obj(request)) == (text, obj)
+
+
+def test_edit_candidates_hash_and_compare_as_plain_tuples(tiny_inv):
+    candidates = extract_edit_candidates(tokenize("kaj", tiny_inv), tokenize("kej", tiny_inv))
+    assert candidates
+    for candidate in candidates:
+        assert candidate == tuple(candidate) and hash(candidate) == hash(tuple(candidate))
+        assert all(op == tuple(op) for op in candidate.ops)
+
+
+def counting_apply_rule(monkeypatch):
+    calls = []
+
+    def counting(rule, word, inv=None):
+        calls.append(rule)
+        return apply_rule(rule, word, inv)
+
+    monkeypatch.setattr(proposers, "apply_rule", counting)
+    return calls
+
+
+def test_rank_rules_memo_serves_a_feature_rule_only_its_own_inventory(tiny_inv, monkeypatch):
+    scorer = Scorer([tokenize("aj", tiny_inv)], [tokenize("j", tiny_inv)])
+    feature_rule = Rule([FeatureReq({0: 1})], [0], [Delete()])  # deletes syllabic phones
+    assert rank_rules([feature_rule], scorer, tiny_inv)[0][1].passed
+    calls = counting_apply_rule(monkeypatch)
+    with pytest.raises(RuleError):
+        rank_rules([feature_rule], scorer)
+    assert rank_rules([feature_rule], scorer, load_inventory(TINY_INVENTORY))[0][1].passed
+    assert len(calls) == 2  # another inventory object is not served either
+
+
+def test_rank_rules_serves_an_inventory_free_report_to_any_inventory(tiny_inv, monkeypatch):
+    scorer = Scorer([tokenize("aj", tiny_inv), tokenize("tu", tiny_inv)], [tokenize("ej", tiny_inv)] * 2)
+    rule = Rule([PhoneSet({"a"})], [0], [Substitute({"a": ("e",)})])
+    first = rank_rules([rule], scorer)
+    calls = counting_apply_rule(monkeypatch)
+    assert rank_rules([rule], scorer, tiny_inv) == first
+    assert calls == []
 
 
 def test_propose_keeps_the_first_num_samples_rules_of_the_builtin_pool(default_inv):

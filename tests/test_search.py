@@ -1,9 +1,13 @@
+import functools
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from cascade_forge.metrics import Dataset, ExamplePair, reward_report
+import oracles
+from cascade_forge import proposers
+from cascade_forge.metrics import Dataset, ExamplePair, RewardReport, Scorer, reward_report
 from cascade_forge.phonology import tokenize
 from cascade_forge.proposers import (
     ProposalRequest,
@@ -11,6 +15,7 @@ from cascade_forge.proposers import (
     builtin_proposer,
     callable_proposer,
 )
+from cascade_forge.resources import strip_markers, tangkhulic_inventory, tangkhulic_laws
 from cascade_forge.rule_engine import (
     Cascade,
     IsNothing,
@@ -18,6 +23,7 @@ from cascade_forge.rule_engine import (
     Rule,
     Substitute,
     apply_cascade,
+    apply_rule,
     serialize_cascade,
     serialize_rule,
 )
@@ -28,6 +34,7 @@ from cascade_forge.search import (
     select_examples_ites,
 )
 from cascade_forge.synthgen import (
+    GenerationError,
     SmpSpec,
     gen_multilaw_evalset,
     gen_smp_examples,
@@ -35,7 +42,7 @@ from cascade_forge.synthgen import (
     task_rng,
 )
 
-from oracles import dp_distance, make_ground_truth_proposer
+from oracles import dp_distance, make_ground_truth_proposer, reference_apply
 
 
 def sub_rule(env, pos, old, new):
@@ -156,6 +163,114 @@ def test_induce_scores_on_full_dataset_with_ites(tiny_inv):
     ranked = induce_single_law(callable_proposer(spy), ds, use_ites=True, inv=tiny_inv)
     assert seen["n"] == 1  # proposer saw only the changed pair
     assert ranked[0][1].per_pair == (0, 0, 0)  # scored on all three
+
+
+def smp_cases(inv, label, count, n):
+    """Seeded smp cases with ``n`` pairs each, skipping laws the generator gives up on."""
+    for i in range(count):
+        rng = task_rng(21, label, i)
+        law = gen_smp_law(inv, SmpSpec(), rng)
+        try:
+            yield gen_smp_examples(inv, law, n, rng)
+        except GenerationError:
+            continue
+
+
+def test_single_induction_applies_each_rule_to_each_source_once(default_inv, monkeypatch):
+    # The builtin ranks its pool on the request's scorer, and induction ranks
+    # on that same scorer, so it finds every report it needs already made.
+    applied = Counter()
+    real = proposers.apply_rule
+
+    def counting(rule, word, inv=None):
+        applied[rule, id(word)] += 1
+        return real(rule, word, inv)
+
+    monkeypatch.setattr(proposers, "apply_rule", counting)
+    checked = 0
+    for case in smp_cases(default_inv, "apply-once", 6, 50):
+        applied.clear()
+        ranked = induce_single_law(builtin_proposer(), case.dataset, samples=20, inv=default_inv)
+        assert ranked and applied
+        assert max(applied.values()) == 1
+        checked += 1
+    assert checked >= 5
+
+
+def test_single_induction_with_ites_reports_on_a_fresh_full_scorer(default_inv):
+    inv = default_inv
+    checked = 0
+    for case in smp_cases(inv, "ites-fresh", 6, 50):
+        ds = case.dataset
+        filtered, _ = select_examples_ites(ds.pairs)
+        assert 0 < len(filtered) < len(ds)  # the proposer sees fewer pairs
+        ranked = induce_single_law(builtin_proposer(), ds, samples=20, use_ites=True, inv=inv)
+        fresh = Scorer(ds.sources, ds.targets)
+        assert ranked
+        for rule, report in ranked:
+            assert report == fresh.report([apply_rule(rule, s, inv) for s in ds.sources])
+        checked += 1
+    assert checked >= 5
+
+
+@pytest.fixture
+def brute_distance(monkeypatch):
+    """The oracle's recursive distance with its recursion memoised, fast enough for whole words."""
+    monkeypatch.setattr(oracles, "brute_distance", functools.cache(oracles.brute_distance))
+    return oracles.brute_distance
+
+
+def ranking_from_scratch(rules, pairs, inv, distance):
+    """``rank_rules`` rebuilt from the oracles: no ``Scorer``, anchor or memo."""
+    original = sum(distance(s.phones, t.phones) for s, t in pairs)
+    reports = {}
+    for rule in rules:
+        per_pair = tuple(distance(reference_apply(rule, s, inv).phones, t.phones) for s, t in pairs)
+        remaining = sum(per_pair)
+        if original == 0:
+            value = 1.0 if remaining == 0 else 1.0 - remaining
+        else:
+            value = 1.0 - remaining / original
+        reports.setdefault(rule, RewardReport(per_pair, original, remaining, value, remaining == 0))
+    order = sorted(reports, key=lambda r: (-reports[r].reward, len(r.predicates), serialize_rule(r)))
+    return [(rule, reports[rule]) for rule in order]
+
+
+@pytest.mark.parametrize("use_ites", [False, True])
+def test_single_induction_equals_a_ranking_from_scratch(default_inv, brute_distance, use_ites):
+    # The builtin's pool is taken as a set: the oracles rank it on the pairs
+    # the proposer saw, keep the top 20, and rank those on every pair.
+    inv = default_inv
+    checked = 0
+    for case in smp_cases(inv, "scratch-rank", 16, 30):
+        pairs = [(p.source, p.target) for p in case.dataset.pairs]
+        seen = pairs
+        if use_ites:
+            filtered, _ = select_examples_ites(case.dataset.pairs)
+            seen = [(p.source, p.target) for p in filtered] or pairs
+        pool = builtin_enumerative_propose(ProposalRequest(seen, 1))
+        chosen = [rule for rule, _ in ranking_from_scratch(pool, seen, inv, brute_distance)[:20]]
+        expected = ranking_from_scratch(chosen, pairs, inv, brute_distance)
+        got = induce_single_law(builtin_proposer(), case.dataset, samples=20, use_ites=use_ites, inv=inv)
+        assert got == expected
+        checked += 1
+    assert checked >= 12
+
+
+def test_builtin_recovers_at_least_23_of_the_26_tangkhulic_laws_in_sample():
+    # Each law's own examples, with the corpus inventory: a speed-up must not
+    # lower this floor silently.
+    inv = tangkhulic_inventory()
+    perfect = empty = 0
+    for law in tangkhulic_laws(inv):
+        ds = Dataset(
+            ExamplePair(tokenize(strip_markers(env), inv), tokenize(strip_markers(out), inv), f"p{i}")
+            for i, (env, out) in enumerate(law.examples)
+        )
+        ranked = induce_single_law(builtin_proposer(), ds, inv=inv)
+        empty += not ranked
+        perfect += bool(ranked) and ranked[0][1].reward == 1.0
+    assert empty == 0 and perfect >= 23, (perfect, empty)
 
 
 # --- beam search -----------------------------------------------------------------------
