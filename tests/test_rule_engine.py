@@ -254,9 +254,10 @@ def test_apply_matches_reference_on_feature_rules(default_inv):
         rng = task_rng(31, "ref", i)
         profile = PROFILES[rng.choice(sorted(PROFILES))]
         protos = [nonce_word(default_inv, profile, rng) for _ in range(20)]
-        rule = gen_ling_rule(default_inv, protos, spec, rng)
+        rule, forms = gen_ling_rule(default_inv, protos, spec, rng)
         for word in protos:
             assert apply_rule(rule, word, default_inv) == reference_apply(rule, word, default_inv)
+        assert forms == [reference_apply(rule, word, default_inv) for word in protos]
 
 
 def _random_feature_rule(inv, rng):
@@ -814,7 +815,7 @@ def test_random_rules_roundtrip(default_inv):
         if i % 10 == 0 and count < 30:
             profile = PROFILES[rng.choice(sorted(PROFILES))]
             protos = [nonce_word(default_inv, profile, rng) for _ in range(15)]
-            rule = gen_ling_rule(default_inv, protos, ling_spec, rng)
+            rule, _ = gen_ling_rule(default_inv, protos, ling_spec, rng)
             count += 1
         else:
             rule = gen_smp_law(default_inv, spec, rng)
@@ -950,7 +951,7 @@ def test_built_rules_keep_their_serialization(default_inv):
     for profile in ("deu", "ita", "vie"):
         rng = task_rng(0, "golden-ling", profile)
         protos = [nonce_word(inv, PROFILES[profile], rng) for _ in range(20)]
-        ling += [gen_ling_rule(inv, protos, spec, rng) for _ in range(4)]
+        ling += [gen_ling_rule(inv, protos, spec, rng)[0] for _ in range(4)]
     assert _serialization_digest(ling) == "6d7e1b5d4e2921aa4dc052b23f93f628f96d6f2bf7ae2b72f24764a9f627d289"
 
     candidates = []

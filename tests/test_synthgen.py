@@ -2,11 +2,12 @@ import copy
 import functools
 import hashlib
 import json
+import random
 
 import pytest
 
 from cascade_forge import synthgen
-from cascade_forge.phonology import default_inventory, tokenize
+from cascade_forge.phonology import TokenizedWord, default_inventory, tokenize
 from cascade_forge.rule_engine import (
     Cascade,
     Delete,
@@ -22,10 +23,15 @@ from cascade_forge.rule_engine import (
     apply_cascade,
     apply_rule,
     find_sites,
+    layout_rule,
     serialize_cascade,
 )
 from cascade_forge.synthgen import (
     GenerationError,
+    _ProtoformText,
+    _changeto_features,
+    _gated_requirements,
+    _gaussian_tails,
     LingSpec,
     PROFILES,
     SmpSpec,
@@ -43,7 +49,7 @@ from cascade_forge.synthgen import (
     write_corpus,
 )
 from conftest import tree_bytes
-from oracles import assert_case_reproduced
+from oracles import assert_case_reproduced, scan_sites
 
 
 def boundary_kind(rule):
@@ -202,7 +208,7 @@ def test_ling_rule_applies_to_min_protoforms(default_inv):
         rng = task_rng(10, "apply", i)
         profile = PROFILES[rng.choice(sorted(PROFILES))]
         protos = [nonce_word(default_inv, profile, rng) for _ in range(50)]
-        rule = gen_ling_rule(default_inv, protos, spec, rng)
+        rule, _ = gen_ling_rule(default_inv, protos, spec, rng)
         applies = sum(1 for w in protos if find_sites(rule, w, default_inv))
         assert applies >= spec.min_applicable
 
@@ -232,7 +238,7 @@ def test_ling_rule_is_never_vacuous(default_inv):
         rng = task_rng(11, "novac", i)
         profile = PROFILES[rng.choice(sorted(PROFILES))]
         protos = [nonce_word(default_inv, profile, rng) for _ in range(50)]
-        rule = gen_ling_rule(default_inv, protos, spec, rng)
+        rule, _ = gen_ling_rule(default_inv, protos, spec, rng)
         assert rule.mappings  # at least one change function
         assert all(isinstance(p, (FeatureReq, IsNothing)) for p in rule.predicates)
 
@@ -323,6 +329,88 @@ def test_ling_rule_attempt_cap_exhausts(default_inv):
         gen_ling_rule(default_inv, protos, spec, task_rng(14, "cap"))
 
 
+def _gauss_tails(rng, n):
+    """The tails of ``n`` calls of ``rng.gauss(0.0, 1.0)``, as ``_gaussian_tails`` gives them."""
+    draws = [rng.gauss(0.0, 1.0) for _ in range(n)]
+    return [(i, 0 if z <= -1.0 else 1) for i, z in enumerate(draws) if z <= -1.0 or z >= 1.0]
+
+
+@pytest.mark.parametrize("pending", [False, True], ids=["fresh", "pending"])
+@pytest.mark.parametrize("n", [0, 1, 7, 24])
+def test_gaussian_tails_reproduce_random_gauss(pending, n):
+    for seed in range(200):
+        inline, reference = random.Random(seed), random.Random(seed)
+        if pending:
+            inline.gauss(), reference.gauss()
+            assert inline.gauss_next is not None
+        assert _gaussian_tails(inline, n) == _gauss_tails(reference, n)
+        assert inline.getstate() == reference.getstate()
+        assert inline.gauss(0.0, 1.0) == reference.gauss(0.0, 1.0)
+
+
+def test_gaussian_gates_reproduce_random_gauss(default_inv):
+    # Chained calls of mixed lengths leave a draw pending or not, and the
+    # gates must read the tails as the Gaussian draws they replace.
+    picker, inline, reference = random.Random(5), random.Random(22), random.Random(22)
+    for _ in range(300):
+        features = picker.choice(default_inv.phones).features
+        expected = tuple(
+            (idx, value) for idx, value in enumerate(features)
+            if abs(reference.gauss(0.0, 1.0)) >= 1.0 and value in (0, 1)
+        )
+        assert _gated_requirements(features, inline) == expected
+        n = picker.choice((0, 1, 2, 3, 24))
+        expected_changes = {}
+        for idx in range(n):
+            z = reference.gauss(0.0, 1.0)
+            if z <= -1.0 or z >= 1.0:
+                expected_changes[idx] = int(z >= 1.0)
+        assert _changeto_features(n, inline) == expected_changes
+        assert inline.getstate() == reference.getstate()
+
+
+def _sites_by_scan(inv, words, window, inserts):
+    rule = layout_rule([FeatureReq(reqs) for reqs in window], {}, inserts)
+    return [i for i, word in enumerate(words) if scan_sites(rule, word, inv)]
+
+
+def test_protoform_text_sites_agree_with_scan_sites(default_inv):
+    inv = default_inv
+    rng = random.Random(22)
+    profiles = sorted(PROFILES)
+    sited = 0
+    for _ in range(150):
+        profile = PROFILES[rng.choice(profiles)]
+        words = [nonce_word(inv, profile, rng) for _ in range(rng.randint(0, 8))]
+        words += [TokenizedWord.from_phones(()), TokenizedWord.from_phones([rng.choice(profile.vowels)])]
+        words.append(TokenizedWord.from_phones([rng.choice(profile.onsets)] * rng.randint(2, 4)))
+        rng.shuffle(words)
+        text = _ProtoformText(inv, words)
+        phones = [phone for word in words for phone in word.phones]
+        for _ in range(20):
+            window = []
+            for _ in range(rng.randint(1, 6)):
+                kind = rng.random()
+                if kind < 0.3:
+                    window.append(())
+                elif kind < 0.4:
+                    idx = rng.randrange(inv.num_features)
+                    window.append(((idx, 0), (idx, 1)))
+                else:
+                    features = inv.phone(rng.choice(phones)).features
+                    window.append(tuple(
+                        (idx, value) for idx, value in enumerate(features)
+                        if value != -1 and rng.random() < 0.2
+                    ))
+            inserts = {
+                gap: [rng.choice(inv.symbols)] for gap in range(len(window) + 1) if rng.random() < 0.2
+            }
+            expected = _sites_by_scan(inv, words, window, inserts)
+            assert text.sited(window) == expected, (words, window, inserts)
+            sited += bool(expected)
+    assert sited > 500  # the windows find sites, not only their absence
+
+
 # --- nonce words -----------------------------------------------------------------------
 
 
@@ -391,7 +479,7 @@ def test_multilaw_over_feature_rules_and_a_rule_without_phones(default_inv):
     # predicate has none, so its seeded words are plain nonce words.
     rng = task_rng(19, "ml-ling")
     protos = [nonce_word(default_inv, PROFILES["spa"], rng) for _ in range(50)]
-    rules = [gen_ling_rule(default_inv, protos, LingSpec(), rng) for _ in range(3)]
+    rules = [gen_ling_rule(default_inv, protos, LingSpec(), rng)[0] for _ in range(3)]
     final = Rule([Not(PhoneSet({"a"})), IsNothing(), WordEnd()], [0], [Delete()])
     assert all(environment_phones(rule, default_inv) for rule in rules)
     with pytest.raises(GenerationError, match="no phone predicates"):
