@@ -151,8 +151,9 @@ class Scorer:
     """Rewards of any number of prediction lists against one fixed set of pairs.
 
     It holds each target's bitmask table and each pair's source-to-target
-    distance, so neither is recomputed.  ``ranked`` is the memo that
-    ``proposers.rank_rules`` keeps of the reports it made on these pairs.
+    distance, so neither is recomputed.  ``ranked`` is the memo, rule to
+    report, that ``proposers.rank_rules`` keeps of the reports it made on
+    these pairs without an inventory.
     """
 
     def __init__(

@@ -17,10 +17,9 @@ Feature arithmetic runs on bit masks: bit ``i`` of a phone's ``ones``
 (``zeros``) is set where feature ``i`` is 1 (0).  Each phone builds these
 from its own vector; any other ``(index, value)`` pairs become masks only
 through :func:`requirement_masks`, and :meth:`Inventory.satisfies` alone
-tests a phone against requirement masks.  Across phones, an inventory
-indexes each feature by the masks of the phones holding 0 and 1 there
-(bit ``j`` for the ``j``-th phone), which :meth:`Inventory.matching_phones`
-reads.
+tests a phone against requirement masks.  An inventory keeps no index of
+its phones by feature: :meth:`Inventory.matching_phones` filters the
+phones through :meth:`Inventory.satisfies`.
 """
 
 from __future__ import annotations
@@ -90,9 +89,9 @@ class Inventory:
     """A closed, ordered set of phones sharing one feature geometry.
 
     Immutable after construction: each phone's feature masks are built
-    when the phone is, the per-feature phone masks when the inventory is,
-    and no lookup stores anything on the instance, so instances can be
-    shared freely across threads.
+    when the phone is, and no lookup stores anything on the instance, so
+    instances can be shared freely across threads.  Across phones it
+    derives only the symbols, the symbol lookup and the symbol lengths.
     """
 
     def __init__(self, phones: Iterable[Phone], feature_names: Iterable[str] | None = None):
@@ -127,14 +126,6 @@ class Inventory:
             sorted({len(s) for s in self._by_symbol}, reverse=True)
         )
 
-        # Per feature, the masks of the phones holding 0 and 1 there, bit j for phones[j].
-        holding = [[0, 0] for _ in range(self.num_features)]
-        for j, phone in enumerate(self.phones):
-            for i, value in enumerate(phone.features):
-                if value != -1:
-                    holding[i][value] |= 1 << j
-        self._holding: tuple[tuple[int, int], ...] = tuple(map(tuple, holding))
-
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._by_symbol
 
@@ -151,21 +142,11 @@ class Inventory:
         """Symbols of all phones satisfying the partial feature requirements.
 
         ``requirements`` holds ``(index, value)`` pairs, as ``FeatureReq.reqs``
-        does.  The answer is the AND of the pairs' index masks, decoded to
-        symbols; a value other than 0 or 1 matches nothing, as in
-        :func:`requirement_masks`.
+        does.  The phones are filtered through :meth:`satisfies`, on every
+        call.
         """
-        if requirement_masks(requirements)[2] > self.num_features:
-            raise InventoryError(f"feature index out of range (F={self.num_features})")
-        found = (1 << len(self.phones)) - 1
-        for idx, value in requirements:
-            found &= self._holding[idx][value == 1] if value in (0, 1) else 0
-        symbols = []
-        while found:
-            low = found & -found
-            symbols.append(self.symbols[low.bit_length() - 1])
-            found ^= low
-        return frozenset(symbols)
+        masks = requirement_masks(requirements)
+        return frozenset(s for s in self.symbols if self.satisfies(s, masks))
 
     def satisfies(self, symbol: str, masks: tuple[int, int, int]) -> bool:
         """True iff ``symbol`` is a phone of this inventory meeting ``masks``.

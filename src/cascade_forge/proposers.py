@@ -8,8 +8,9 @@ up to two phones per side (optionally anchored to, or away from, a word
 edge), and returns its whole pool ranked with ``rank_rules`` on the
 request's own ``scorer``.  ``rank_rules`` is the one ranking of candidate
 rules: by reward, then fewer predicates, then canonical serialization.
-It remembers each report it made on a scorer, so ranking a rule again on
-that scorer (as single-law induction does) applies and scores it no more.
+It remembers each report it made on a scorer without an inventory, so
+ranking a rule again on that scorer (as single-law induction does after
+the builtin) applies and scores it no more.
 Edit candidates are named tuples, hashed and compared as plain tuples.
 
 ``propose`` is the one gate: it reads the rules a callable returns, or
@@ -289,20 +290,20 @@ def rank_rules(
     A rule is applied only to the sources holding its anchor; every other
     prediction is the source itself, whose distance the scorer knows.
 
-    Each report made is kept in ``scorer.ranked`` and serves later calls on
-    the same scorer.  One made without an inventory serves any inventory:
-    without one, a rule that reaches a feature predicate on a phone raises,
-    and nothing else a rule does reads the inventory.  One made with an
-    inventory serves only that same inventory object.
+    A report made without an inventory is kept in ``scorer.ranked`` and
+    serves later calls on the same scorer with any inventory: without one,
+    a rule that reaches a feature predicate on a phone raises, and nothing
+    else a rule does reads the inventory.  A report made with an inventory
+    is not kept.
     """
     scored: dict[Rule, RewardReport] = {}
     anchored = None
     for rule in rules:
         if rule in scored:
             continue
-        entry = scorer.ranked.get(rule)
-        if entry is not None and (entry[0] is None or entry[0] is inv):
-            scored[rule] = entry[1]
+        report = scorer.ranked.get(rule)
+        if report is not None:
+            scored[rule] = report
             continue
         if anchored is None:
             anchored = anchored_words(scorer.sources)
@@ -310,7 +311,8 @@ def rank_rules(
         for i in anchored(rule):
             preds[i] = apply_rule(rule, preds[i], inv)
         scored[rule] = scorer.report(preds)
-        scorer.ranked[rule] = (inv, scored[rule])
+        if inv is None:
+            scorer.ranked[rule] = scored[rule]
     order = sorted(scored, key=lambda r: (-scored[r].reward, len(r.predicates), serialize_rule(r)))
     return [(rule, scored[rule]) for rule in order]
 

@@ -33,8 +33,8 @@ from cascade_forge.metrics import (
     RewardReport,
     Scorer,
     edit_script,
-    reward_report,
 )
+from cascade_forge.metrics import reward_report  # noqa: F401  (a binding perfbench/tracing.WRAPPED counts)
 from cascade_forge.phonology import Inventory, TokenizedWord
 from cascade_forge.proposers import ProposalRequest, ProposerHandle, ProposerSessions, propose, rank_rules
 from cascade_forge.resources import atomic_write, dumps
@@ -179,7 +179,7 @@ def beam_search_cascade(
     log_lines: list[str] = []
 
     scorer = Scorer(sources, targets)
-    initial = reward_report(sources, sources, targets)
+    initial = scorer.report(sources)
     beams = [Hypothesis(Cascade(), tuple(sources), initial.reward, 0, initial.per_pair)]
 
     with ProposerSessions(diagnostics) as sessions:

@@ -290,6 +290,10 @@ def test_matching_phones_agrees_with_feature_match(default_inv):
             reqs = tuple(sorted((i, rng.choice((0, 1, 0, 1, -1, 2))) for i in indices))
             expected = frozenset(p.symbol for p in inv.phones if feature_holds(p.features, reqs))
             assert inv.matching_phones(reqs) == expected
+        for index in range(inv.num_features):  # one index required to hold 0 and 1
+            reqs = ((index, 0), (index, 1))
+            assert not any(feature_holds(p.features, reqs) for p in inv.phones)
+            assert inv.matching_phones(reqs) == frozenset()
 
 
 @pytest.mark.parametrize("reqs", [

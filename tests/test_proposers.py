@@ -341,6 +341,15 @@ def test_rank_rules_serves_an_inventory_free_report_to_any_inventory(tiny_inv, m
     assert calls == []
 
 
+def test_rank_rules_keeps_only_inventory_free_reports(tiny_inv):
+    scorer = Scorer([tokenize("aj", tiny_inv), tokenize("tu", tiny_inv)], [tokenize("ej", tiny_inv)] * 2)
+    rule = Rule([PhoneSet({"a"})], [0], [Substitute({"a": ("e",)})])
+    rank_rules([rule], scorer, tiny_inv)
+    assert scorer.ranked == {}
+    ((_, report),) = rank_rules([rule], scorer)
+    assert scorer.ranked == {rule: report}
+
+
 def test_propose_keeps_the_first_num_samples_rules_of_the_builtin_pool(default_inv):
     # The builtin returns its whole ranked pool, and the gate alone cuts it.
     example_sets = []

@@ -300,6 +300,21 @@ def test_beam_search_keeps_the_forms_a_rule_cannot_reach(tiny_inv):
     assert beam.forms[1] is ds.pairs[1].source and beam.forms[2] is ds.pairs[2].source
 
 
+def test_beam_search_builds_one_scorer(tiny_inv, monkeypatch):
+    built = []
+    real = Scorer.__init__
+
+    def counting(self, sources, targets):
+        built.append(self)
+        real(self, sources, targets)
+
+    monkeypatch.setattr(Scorer, "__init__", counting)
+    ds = dataset(tiny_inv, ("aj", "ej"), ("kat", "ket"))
+    cfg = SearchConfig(beam_width=2, samples_per_step=1, max_steps=2, early_stop_on_perfect=False)
+    beam_search(callable_proposer(lambda r: [sub_rule("a", 0, "a", "e")]), ds, cfg, inv=tiny_inv)
+    assert len(built) == 1
+
+
 def test_beam_search_expansion_counts(tiny_inv):
     calls = []
 
