@@ -252,6 +252,11 @@ class EditOp(NamedTuple):
     appends).  Consecutive insertions at one gap are coalesced, so ``new``
     can hold several phones.  It compares equal to the plain tuple
     ``(kind, pos, old, new)``.
+
+    ``edit_script`` emits its ops in source order: ``pos`` never decreases,
+    and an insertion at gap ``p`` comes before the substitution or deletion
+    of phone ``p``.  So the source window of a run of consecutive ops starts
+    at its first op's ``pos`` and ends where its last op ends.
     """
 
     kind: str  # "sub" | "del" | "ins"
@@ -261,11 +266,15 @@ class EditOp(NamedTuple):
 
 
 def edit_script(src: Sequence[str], tgt: Sequence[str]) -> list[EditOp]:
-    """One minimal edit script with a fixed tie-break.
+    """One minimal edit script with a fixed tie-break, in source order.
 
-    Among cost-equal alignments the walk prefers keeping matched phones,
-    then substitution over deletion over insertion, proceeding left to
-    right, which makes the script deterministic.
+    The walk runs left to right over the suffix-distance table.  At each
+    step it takes, among the moves that keep the script minimal, a
+    substitution on a mismatch, else a deletion, else an insertion, and a
+    match only when none of these does.  So ``aa -> a`` deletes phone 0
+    and ``a -> aa`` inserts at gap 0.  Every step but an insertion
+    advances the source position, so insertions at one gap are consecutive
+    steps and extend one op.
     """
     m, n = len(src), len(tgt)
     # suffix[i][j] = distance between src[i:] and tgt[j:]
@@ -281,37 +290,24 @@ def edit_script(src: Sequence[str], tgt: Sequence[str]) -> list[EditOp]:
             cost = 0 if src[i] == tgt[j] else 1
             row[j] = min(below[j + 1] + cost, below[j] + 1, row[j + 1] + 1)
     ops: list[EditOp] = []
-    pending_insert: list[str] = []
-    insert_at = -1
-
-    def flush() -> None:
-        nonlocal pending_insert, insert_at
-        if pending_insert:
-            ops.append(EditOp("ins", insert_at, None, tuple(pending_insert)))
-            pending_insert = []
-            insert_at = -1
-
     i = j = 0
     while i < m or j < n:
         here = suffix[i][j]
         if i < m and j < n and src[i] != tgt[j] and suffix[i + 1][j + 1] + 1 == here:
-            flush()
             ops.append(EditOp("sub", i, src[i], (tgt[j],)))
             i += 1
             j += 1
         elif i < m and suffix[i + 1][j] + 1 == here:
-            flush()
             ops.append(EditOp("del", i, src[i], ()))
             i += 1
         elif j < n and suffix[i][j + 1] + 1 == here:
-            if not pending_insert:
-                insert_at = i
-            pending_insert.append(tgt[j])
+            if ops and ops[-1].kind == "ins" and ops[-1].pos == i:
+                ops[-1] = EditOp("ins", i, None, ops[-1].new + (tgt[j],))
+            else:
+                ops.append(EditOp("ins", i, None, (tgt[j],)))
             j += 1
         else:
             assert i < m and j < n and src[i] == tgt[j] and suffix[i + 1][j + 1] == here
-            flush()
             i += 1
             j += 1
-    flush()
     return ops

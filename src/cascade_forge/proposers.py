@@ -14,10 +14,11 @@ the builtin) applies and scores it no more.
 Edit candidates are named tuples, hashed and compared as plain tuples.
 
 ``propose`` is the one gate: it reads the rules a callable returns, or
-the programs of an external reply, in order, decodes and validates each
-once, drops each invalid one with a diagnostic, and keeps the first
-``num_samples`` valid ones, so an invalid rule never takes a valid rule's
-place and nothing after the cut is read.
+the programs of an external reply, one at a time in order, decodes and
+validates each once, drops each invalid one with a diagnostic, and keeps
+the first ``num_samples`` valid ones, so an invalid rule never takes a
+valid rule's place and nothing after the cut is read: a callable that is
+a generator is not resumed after it.
 
 External proposers are child processes speaking one JSON object per line
 on stdin/stdout; ``external_propose`` only exchanges the lines.  A search
@@ -116,7 +117,7 @@ class ProposerHandle:
     name: str = ""
     command: tuple[str, ...] = ()
     members: tuple["ProposerHandle", ...] = ()
-    fn: Callable[[ProposalRequest], Sequence[Rule]] | None = field(default=None, compare=False)
+    fn: Callable[[ProposalRequest], Iterable[Rule]] | None = field(default=None, compare=False)
 
 
 def builtin_proposer() -> ProposerHandle:
@@ -145,7 +146,7 @@ def ensemble_proposer(members: Iterable[ProposerHandle], name: str = "ensemble")
 
 
 def callable_proposer(
-    fn: Callable[[ProposalRequest], Sequence[Rule]], name: str = "callable"
+    fn: Callable[[ProposalRequest], Iterable[Rule]], name: str = "callable"
 ) -> ProposerHandle:
     return ProposerHandle(kind="callable", name=name, fn=fn)
 
@@ -180,23 +181,6 @@ class EditCandidate(NamedTuple):
     right_edge: Predicate | None
 
 
-def _window(ops: Sequence[EditOp]) -> tuple[int, int] | None:
-    """Minimal source phone window [lo, hi) holding all ops, or None if too wide."""
-    lo = None
-    hi = None
-    for op in ops:
-        if op.kind == "ins":
-            op_lo, op_hi = op.pos, op.pos
-        else:
-            op_lo, op_hi = op.pos, op.pos + 1
-        lo = op_lo if lo is None else min(lo, op_lo)
-        hi = op_hi if hi is None else max(hi, op_hi)
-    assert lo is not None and hi is not None
-    if hi - lo > MAX_SPAN:
-        return None
-    return lo, hi
-
-
 def _side_variants(
     room: int, edges: tuple[Predicate, Predicate]
 ) -> Iterator[tuple[int, Predicate | None]]:
@@ -220,12 +204,14 @@ def extract_edit_candidates(source: TokenizedWord, target: TokenizedWord) -> lis
     script = edit_script(src, target.phones)
     candidates: dict[EditCandidate, None] = {}
     for start in range(len(script)):
-        for stop in range(start + 1, len(script) + 1):
-            group = script[start:stop]
-            window = _window(group)
-            if window is None:
+        # The script is in source order (see ``EditOp``), so the group
+        # script[start:stop + 1] covers the source window [lo, hi).
+        lo = script[start].pos
+        for stop in range(start, len(script)):
+            hi = script[stop].pos + (script[stop].kind != "ins")
+            if hi - lo > MAX_SPAN:
                 break
-            lo, hi = window
+            group = script[start : stop + 1]
             rel_ops = tuple(EditOp(op.kind, op.pos - lo, op.old, op.new) for op in group)
             covered = tuple(src[lo:hi])
             for left_radius, left_edge in _side_variants(lo, LEFT_EDGES):
@@ -609,7 +595,9 @@ def propose(
     with the diagnostic ``dropped invalid candidate {i} from {name}:
     {reason}``, ``i`` being its index in the reply.  The gate stops once
     ``num_samples`` valid rules are kept, so an invalid rule never takes a
-    valid one's place and the items after the cut are never read.  A
+    valid one's place and the items after the cut are never read: a
+    callable's iterable is pulled one item at a time, and a generator is
+    not resumed after the cut.  A
     callable that returns something not iterable gives no rules and one
     diagnostic.  An ensemble keeps the first copy of equal rules and does
     not cut the union, so it returns up to ``num_samples`` rules per member.
@@ -626,18 +614,17 @@ def propose(
                 pooled.setdefault(rule)
         return ProposeResult(list(pooled), diagnostics)
     if handle.kind == "external":
-        result = external_propose(handle.command, request, sessions)
+        reply = external_propose(handle.command, request, sessions)
+        items, diagnostics = reply.rules, reply.diagnostics
     else:
         returned = handle.fn(request)
         try:
-            rules_in = iter(returned)
+            items = iter(returned)
         except TypeError:
             return ProposeResult([], [f"{handle.name} returned a {type(returned).__name__}, not rules"])
-        result = ProposeResult(list(rules_in), [])
+        diagnostics = []
     rules: list[Rule] = []
-    for i, item in enumerate(result.rules):
-        if len(rules) == request.num_samples:
-            break
+    for i, item in enumerate(items):
         try:
             if handle.kind == "external":
                 rule = rule_from_obj(item, f"/programs/{i}", inv)
@@ -647,8 +634,9 @@ def propose(
             else:
                 raise RuleError(f"expected a Rule, got {type(item).__name__}")
         except RuleError as exc:
-            result.diagnostics.append(f"dropped invalid candidate {i} from {handle.name}: {exc}")
+            diagnostics.append(f"dropped invalid candidate {i} from {handle.name}: {exc}")
             continue
         rules.append(rule)
-    result.rules = rules
-    return result
+        if len(rules) == request.num_samples:
+            break
+    return ProposeResult(rules, diagnostics)

@@ -172,6 +172,39 @@ def make_ground_truth_proposer(cascade, sources, inv):
     return callable_proposer(oracle, "ground-truth")
 
 
+def reference_edit_candidates(src: tuple[str, ...], script, max_span: int, max_context: int) -> list[tuple]:
+    """Every distinct edit candidate of one pair's edit script, in discovery order.
+
+    Each run of consecutive ops gets its source window from a min/max scan
+    over all of its ops (a substitution or deletion covers its phone, an
+    insertion the empty span at its gap), and a window wider than
+    ``max_span`` phones is skipped.  Each side then takes every context of
+    up to ``max_context`` phones that fits, plain and with its word-edge
+    predicate: at the edge when the context reaches it, not at it otherwise.
+    """
+    found: dict[tuple, None] = {}
+    for start in range(len(script)):
+        for stop in range(start + 1, len(script) + 1):
+            group = script[start:stop]
+            lo = min(op.pos for op in group)
+            hi = max(op.pos + (op.kind != "ins") for op in group)
+            if hi - lo > max_span:
+                continue
+            ops = tuple((op.kind, op.pos - lo, op.old, op.new) for op in group)
+            lefts = []
+            for radius in range(min(lo, max_context) + 1):
+                edge = WordStart() if radius == lo else Not(WordStart())
+                lefts += [(src[lo - radius : lo], None), (src[lo - radius : lo], edge)]
+            rights = []
+            for radius in range(min(len(src) - hi, max_context) + 1):
+                edge = WordEnd() if radius == len(src) - hi else Not(WordEnd())
+                rights += [(src[hi : hi + radius], None), (src[hi : hi + radius], edge)]
+            for left, left_edge in lefts:
+                for right, right_edge in rights:
+                    found[(ops, src[lo:hi], left, right, left_edge, right_edge)] = None
+    return list(found)
+
+
 def replay_script(src: tuple[str, ...], ops) -> tuple[str, ...]:
     """Apply a metrics edit script to the source phone sequence."""
     out: list[str] = []

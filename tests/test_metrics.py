@@ -358,6 +358,7 @@ def test_edit_script_cost_equals_distance_and_replays():
         cost = sum(len(op.new) if op.kind == "ins" else 1 for op in ops)
         assert cost == edit_distance(a, b)
         assert replay_script(a.phones, ops) == b.phones
+        assert all(x.pos <= y.pos and not (x.kind == y.kind == "ins" and x.pos == y.pos) for x, y in zip(ops, ops[1:]))
 
 
 def test_edit_script_prefers_substitution():

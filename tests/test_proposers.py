@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from cascade_forge import proposers
-from cascade_forge.metrics import Dataset, ExamplePair, Scorer, reward
+from cascade_forge.metrics import Dataset, ExamplePair, Scorer, edit_script, reward
 from cascade_forge.phonology import TokenizedWord, load_inventory, tokenize
 from cascade_forge.proposers import (
     MAX_POOL,
@@ -58,7 +59,7 @@ from cascade_forge.search import SearchConfig, beam_search_cascade, hypothesis_t
 from cascade_forge.synthgen import GenerationError, SmpSpec, gen_smp_examples, gen_smp_law, task_rng
 
 from conftest import TINY_INVENTORY
-from oracles import reference_apply
+from oracles import reference_apply, reference_edit_candidates
 
 
 def pairs(inv, *items):
@@ -119,6 +120,28 @@ def test_extract_groups_adjacent_ops(tiny_inv):
 def test_extract_deduplicates(tiny_inv):
     candidates = extract_edit_candidates(*pairs(tiny_inv, ("aj", "ej"))[0])
     assert len(candidates) == len(set(candidates))
+
+
+def test_extract_matches_a_window_scan_reference():
+    # Targets are sources edited at random, so scripts mix insertions
+    # (also runs at one gap), substitutions and deletions.
+    rng = random.Random(83)
+    kinds = Counter()
+    for _ in range(600):
+        src = [rng.choice("abcd") for _ in range(rng.randint(0, 7))]
+        tgt = list(src)
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.choice(("ins", "sub", "del")) if tgt else "ins"
+            at = rng.randrange(len(tgt) + (kind == "ins"))
+            if kind == "ins":
+                tgt[at:at] = rng.choices("abcde", k=rng.randint(1, 2))
+            else:
+                tgt[at : at + 1] = [rng.choice("abcde")] if kind == "sub" else []
+        script = edit_script(tuple(src), tuple(tgt))
+        kinds.update("run" if len(op.new) > 1 else op.kind for op in script)
+        got = extract_edit_candidates(TokenizedWord.from_phones(src), TokenizedWord.from_phones(tgt))
+        assert got == reference_edit_candidates(tuple(src), script, proposers.MAX_SPAN, proposers.MAX_CONTEXT)
+    assert min(kinds[kind] for kind in ("ins", "sub", "del", "run")) > 100, kinds
 
 
 def test_candidate_to_rule_insert_between_contexts(tiny_inv):
@@ -502,6 +525,30 @@ def test_the_gate_stops_once_num_samples_valid_rules_are_kept(tiny_inv, order, d
     result = propose(handle, ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 2), tiny_inv)
     assert result.rules == [rules["good"]] * 2
     assert len(result.diagnostics) == diagnosed
+
+
+def test_the_gate_pulls_a_callables_rules_no_further_than_the_cut(tiny_inv):
+    good = sub_rule("a", 0, "a", "e")
+    pulled = []
+
+    def counting(request):
+        for k in range(5):
+            pulled.append(k)
+            yield good
+
+    def raising_after_the_cut(request):
+        yield BAD_RULE
+        yield good
+        yield good
+        raise RuntimeError("sampled past the cut")
+
+    request = ProposalRequest(pairs(tiny_inv, ("aj", "ej")), 2)
+    assert propose(callable_proposer(counting, "stub"), request, tiny_inv).rules == [good, good]
+    assert pulled == [0, 1]
+    result = propose(callable_proposer(raising_after_the_cut, "stub"), request, tiny_inv)
+    assert result.rules == [good, good]
+    assert len(result.diagnostics) == 1
+    assert result.diagnostics[0].startswith("dropped invalid candidate 0 from stub: ")
 
 
 @pytest.mark.parametrize(

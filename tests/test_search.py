@@ -273,6 +273,18 @@ def test_builtin_recovers_at_least_23_of_the_26_tangkhulic_laws_in_sample():
     assert empty == 0 and perfect >= 23, (perfect, empty)
 
 
+def test_builtin_beam_search_recovers_all_20_seed_0_multilaw_cascades(default_inv):
+    # The generate-multilaw corpus at seed 0 (a 25-law pool, 20 sets of 5
+    # laws over 20 words), searched as multilaw-beam searches it.
+    pool = Cascade(gen_smp_law(default_inv, SmpSpec(), task_rng(0, "pool", i)) for i in range(25))
+    cases = gen_multilaw_evalset(default_inv, pool, 5, 20, 20, task_rng(0, "multilaw"))
+    config = SearchConfig(beam_width=20, samples_per_step=1, max_steps=5)
+    solved = sum(
+        beam_search(builtin_proposer(), case.dataset, config, inv=default_inv)[0].reward == 1.0 for case in cases
+    )
+    assert solved == 20
+
+
 # --- beam search -----------------------------------------------------------------------
 
 
