@@ -1,8 +1,11 @@
+import collections
 import copy
 import functools
 import hashlib
 import json
+import math
 import random
+import statistics
 
 import pytest
 
@@ -367,6 +370,101 @@ def test_gaussian_gates_reproduce_random_gauss(default_inv):
                 expected_changes[idx] = int(z >= 1.0)
         assert _changeto_features(n, inline) == expected_changes
         assert inline.getstate() == reference.getstate()
+
+
+# Statistical conformance: the gates and lengths draw the distributions of
+# |z| >= 1 and round(|z|) for a standard normal z, however they draw them.
+P_TAIL = math.erfc(math.sqrt(0.5))  # P(|z| >= 1) ~= 0.3173
+
+
+def _within(hits, n, p, sigmas=3):
+    return abs(hits / n - p) <= sigmas * math.sqrt(p * (1 - p) / n)
+
+
+def test_gated_requirements_keep_a_specified_feature_at_the_tail_rate(default_inv):
+    picker, rng = random.Random(5), random.Random(22)
+    decisions = kept = 0
+    for _ in range(600):
+        features = picker.choice(default_inv.phones).features
+        gated = _gated_requirements(features, rng)
+        assert [idx for idx, _ in gated] == sorted({idx for idx, _ in gated})
+        assert all(value in (0, 1) and features[idx] == value for idx, value in gated)
+        decisions += sum(value in (0, 1) for value in features)
+        kept += len(gated)
+    assert decisions >= 10_000
+    assert _within(kept, decisions, P_TAIL), kept / decisions
+
+
+def test_changeto_features_take_each_tail_at_half_the_tail_rate():
+    rng = random.Random(23)
+    n, calls = 24, 500
+    values = collections.Counter()
+    for _ in range(calls):
+        changes = _changeto_features(n, rng)
+        assert set(changes) <= set(range(n))
+        values.update(changes.values())
+    assert set(values) <= {0, 1}
+    for value in (0, 1):
+        assert _within(values[value], n * calls, P_TAIL / 2), (value, values[value] / (n * calls))
+
+
+def test_gaussian_lengths_follow_rounded_half_normal():
+    rng = random.Random(24)
+    n = 20_000
+    counts = collections.Counter(synthgen._gaussian_length(rng) for _ in range(n))
+    assert min(counts) >= 1
+    for length in (1, 2, 3, 4):
+        # P(round(|z|) = k) = P(k - 1/2 <= |z| < k + 1/2)
+        k = length - 1
+        p = math.erf((k + 0.5) / math.sqrt(2)) - (math.erf((k - 0.5) / math.sqrt(2)) if k else 0.0)
+        assert _within(counts[length], n, p), (length, counts[length] / n, p)
+
+
+def _language_stats(case):
+    """Per-language statistics of a ling case: feature positions per rule,
+    requirements per position, changed words, and the share of its rules
+    holding a delete, a substitute and an insert."""
+    rules = case.ground_truth.rules
+    positions = [p for rule in rules for p in rule.predicates if isinstance(p, FeatureReq)]
+
+    def share(kind):
+        return sum(any(isinstance(fn, kind) for fn in rule.mappings) for rule in rules) / len(rules)
+
+    return {
+        "positions_per_rule": len(positions) / len(rules),
+        "reqs_per_position": sum(len(p.reqs) for p in positions) / len(positions),
+        "changed_words": sum(p.source != p.target for p in case.dataset.pairs),
+        "delete_share": share(Delete),
+        "substitute_share": share(Substitute),
+        "insert_share": share(Insert),
+    }
+
+
+# Means of _language_stats over 4,000 languages,
+# gen_ling_corpus(default_inventory(), LingSpec(num_languages=4000, min_applicable=2, seed=1)),
+# drawn by the generator that matched Random.gauss's stream draw for draw.
+LING_LANGUAGE_MEANS = {
+    "positions_per_rule": 3.9245,
+    "reqs_per_position": 6.6106,
+    "changed_words": 7.6610,
+    "delete_share": 0.4424,
+    "substitute_share": 0.2723,
+    "insert_share": 0.4342,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 21])
+def test_ling_corpus_statistics_conform(default_inv, seed):
+    # Languages are independent draws, so each statistic's per-language
+    # mean over 150 of them lies within 4 standard errors of its expected
+    # value, whatever order the generator draws its randomness in.
+    stats = [_language_stats(case) for case in gen_ling_corpus(
+        default_inv, LingSpec(num_languages=150, min_applicable=2, seed=seed)
+    )]
+    for key, expected in LING_LANGUAGE_MEANS.items():
+        values = [s[key] for s in stats]
+        error = statistics.stdev(values) / math.sqrt(len(values))
+        assert abs(statistics.fmean(values) - expected) <= 4 * error, (key, statistics.fmean(values), expected)
 
 
 def _sites_by_scan(inv, words, window, inserts):
