@@ -157,6 +157,13 @@ class ProposeResult:
     diagnostics: list[str]
 
 
+class ExternalReply(NamedTuple):
+    """An external proposer's reply: its programs as sent, undecoded."""
+
+    programs: list[Any]
+    diagnostics: list[str]
+
+
 # --- edit candidate extraction ------------------------------------------------
 
 
@@ -559,7 +566,7 @@ def external_propose(
     command: Sequence[str],
     request: ProposalRequest,
     sessions: ProposerSessions | None = None,
-) -> ProposeResult:
+) -> ExternalReply:
     """One request line out, one response line in, within the timeout.
 
     Returns the reply's programs as sent, undecoded; ``propose`` decodes and
@@ -574,7 +581,7 @@ def external_propose(
     exits: list[str] = []
     with ProposerSessions(exits) if sessions is None else nullcontext(sessions) as active:
         programs, diagnostics = active.session(command).exchange(line, _timeout_seconds())
-    return ProposeResult(programs or [], diagnostics + exits)
+    return ExternalReply(programs or [], diagnostics + exits)
 
 
 # --- dispatch -----------------------------------------------------------------
@@ -615,7 +622,7 @@ def propose(
         return ProposeResult(list(pooled), diagnostics)
     if handle.kind == "external":
         reply = external_propose(handle.command, request, sessions)
-        items, diagnostics = reply.rules, reply.diagnostics
+        items, diagnostics = reply.programs, reply.diagnostics
     else:
         returned = handle.fn(request)
         try:

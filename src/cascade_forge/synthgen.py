@@ -10,15 +10,17 @@ this master invariant against ``tests/oracles.reference_apply``.
   condition, and protoform quotas that guarantee the environment occurs.
   Each law is a builtin edit candidate built by
   ``proposers.candidate_to_rule``.
-* ``ling``: feature-driven laws.  Context and change lengths come from
-  Gaussian draws, per-position feature requirements are Gaussian-gated,
-  and each changing phone independently risks deletion (``P_DELETE``,
-  1/8), substitution (``P_SUBSTITUTE``, 1/8), and insertion on either
-  side (``P_INSERT``, 1/16 each).  Rules are rejection-sampled until they
-  apply to a minimum number of the nonce protoforms.  An attempt is tested
-  for sites in one bit-parallel (Shift-And) pass over the protoforms laid
-  end to end, before any predicate is built, and the gates inline
-  ``Random.gauss``'s arithmetic, so they draw exactly what ``gauss`` would.
+* ``ling``: feature-driven laws.  Context and change lengths are
+  ``round(|z|) + 1`` for a standard normal ``z``, per-position feature
+  requirements are kept at the rate ``P(|z| >= 1)``, and each changing
+  phone independently risks deletion (``P_DELETE``, 1/8), substitution
+  (``P_SUBSTITUTE``, 1/8), and insertion on either side (``P_INSERT``,
+  1/16 each).  Each of these decisions takes one ``random()``, inverting
+  the distribution's CDF (Devroye 1986).  Rules are rejection-sampled
+  until they apply to a minimum number of the nonce protoforms; an
+  attempt draws its window last, after the cheap rejections, and is
+  tested for sites in one bit-parallel (Shift-And) pass over the
+  protoforms laid end to end, before any predicate is built.
 * ``multilaw``: subsamples ordered rule subsets from a pool and builds
   word sets of which at least half stay unchanged under the cascade.
 
@@ -29,8 +31,9 @@ were built from, so corpus files read back identically.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from math import cos, log, sin, sqrt, tau as TWOPI
+from math import erf, erfc, sqrt
 from random import Random
 from typing import Sequence
 
@@ -63,7 +66,7 @@ from cascade_forge.rule_engine import (
 )
 from cascade_forge.resources import atomic_write, dumps, pairs_tsv
 
-GENERATOR_VERSION = 1
+GENERATOR_VERSION = 2
 
 
 class GenerationError(RuntimeError):
@@ -77,7 +80,8 @@ class SmpSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.examples_per_law % 10 != 0 or self.examples_per_law <= 0:
+        n = self.examples_per_law
+        if type(n) is not int or n <= 0 or n % 10 != 0:
             raise ValueError("examples_per_law must be a positive multiple of 10")
         if abs(sum(self.env_weights) - 1.0) > 1e-9:
             raise ValueError(f"weights {self.env_weights} do not sum to 1")
@@ -92,7 +96,11 @@ class LingSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.min_applicable <= self.protoforms_per_language:
+        for name in ("num_languages", "rules_per_language", "protoforms_per_language"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if type(self.min_applicable) is not int or not 1 <= self.min_applicable <= self.protoforms_per_language:
             raise ValueError("min_applicable must be between 1 and protoforms_per_language")
 
 
@@ -277,67 +285,42 @@ def sample_change_ops(n_slots: int, rng: Random) -> list[SlotOps]:
     ]
 
 
+P_TAIL = erfc(sqrt(0.5))  # P(|z| >= 1) for a standard normal z
+# LENGTH_CDF[k] = P(round(|z|) <= k) = P(|z| < k + 1/2), up to where it reaches 1.0.
+LENGTH_CDF = [erf((k + 0.5) / sqrt(2)) for k in range(9)]
+
+
 def _gaussian_length(rng: Random) -> int:
-    return round(abs(rng.gauss(0.0, 1.0))) + 1
-
-
-def _gaussian_tails(rng: Random, n: int) -> list[tuple[int, int]]:
-    """``(i, 0)`` where the ``i``-th of ``n`` draws of ``rng.gauss(0.0, 1.0)``
-    is at most -1, ``(i, 1)`` where it is at least 1, in draw order.
-
-    This is ``Random.gauss``'s own arithmetic, inlined: the same two
-    ``random()`` calls per pair of draws, a pending ``rng.gauss_next``
-    consumed first, and the second draw of the last pair left pending as
-    ``gauss`` leaves it, so the stream goes on exactly as after ``n`` calls.
-    A pair whose radius ``g2rad`` is below 1 lies strictly between -1 and 1,
-    so its ``cos`` and ``sin`` are not computed.
-    """
-    if not n:
-        return []
-    random = rng.random
-    tails: list[tuple[int, int]] = []
-    first = 0
-    z = rng.gauss_next
-    if z is not None:
-        rng.gauss_next = None
-        first = 1
-        if z >= 1.0 or z <= -1.0:
-            tails.append((0, int(z > 0)))
-    for i in range(first, n, 2):
-        x2pi = random() * TWOPI
-        g2rad = sqrt(-2.0 * log(1.0 - random()))
-        if g2rad >= 1.0:
-            z = cos(x2pi) * g2rad
-            if z >= 1.0 or z <= -1.0:
-                tails.append((i, int(z > 0)))
-            z = sin(x2pi) * g2rad
-            if z >= 1.0 or z <= -1.0:
-                tails.append((i + 1, int(z > 0)))
-    if (n - first) % 2:  # draw n is the last pair's second: keep it pending
-        if tails and tails[-1][0] == n:
-            tails.pop()
-        rng.gauss_next = sin(x2pi) * g2rad
-    return tails
+    """``round(abs(z)) + 1`` for a standard normal ``z``, by inverting the
+    CDF of ``round(abs(z))`` at one uniform."""
+    return bisect_right(LENGTH_CDF, rng.random()) + 1
 
 
 def _gated_requirements(anchor_features: tuple[int, ...], rng: Random) -> tuple[tuple[int, int], ...]:
-    """Per-feature Gaussian gate; required values are taken from the anchor phone.
+    """Per-feature tail gate; required values are taken from the anchor phone.
 
-    Gating at |z| >= 1 keeps the requirement rate of fully blind sampling, but
-    copying values from a phone actually occurring in the protoforms keeps the
-    rejection loop convergent: at least the anchor window always satisfies the
-    environment.  Unspecified anchor values yield no requirement.  The
-    result is sorted by index, the form ``FeatureReq.reqs`` holds.
+    Each specified anchor feature (value 0 or 1) is kept with probability
+    ``P_TAIL``, the rate at which a standard normal draw has |z| >= 1, on
+    one ``random()``; an unspecified one yields no requirement and draws
+    nothing.  Copying values from a phone actually occurring in the
+    protoforms keeps the rejection loop convergent: at least the anchor
+    window always satisfies the environment.  The result is sorted by
+    index, the form ``FeatureReq.reqs`` holds.
     """
-    tails = _gaussian_tails(rng, len(anchor_features))
+    random = rng.random
     # From a list: tuple() over a generator resizes its result as it goes,
     # which raised ling generation's peak RSS by ~4%.
-    return tuple([(idx, anchor_features[idx]) for idx, _ in tails if anchor_features[idx] in (0, 1)])
+    return tuple([
+        (idx, value) for idx, value in enumerate(anchor_features)
+        if value != -1 and random() < P_TAIL
+    ])
 
 
 def _changeto_features(num_features: int, rng: Random) -> dict[int, int]:
-    """Per-feature Gaussian draw: 0 in the lower tail, 1 in the upper."""
-    return dict(_gaussian_tails(rng, num_features))
+    """Per-feature tail draw on one ``random()``: 0 with probability
+    ``P_TAIL / 2`` (a normal draw's lower tail), 1 with the same
+    probability (the upper), and no entry otherwise."""
+    return {idx: int(u >= P_TAIL / 2) for idx in range(num_features) if (u := rng.random()) < P_TAIL}
 
 
 class _ProtoformText:
@@ -398,19 +381,26 @@ def gen_ling_rule(
     protoforms, and the protoforms after it.
 
     Rules that sample no change at all are vacuous and resampled.  Raises
-    after the attempt cap.  Site detection reads only a rule's predicates,
-    so an attempt is tested for sites before any predicate or substitution
-    is built: the protoforms are indexed once per call as a ``_ProtoformText``,
-    and one bit-parallel pass over it names the protoforms holding the
-    window's requirements on consecutive phones, which is where the rule's
-    feature predicates, joined by is-nothing separators, have a site.  Most
-    attempts are rejected there, and only a surviving rule pays for
-    ``realize_feature_change`` on every phone its substitutions map.  The
-    rule is applied only to the protoforms with sites and resampled unless
-    it changes ``min_applicable`` of them, since a substitution whose matched
-    phones realize to themselves edits nothing.  The Gaussian gates draw
-    exactly what ``Random.gauss`` would (``_gaussian_tails``), so the
-    stream, and every corpus, is as if ``gauss`` had been called.
+    after the attempt cap.  An attempt draws, in this order: the three
+    lengths; the change ops, with each substitution's change-to features
+    and each insertion's symbol; the anchor protoform and window start;
+    and the window's feature gates.  It is abandoned at the first
+    rejection: no protoform long enough for the window, no change sampled,
+    too few protoforms with sites, or too few changed.  Attempts are
+    independent, so reordering an attempt's draws, or not drawing the rest
+    of a rejected one, leaves the accepted rule's distribution as it is.
+
+    Site detection reads only a rule's predicates, so an attempt is tested
+    for sites before any predicate or substitution is built: the
+    protoforms are indexed once per call as a ``_ProtoformText``, and one
+    bit-parallel pass over it names the protoforms holding the window's
+    requirements on consecutive phones, which is where the rule's feature
+    predicates, joined by is-nothing separators, have a site.  Only a
+    surviving rule pays for ``realize_feature_change`` on every phone its
+    substitutions map.  The rule is applied only to the protoforms with
+    sites and resampled unless it changes ``min_applicable`` of them,
+    since a substitution whose matched phones realize to themselves edits
+    nothing.
 
     The returned forms are the applied forms for the sited protoforms and
     the given ones otherwise, so they equal ``apply_rule`` on every protoform.
@@ -420,27 +410,19 @@ def gen_ling_rule(
     symbols = inv.symbols
     text = _ProtoformText(inv, protos)
     lengths = [len(w.phones) for w in protos]
+    longest = max(lengths)
     for _ in range(MAX_RULE_ATTEMPTS):
         pre_len = _gaussian_length(rng)
         chg_len = _gaussian_length(rng)
         post_len = _gaussian_length(rng)
         total = pre_len + chg_len + post_len
-        eligible = [w for w, length in zip(protos, lengths) if length >= total]
-        if not eligible:
+        if total > longest:
             continue
-        anchor = rng.choice(eligible)
-        start = rng.randrange(len(anchor.phones) - total + 1)
-        window = [
-            _gated_requirements(inv.phone(phone).features, rng)
-            for phone in anchor.phones[start : start + total]
-        ]
-
-        slots = sample_change_ops(chg_len, rng)
 
         changes: dict[int, MappingFn] = {}
         substitutes: dict[int, dict[int, int]] = {}  # unit -> target feature values
         inserts: dict[int, list[str]] = {}
-        for i, slot in enumerate(slots):
+        for i, slot in enumerate(sample_change_ops(chg_len, rng)):
             unit = pre_len + i
             if slot.delete:
                 changes[unit] = Delete()
@@ -454,6 +436,13 @@ def gen_ling_rule(
                 inserts.setdefault(unit + 1, []).append(rng.choice(symbols))
         if not (changes or substitutes or inserts):
             continue
+
+        anchor = rng.choice([w for w, length in zip(protos, lengths) if length >= total])
+        start = rng.randrange(len(anchor.phones) - total + 1)
+        window = [
+            _gated_requirements(inv.phone(phone).features, rng)
+            for phone in anchor.phones[start : start + total]
+        ]
         sited = text.sited(window)
         if len(sited) < spec.min_applicable:
             continue

@@ -1130,6 +1130,22 @@ def names(result):
     return [rule.name for rule in result.rules]
 
 
+def test_external_reply_holds_programs_and_propose_returns_rules(tmp_path, tiny_inv):
+    # external_propose hands back the reply's JSON programs as sent; only
+    # propose's gate turns them into rules.
+    command, _ = session_stub(tmp_path, "serve")
+    request = step_request(tiny_inv, 2)
+    with ProposerSessions() as sessions:
+        reply = proposers.external_propose(command, request, sessions)
+        result = propose(external_proposer(command), request, tiny_inv, sessions)
+    assert isinstance(reply, proposers.ExternalReply)
+    assert reply.diagnostics == []
+    assert [program["name"] for program in reply.programs] == ["step-2"]
+    assert all(type(program) is dict for program in reply.programs)
+    assert all(type(rule) is Rule for rule in result.rules)
+    assert names(result) == ["step-2"] and result.diagnostics == []
+
+
 def search_dataset(inv):
     items = [("aj", "ej"), ("kaj", "kej"), ("tu", "tu")]
     return Dataset([ExamplePair(tokenize(s, inv), tokenize(t, inv), f"p{i}") for i, (s, t) in enumerate(items)])

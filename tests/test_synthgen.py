@@ -34,7 +34,6 @@ from cascade_forge.synthgen import (
     _ProtoformText,
     _changeto_features,
     _gated_requirements,
-    _gaussian_tails,
     LingSpec,
     PROFILES,
     SmpSpec,
@@ -196,13 +195,28 @@ def test_change_op_rates_are_plausible():
     assert abs(sum(s.ins_after for s in slots) / len(slots) - 1 / 16) < 0.008
 
 
-@pytest.mark.parametrize("min_applicable", [0, -1, 51])
+@pytest.mark.parametrize("min_applicable", [0, -1, 51, 2.0, True])
 def test_ling_spec_validation(min_applicable):
     # 0 or less would keep rules that change no protoform; above the
-    # protoform count no rule could ever be accepted.
+    # protoform count no rule could ever be accepted; a count is an int.
     with pytest.raises(ValueError, match="min_applicable"):
         LingSpec(protoforms_per_language=50, min_applicable=min_applicable)
     LingSpec(protoforms_per_language=50, min_applicable=50)
+
+
+@pytest.mark.parametrize("field", ["num_languages", "rules_per_language", "protoforms_per_language"])
+@pytest.mark.parametrize("value", [-1, 0, 20.5, 20.0, True])
+def test_ling_spec_counts_are_positive_integers(field, value):
+    # A negative or zero count once gave an empty corpus or an empty
+    # cascade, and a float count failed only inside generation.
+    with pytest.raises(ValueError, match=f"^{field} must be a positive integer, got "):
+        LingSpec(**{field: value, "min_applicable": 1})
+
+
+@pytest.mark.parametrize("value", [20.0, True, 0, -10])
+def test_smp_spec_examples_per_law_is_a_positive_integer(value):
+    with pytest.raises(ValueError, match="examples_per_law must be a positive multiple of 10"):
+        SmpSpec(examples_per_law=value)
 
 
 def test_ling_rule_applies_to_min_protoforms(default_inv):
@@ -276,8 +290,8 @@ def test_ling_generation_leaves_the_inventory_unchanged():
 
 
 LING_CORPUS_DIGESTS = {
-    2: "852f72c83d5b3ee8f15675298e3bb87f00e544c3db174416461af66f899a6ef9",
-    3: "0f5e7e7d6d3ccb159157040a9a8801d989a2edd8a287cda2b9f674bbfa0908ee",
+    2: "e00da705a2fd87c68627eb70e5ce2bdd3dd5afb79a56ba5026dc6153109d6bbd",
+    3: "4b4ea89a1fad4bc64aef5e229668b3d25265df2a9e87dd71adf0d02bb32bc413",
 }
 SMP_CORPUS_DIGEST = "15301679e56bb33f4bd3c8accdba6a09946e1665e7273a4d896ecc6404e854a1"
 MULTILAW_CORPUS_DIGEST = "45675d044562ff6388cddf2b480c40a94294ee473bdcab5ef158ad30c4a2c67e"
@@ -330,46 +344,6 @@ def test_ling_rule_attempt_cap_exhausts(default_inv):
     spec = LingSpec(min_applicable=3, protoforms_per_language=4)
     with pytest.raises(GenerationError, match="no applicable rule"):
         gen_ling_rule(default_inv, protos, spec, task_rng(14, "cap"))
-
-
-def _gauss_tails(rng, n):
-    """The tails of ``n`` calls of ``rng.gauss(0.0, 1.0)``, as ``_gaussian_tails`` gives them."""
-    draws = [rng.gauss(0.0, 1.0) for _ in range(n)]
-    return [(i, 0 if z <= -1.0 else 1) for i, z in enumerate(draws) if z <= -1.0 or z >= 1.0]
-
-
-@pytest.mark.parametrize("pending", [False, True], ids=["fresh", "pending"])
-@pytest.mark.parametrize("n", [0, 1, 7, 24])
-def test_gaussian_tails_reproduce_random_gauss(pending, n):
-    for seed in range(200):
-        inline, reference = random.Random(seed), random.Random(seed)
-        if pending:
-            inline.gauss(), reference.gauss()
-            assert inline.gauss_next is not None
-        assert _gaussian_tails(inline, n) == _gauss_tails(reference, n)
-        assert inline.getstate() == reference.getstate()
-        assert inline.gauss(0.0, 1.0) == reference.gauss(0.0, 1.0)
-
-
-def test_gaussian_gates_reproduce_random_gauss(default_inv):
-    # Chained calls of mixed lengths leave a draw pending or not, and the
-    # gates must read the tails as the Gaussian draws they replace.
-    picker, inline, reference = random.Random(5), random.Random(22), random.Random(22)
-    for _ in range(300):
-        features = picker.choice(default_inv.phones).features
-        expected = tuple(
-            (idx, value) for idx, value in enumerate(features)
-            if abs(reference.gauss(0.0, 1.0)) >= 1.0 and value in (0, 1)
-        )
-        assert _gated_requirements(features, inline) == expected
-        n = picker.choice((0, 1, 2, 3, 24))
-        expected_changes = {}
-        for idx in range(n):
-            z = reference.gauss(0.0, 1.0)
-            if z <= -1.0 or z >= 1.0:
-                expected_changes[idx] = int(z >= 1.0)
-        assert _changeto_features(n, inline) == expected_changes
-        assert inline.getstate() == reference.getstate()
 
 
 # Statistical conformance: the gates and lengths draw the distributions of
