@@ -29,9 +29,11 @@ the same path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from cascade_forge.phonology import TokenizedWord
+from cascade_forge.rule_engine import WordListText
 
 
 @dataclass(frozen=True)
@@ -153,7 +155,9 @@ class Scorer:
     It holds each target's bitmask table and each pair's source-to-target
     distance, so neither is recomputed.  ``ranked`` is the memo, rule to
     report, that ``proposers.rank_rules`` keeps of the reports it made on
-    these pairs without an inventory.
+    these pairs without an inventory.  ``text``, built on first use, is the
+    sources as the ``WordListText`` on which ``rank_rules`` finds a rule's
+    sites.
     """
 
     def __init__(
@@ -166,6 +170,10 @@ class Scorer:
         self._base = tuple(t.distance(s.phones) for t, s in zip(self._targets, self.sources))
         self._original = sum(self._base)
         self.ranked: dict = {}
+
+    @cached_property
+    def text(self) -> WordListText:
+        return WordListText(self.sources)
 
     def report(
         self,

@@ -57,8 +57,8 @@ from cascade_forge.rule_engine import (
     Substitute,
     WordEnd,
     WordStart,
-    anchored_words,
     apply_rule,
+    effect_key,
     layout_rule,
     rule_from_obj,
     serialize_rule,
@@ -280,8 +280,11 @@ def rank_rules(
 
     Rules are deduplicated by equality, which ignores ``name``, keeping the
     first copy, and ordered by reward, then fewer predicates, then serialization.
-    A rule is applied only to the sources holding its anchor; every other
-    prediction is the source itself, whose distance the scorer knows.
+    A rule's starts over every source are found in one pass over
+    ``scorer.text``, and the rule is applied only to the sources they fall
+    in; every other prediction is the source itself, whose distance the
+    scorer knows.  Rules with one ``effect_key`` make identical predictions,
+    so within a call they share one report, made for the first of them.
 
     A report made without an inventory is kept in ``scorer.ranked`` and
     serves later calls on the same scorer with any inventory: without one,
@@ -290,22 +293,26 @@ def rank_rules(
     is not kept.
     """
     scored: dict[Rule, RewardReport] = {}
-    anchored = None
+    shared: dict[frozenset, RewardReport] = {}  # effect key -> report
     for rule in rules:
         if rule in scored:
             continue
         report = scorer.ranked.get(rule)
-        if report is not None:
-            scored[rule] = report
-            continue
-        if anchored is None:
-            anchored = anchored_words(scorer.sources)
-        preds = list(scorer.sources)
-        for i in anchored(rule):
-            preds[i] = apply_rule(rule, preds[i], inv)
-        scored[rule] = scorer.report(preds)
-        if inv is None:
-            scorer.ranked[rule] = scored[rule]
+        if report is None:
+            text = scorer.text
+            starts = text.starts(rule, inv)
+            key = effect_key(rule, starts)
+            report = shared.get(key)
+            if report is None:
+                preds = list(scorer.sources)
+                for i, _ in text.word_sites(starts):
+                    preds[i] = apply_rule(rule, preds[i], inv)
+                report = scorer.report(preds)
+                if key is not None:
+                    shared[key] = report
+            if inv is None:
+                scorer.ranked[rule] = report
+        scored[rule] = report
     order = sorted(scored, key=lambda r: (-scored[r].reward, len(r.predicates), serialize_rule(r)))
     return [(rule, scored[rule]) for rule in order]
 

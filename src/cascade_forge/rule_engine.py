@@ -15,19 +15,24 @@ the conflicting mapping is skipped.
 Rules and cascades are immutable after construction and application is
 pure, so everything here is safe for unrestricted concurrent use.
 
-Matching filters, then verifies: a rule's anchor is its top-level phone-set
-predicate with the fewest phones, and the predicate chain is evaluated only
-at the starts where the anchor's token is one of those phones, so an
-unvalidated predicate raises only once such a window reaches it.
-``anchored_words`` applies the same filter to a list of words, naming the
-words a rule can match at all.
+Matching is anchor-seeded: a rule's anchor is its top-level phone-set
+predicate with the fewest phones, and the predicates are tested only at the
+starts where the anchor's token is one of those phones, so an unvalidated
+predicate raises only once such a window reaches it.  ``find_sites`` does
+this on one word.  A ``WordListText`` does it on a whole word list in one
+bit-parallel pass (Shift-And): its words are laid end to end, each token
+kind and word edge is a bit mask over the text, and a rule's starts are
+its anchor's mask narrowed by each predicate's mask in turn, left to
+right.  ``effect_key`` names what those starts make a rule edit, so rules
+that edit the same tokens the same way can share one result.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
+from typing import Any, Collection, Iterable, Mapping, Sequence
 
 from cascade_forge.phonology import (
     BOUNDARY,
@@ -450,17 +455,21 @@ def apply_rule(
     rule: Rule,
     word: TokenizedWord,
     inv: Inventory | None = None,
+    sites: Sequence[int] | None = None,
 ) -> TokenizedWord:
     """Apply one rule with two-stage semantics and return the canonical result.
 
-    Stage 1 records all sites on the input; stage 2 applies every mapping at
-    every recorded site against the original token indices, then the output
-    is rebuilt in canonical layout.  A mapping is skipped where an earlier
-    site already edits its token, where a substitution has no entry for the
-    matched phone, and where its kind does not fit the token.
+    Stage 1 records all sites on the input (``find_sites``, unless the
+    caller gives them, ascending, as ``sites``); stage 2 applies every
+    mapping at every recorded site against the original token indices,
+    then the output is rebuilt in canonical layout.  A mapping is skipped
+    where an earlier site already edits its token, where a substitution
+    has no entry for the matched phone, and where its kind does not fit the
+    token.  With no site, the input object itself is returned.
     """
     tokens = word.tokens
-    sites = find_sites(rule, word, inv)
+    if sites is None:
+        sites = find_sites(rule, word, inv)
     if not sites:
         return word
 
@@ -485,27 +494,183 @@ def apply_rule(
     return TokenizedWord.from_phones(phones)
 
 
-def anchored_words(words: Sequence[TokenizedWord]) -> Callable[[Rule], Iterable[int]]:
-    """For a rule, the ascending indices into ``words`` of those it can match.
+class WordListText:
+    """A word list laid end to end as one text, matched by every rule at once.
 
-    The index maps every token of the words (``#`` and ``@`` too) to the
-    words holding it and is built once per word list.  A rule with an anchor
-    can match only the words holding one of its anchor phones; ``apply_rule``
-    returns every other word as the very object it was given.  A rule
-    without an anchor can match every word.
+    Each word's tokens (``#`` and ``@`` included) take one position each,
+    and one gap position follows each word.  The text holds a bit mask of
+    the positions of each token symbol, of every word's first token and of
+    its last; masks of the phone positions holding a feature value are
+    built on first use, per inventory.  No mask covers a gap, so no window
+    of consecutive matched positions spans two words.  It is built once
+    per word list and shared by the rules matched on it.
     """
-    holding: dict[str, set[int]] = {}
-    for i, word in enumerate(words):
-        for token in word.tokens:
-            holding.setdefault(token, set()).add(i)
-    every = range(len(words))
 
-    def candidates(rule: Rule) -> Iterable[int]:
+    def __init__(self, words: Sequence[TokenizedWord]) -> None:
+        self._words = tuple(words)
+        self._bases: list[int] = []  # the text position of each word's first token
+        holding: dict[str, int] = {}
+        every = first = last = 0
+        base = 0
+        for word in self._words:
+            tokens = word.tokens
+            self._bases.append(base)
+            for offset, token in enumerate(tokens):
+                holding[token] = holding.get(token, 0) | 1 << (base + offset)
+            if tokens:
+                every |= ((1 << len(tokens)) - 1) << base
+                first |= 1 << base
+                last |= 1 << (base + len(tokens) - 1)
+            base += len(tokens) + 1
+        self._holding = holding
+        self._tokens = every
+        self._first = first
+        self._last = last
+        boundary = holding.get(BOUNDARY, 0)
+        self._nothing = holding.get(SEPARATOR, 0)
+        self._word_start = first & boundary
+        self._word_end = last & boundary
+        self._features: dict[tuple[Inventory, int | None, int | None], int] = {}
+
+    def starts(self, rule: Rule, inv: Inventory | None = None) -> int:
+        """The mask of the text positions where the rule has a site.
+
+        Shift-And, seeded with the anchor: the starts are first the
+        positions the anchor's offset before an anchor phone (every token
+        position when the rule has no anchor), and each other predicate, left to
+        right, keeps the starts whose token at its offset it matches; the
+        pass stops once no start is left.  A predicate that has no mask
+        here (a kind this module does not define, or a feature requirement
+        the inventory cannot evaluate) is tested with ``Predicate.matches``
+        at each start left whose window fits its word, so, as in
+        ``find_sites``, it raises only once such a window reaches it.
+        """
+        preds = rule.predicates
         if rule.anchor is None:
-            return every
-        return sorted(set().union(*(holding.get(phone, ()) for phone in rule.anchor[1])))
+            at, starts = -1, self._tokens
+        else:
+            at, phones = rule.anchor
+            starts = 0
+            for phone in phones:
+                starts |= self._holding.get(phone, 0)
+            starts >>= at
+        for offset, pred in enumerate(preds):
+            if not starts:
+                break
+            if offset == at:
+                continue
+            mask = self._mask(pred, inv)
+            if mask is None:
+                starts = self._test(pred, offset, starts, len(preds), inv)
+            else:
+                starts &= mask >> offset
+        return starts
 
-    return candidates
+    def word_sites(self, starts: int) -> list[tuple[int, list[int]]]:
+        """``(word index, its sites)`` for each word the ``starts`` fall in, ascending.
+
+        Sites are token indices into the word, as ``find_sites`` gives them.
+        """
+        found: list[tuple[int, list[int]]] = []
+        bits = bin(starts)[:1:-1]  # bits[p] is the bit of text position p
+        bases = self._bases
+        word = 0
+        pos = bits.find("1")
+        while pos != -1:
+            word = bisect_right(bases, pos, word) - 1
+            site = pos - bases[word]
+            if found and found[-1][0] == word:
+                found[-1][1].append(site)
+            else:
+                found.append((word, [site]))
+            pos = bits.find("1", pos + 1)
+        return found
+
+    def _mask(self, pred: Predicate, inv: Inventory | None) -> int | None:
+        """The positions whose token ``pred`` matches, or None where it has no mask."""
+        kind = type(pred)
+        if kind is PhoneSet:
+            mask = 0
+            for phone in pred.phones:
+                mask |= self._holding.get(phone, 0)
+            return mask
+        if kind is IsNothing:
+            return self._nothing
+        if kind is WordStart:
+            return self._word_start
+        if kind is WordEnd:
+            return self._word_end
+        if kind is FeatureReq:
+            ones, zeros, span = pred.masks
+            if inv is None or span > inv.num_features:
+                return None  # FeatureReq.matches raises on a phone token
+            mask = self._feature(inv, None, None)
+            for required, value in ((ones, 1), (zeros, 0)):
+                while required and mask:
+                    low = required & -required
+                    mask &= self._feature(inv, low.bit_length() - 1, value)
+                    required ^= low
+            return mask
+        if kind is Not:
+            inner = self._mask(pred.inner, inv)
+            return None if inner is None else self._tokens & ~inner
+        return None
+
+    def _feature(self, inv: Inventory, index: int | None, value: int | None) -> int:
+        """The phone positions whose phone ``inv`` has with feature ``index`` at
+        ``value``; every position of an ``inv`` phone when ``index`` is None."""
+        key = (inv, index, value)
+        mask = self._features.get(key)
+        if mask is None:
+            masks = requirement_masks(() if index is None else ((index, value),))
+            mask = 0
+            for symbol, held in self._holding.items():
+                if symbol not in RESERVED_TOKENS and inv.satisfies(symbol, masks):
+                    mask |= held
+            self._features[key] = mask
+        return mask
+
+    def _test(self, pred: Predicate, offset: int, starts: int, width: int, inv: Inventory | None) -> int:
+        """The ``starts`` whose window of ``width`` tokens fits its word and
+        whose token at ``offset`` ``pred.matches``, tested one by one."""
+        tokens = self._tokens
+        fits = tokens
+        for shift in range(1, width):
+            fits &= tokens >> shift
+        flat: list[str | None] = []
+        for word in self._words:
+            flat.extend(word.tokens)
+            flat.append(None)  # the gap
+        kept = 0
+        bits = bin(starts & fits)[:1:-1]
+        start = bits.find("1")
+        while start != -1:
+            pos = start + offset
+            if pred.matches(flat[pos], bool(self._first >> pos & 1), bool(self._last >> pos & 1), inv):
+                kept |= 1 << start
+            start = bits.find("1", start + 1)
+        return kept
+
+
+def effect_key(rule: Rule, starts: int) -> frozenset | None:
+    """What the rule edits at ``starts`` on one ``WordListText``, or None.
+
+    The key pairs the starts mask shifted to each change position with
+    that position's mapping.  Where no two shifted masks overlap, each
+    edited token has exactly one mapping, so rules with equal keys on one
+    text make identical edits, whatever their order of change positions or
+    their contexts.  Where they overlap, leftmost-wins decides the edits
+    and the key is None.  No start edits nothing: the key is empty.  A
+    mapping's edit never reads the inventory, so neither does the key.
+    """
+    if not starts:
+        return frozenset()
+    positions = rule.change_pos
+    for i, left in enumerate(positions):
+        for right in positions[i + 1 :]:
+            if starts & (starts << abs(right - left)):
+                return None
+    return frozenset((starts << pos, fn) for pos, fn in zip(positions, rule.mappings))
 
 
 def apply_cascade(

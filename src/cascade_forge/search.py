@@ -41,9 +41,10 @@ from cascade_forge.resources import atomic_write, dumps
 from cascade_forge.rule_engine import (
     Cascade,
     Rule,
-    anchored_words,
+    WordListText,
     apply_rule,
     cascade_to_obj,
+    effect_key,
     serialize_cascade,
 )
 
@@ -191,14 +192,22 @@ def beam_search_cascade(
                 result = propose(handle, request, inv, sessions=sessions)
                 if diagnostics is not None:
                     diagnostics.extend(result.diagnostics)
-                anchored = anchored_words(beam.forms)
+                text = WordListText(beam.forms)
+                shared: dict[frozenset, tuple[tuple[TokenizedWord, ...], RewardReport]] = {}
                 for rule in result.rules:
                     proposed_any = True
-                    successor = list(beam.forms)
-                    for i in anchored(rule):
-                        successor[i] = apply_rule(rule, successor[i], inv)
-                    forms = tuple(successor)
-                    report = scorer.report(forms, (beam.forms, beam.per_pair))
+                    starts = text.starts(rule, inv)
+                    key = effect_key(rule, starts)
+                    made = shared.get(key)
+                    if made is None:
+                        successor = list(beam.forms)
+                        for i, sites in text.word_sites(starts):
+                            successor[i] = apply_rule(rule, successor[i], inv, sites)
+                        forms = tuple(successor)
+                        made = forms, scorer.report(forms, (beam.forms, beam.per_pair))
+                        if key is not None:
+                            shared[key] = made
+                    forms, report = made
                     cascade = Cascade(beam.cascade.rules + (rule,))
                     candidates.append(
                         Hypothesis(cascade, forms, report.reward, step, report.per_pair)

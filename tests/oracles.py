@@ -172,6 +172,72 @@ def make_ground_truth_proposer(cascade, sources, inv):
     return callable_proposer(oracle, "ground-truth")
 
 
+def reference_beam_search(fn, dataset, config, inv=None, use_ites=False) -> list[tuple]:
+    """``search.beam_search_cascade`` rebuilt from the oracles, with no
+    ``Scorer``, text, shared effect or reused distance.
+
+    ``fn`` is the proposer callable, asked directly; of what it returns,
+    the first ``config.samples_per_step`` rules that pass ``Rule.validate``
+    are kept.  Every kept rule is applied to every form with
+    ``reference_apply`` and every reward is measured with ``dp_distance``.
+    Each step's candidates (the parents, standing pat, and one successor
+    per kept rule) are sorted in full by (-reward, rules, serialization),
+    then deduplicated by forms, and cut to the width.  Returns the final
+    beams as ``(cascade serialization, reward, forms, step)``, best first.
+    """
+    from cascade_forge.metrics import ExamplePair
+    from cascade_forge.proposers import ProposalRequest
+    from cascade_forge.rule_engine import Cascade, Rule, RuleError, serialize_cascade
+    from cascade_forge.search import select_examples_ites
+
+    targets = dataset.targets
+    original = sum(dp_distance(p.source.phones, p.target.phones) for p in dataset.pairs)
+
+    def reward(forms):
+        remaining = sum(dp_distance(f.phones, t.phones) for f, t in zip(forms, targets))
+        if original == 0:
+            return 1.0 if remaining == 0 else 1.0 - remaining
+        return 1.0 - remaining / original
+
+    def kept_rules(request):
+        kept = []
+        for item in fn(request):
+            if not isinstance(item, Rule):
+                continue
+            try:
+                item.validate(inv)
+            except RuleError:
+                continue
+            kept.append(item)
+            if len(kept) == config.samples_per_step:
+                break
+        return kept
+
+    beams = [(Cascade(), tuple(dataset.sources), reward(dataset.sources), 0)]
+    for step in range(1, config.max_steps + 1):
+        candidates = [(cascade, forms, value, step) for cascade, forms, value, _ in beams]
+        for cascade, forms, _, _ in beams:
+            examples = list(zip(forms, targets))
+            if use_ites:
+                pairs = [ExamplePair(form, p.target, p.id) for form, p in zip(forms, dataset.pairs)]
+                filtered, _ = select_examples_ites(pairs)
+                examples = [(p.source, p.target) for p in filtered] or examples
+            request = ProposalRequest(examples, config.samples_per_step, step - 1)
+            for rule in kept_rules(request):
+                successor = tuple(reference_apply(rule, form, inv) for form in forms)
+                candidates.append((Cascade(cascade.rules + (rule,)), successor, reward(successor), step))
+        candidates.sort(key=lambda c: (-c[2], len(c[0]), serialize_cascade(c[0])))
+        beams, seen = [], set()
+        for candidate in candidates:
+            if candidate[1] not in seen:
+                seen.add(candidate[1])
+                beams.append(candidate)
+        beams = beams[: config.beam_width]
+        if config.early_stop_on_perfect and beams[0][2] == 1.0:
+            break
+    return [(serialize_cascade(cascade), value, forms, step) for cascade, forms, value, step in beams]
+
+
 def reference_edit_candidates(src: tuple[str, ...], script, max_span: int, max_context: int) -> list[tuple]:
     """Every distinct edit candidate of one pair's edit script, in discovery order.
 

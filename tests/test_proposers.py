@@ -50,7 +50,9 @@ from cascade_forge.rule_engine import (
     MAX_NOT_DEPTH,
     RuleError,
     RuleParseError,
+    WordListText,
     apply_rule,
+    effect_key,
     parse_rule,
     rule_to_obj,
     serialize_rule,
@@ -350,9 +352,62 @@ def test_rank_rules_memo_serves_a_feature_rule_only_its_own_inventory(tiny_inv, 
     assert rank_rules([feature_rule], scorer, tiny_inv)[0][1].passed
     calls = counting_apply_rule(monkeypatch)
     with pytest.raises(RuleError):
-        rank_rules([feature_rule], scorer)
+        rank_rules([feature_rule], scorer)  # not served without an inventory: its sites raise
+    assert calls == []
     assert rank_rules([feature_rule], scorer, load_inventory(TINY_INVENTORY))[0][1].passed
-    assert len(calls) == 2  # another inventory object is not served either
+    assert calls == [feature_rule]  # another inventory object gets the rule freshly applied
+
+
+def _ranked_by_the_oracle(rules, scorer, inv):
+    reports = {}
+    for rule in rules:
+        if rule not in reports:
+            reports[rule] = scorer.report([reference_apply(rule, s, inv) for s in scorer.sources])
+    order = sorted(reports, key=lambda r: (-reports[r].reward, len(r.predicates), serialize_rule(r)))
+    return [(rule, reports[rule]) for rule in order]
+
+
+def test_rules_with_one_effect_share_a_report_and_overlapping_rules_are_applied(tiny_inv, monkeypatch):
+    sources = [tokenize(w, tiny_inv) for w in ("aaa", "kat", "tat", "ki", "")]
+    targets = [tokenize(w, tiny_inv) for w in ("e", "ket", "tet", "ki", "")]
+    scorer = Scorer(sources, targets)
+    a, t, sub, gap = PhoneSet({"a"}), PhoneSet({"t"}), Substitute({"a": ("e",)}), IsNothing()
+    # Every "a" becomes "e": context free, with a right or a left context,
+    # and so with the change at another position.
+    same = [
+        Rule([a], [0], [sub]),
+        Rule([PhoneSet({"a", "e"})], [0], [sub]),
+        Rule([PhoneSet({"k", "t", "a", "#"}), gap, a], [2], [sub]),
+        Rule([Not(PhoneSet({"i", "u"})), gap, a], [2], [sub]),
+    ]
+    # "a" before "t" becomes "e" and the "t" goes: one key in either mapping order.
+    orders = [Rule([a, gap, t], [0, 2], [sub, Delete()]), Rule([a, gap, t], [2, 0], [Delete(), sub])]
+    # On "aaa" the site at token 2 deletes token 4 and the site at token 4
+    # substitutes it: the shifted masks overlap, and leftmost-wins decides.
+    overlapping = [
+        Rule([a, gap, a], [0, 2], [sub, Delete()]),
+        Rule([a, gap, a], [2, 0], [Delete(), sub]),
+        Rule([a, gap, a], [0, 2], [Delete(), sub]),
+    ]
+    text = WordListText(sources)
+    keys = {rule: effect_key(rule, text.starts(rule, tiny_inv)) for rule in same + orders + overlapping}
+    assert len({keys[rule] for rule in same}) == 1
+    assert keys[orders[0]] == keys[orders[1]] != keys[same[0]]
+    assert all(keys[rule] is None for rule in overlapping)
+    # A rule with no site edits nothing, whatever its mappings.
+    assert effect_key(Rule([PhoneSet({"u"})], [0], [Delete()]), 0) == frozenset()
+
+    calls = counting_apply_rule(monkeypatch)
+    rules = same + orders + overlapping
+    ranked = rank_rules(rules, scorer, tiny_inv)
+    assert ranked == _ranked_by_the_oracle(rules, scorer, tiny_inv)
+    reports = dict(ranked)
+    assert len({id(reports[rule]) for rule in same}) == 1
+    assert reports[orders[0]] is reports[orders[1]]
+    # One application per effect and per word with a site: "a" stands in
+    # three words, and each overlapping rule has sites only in "aaa".
+    assert Counter(calls) == Counter({same[0]: 3, orders[0]: 2, **{rule: 1 for rule in overlapping}})
+    assert reports[overlapping[0]].per_pair != reports[overlapping[2]].per_pair
 
 
 def test_rank_rules_serves_an_inventory_free_report_to_any_inventory(tiny_inv, monkeypatch):

@@ -31,8 +31,8 @@ from cascade_forge.rule_engine import (
     RuleParseError,
     Substitute,
     WordEnd,
+    WordListText,
     WordStart,
-    anchored_words,
     apply_cascade,
     apply_rule,
     find_sites,
@@ -43,11 +43,13 @@ from cascade_forge.rule_engine import (
     serialize_cascade,
     serialize_rule,
 )
+from cascade_forge.metrics import Scorer
 from cascade_forge.proposers import (
     ProposalRequest,
     builtin_enumerative_propose,
     candidate_to_rule,
     extract_edit_candidates,
+    rank_rules,
 )
 from cascade_forge.synthgen import (
     LingSpec,
@@ -479,6 +481,24 @@ def _random_anchored_rule(rng, width):
     return Rule(preds, [p for p, _ in ordered], [fn for _, fn in ordered])
 
 
+def _word_list_sites_agree(rule, words, inv=None):
+    """Assert that one pass over ``words`` as a text finds, in every word,
+    the oracle's sites, and that applying the rule at those sites is the
+    oracle's application; a word without a site keeps its very object.
+    Returns the number of sites."""
+    text = WordListText(words)
+    per_word = dict(text.word_sites(text.starts(rule, inv)))
+    assert sorted(per_word) == list(per_word)
+    for k, word in enumerate(words):
+        sites = per_word.get(k, [])
+        assert sites == scan_sites(rule, word, inv)
+        out = apply_rule(rule, word, inv, sites)
+        assert out == reference_apply(rule, word, inv)
+        if not sites:
+            assert out is word
+    return sum(len(sites) for sites in per_word.values())
+
+
 def test_anchored_matching_equals_the_oracles_at_every_offset():
     rng = random.Random("anchor-offsets")
     offsets, ties, multi, not_only, structural = set(), 0, 0, 0, set()
@@ -499,14 +519,10 @@ def test_anchored_matching_equals_the_oracles_at_every_offset():
             TokenizedWord.from_phones([rng.choice("aeijkt") for _ in range(rng.randint(0, 6))])
             for _ in range(4)
         ]
-        anchored = anchored_words(words)(rule)
-        assert list(anchored) == sorted(set(anchored))
-        for k, word in enumerate(words):
+        for word in words:
             assert find_sites(rule, word) == scan_sites(rule, word)
-            out = apply_rule(rule, word)
-            assert out == reference_apply(rule, word)
-            if k not in anchored:
-                assert out is word
+            assert apply_rule(rule, word) == reference_apply(rule, word)
+        _word_list_sites_agree(rule, words)
     assert offsets == {(width, offset) for width in range(1, 7) for offset in range(width)}
     assert ties > 100 and multi > 100 and not_only > 10
     assert structural == {BOUNDARY, SEPARATOR}
@@ -514,15 +530,64 @@ def test_anchored_matching_equals_the_oracles_at_every_offset():
 
 def test_a_word_without_the_anchor_is_not_visited(tiny_inv):
     words = [tokenize(w, tiny_inv) for w in ("kat", "tit", "jaj", "kik")]
-    anchored = anchored_words(words)
+    text = WordListText(words)
+
+    def visited(rule):
+        return [k for k, _ in text.word_sites(text.starts(rule))]
+
     rule = sub_rule("aj", 0, "a", "e")
-    assert list(anchored(rule)) == [0, 2]
-    # Structural tokens are indexed too: every word holds "#" and "@".
-    assert list(anchored(Rule([PhoneSet({BOUNDARY})], [0], [Delete()]))) == [0, 1, 2, 3]
-    assert list(anchored(Rule([Not(PhoneSet({"a"}))], [0], [Delete()]))) == [0, 1, 2, 3]
-    # Only a visited window can raise: no word holds "e" before the unknown predicate.
-    unknown = Rule([PhoneSet({"e"}), IsNothing(), Unknown()], [0], [Delete()])
-    assert list(anchored(unknown)) == []
+    assert text.word_sites(text.starts(rule)) == [(2, [4])]
+    assert visited(sub_rule("a", 0, "a", "e")) == [0, 2]
+    # Structural tokens are matched too: every word holds "#" and "@".
+    assert visited(Rule([PhoneSet({BOUNDARY})], [0], [Delete()])) == [0, 1, 2, 3]
+    assert visited(Rule([Not(PhoneSet({"a"}))], [0], [Delete()])) == [0, 1, 2, 3]
+    # Only a visited window can raise: no word holds "e" beside the unknown predicate.
+    for unknown in (
+        Rule([PhoneSet({"e"}), IsNothing(), Unknown()], [0], [Delete()]),
+        Rule([Unknown(), IsNothing(), PhoneSet({"e"})], [2], [Delete()]),
+    ):
+        assert text.starts(unknown) == 0
+        with pytest.raises(RuleError, match="unknown predicate"):
+            WordListText([*words, tokenize("te", tiny_inv)]).starts(unknown)
+
+
+def test_word_list_sites_equal_the_oracle_for_every_predicate_kind(tiny_inv):
+    rng = random.Random("word-list-sites")
+    seen, sites = set(), 0
+    for i in range(600):
+        features = i % 2 == 0
+        rule, labels = _random_any_offset_rule(tiny_inv, rng, features)
+        seen.update(labels)
+        words = []
+        for _ in range(rng.randint(1, 5)):
+            phones = [rng.choice(tiny_inv.symbols) for _ in range(rng.choice((0, 0, 1, 3, 6)))]
+            if rng.random() < 0.25:
+                phones.insert(rng.randint(0, len(phones)), FOREIGN)
+            words.append(TokenizedWord.from_phones(phones))
+        for at in (tiny_inv,) if features else (tiny_inv, None):
+            sites += _word_list_sites_agree(rule, words, at)
+    assert {"not(not(phone_set))", "not(feature_req)", "not(empty_req)", "word_start", "word_end"} <= seen
+    assert sites > 500
+
+
+def test_no_word_list_window_spans_two_words(tiny_inv):
+    words = [tokenize(w, tiny_inv) for w in ("ka", "", "ta")]
+    text = WordListText(words)
+    # Each rule would match across the gap after a word if that gap held a token.
+    spanning = [
+        Rule([WordEnd(), WordStart()], [0], [Delete()]),
+        Rule([PhoneSet({BOUNDARY}), PhoneSet({BOUNDARY})], [0], [Delete()]),
+        Rule([WordEnd(), Not(PhoneSet({"a"}))], [0], [Delete()]),
+        Rule([Not(IsNothing()), Not(IsNothing())], [0], [Delete()]),
+        Rule([PhoneSet({"a"}), IsNothing(), WordEnd(), Not(FeatureReq({0: 1}))], [0], [Delete()]),
+    ]
+    for rule in spanning:
+        assert text.starts(rule, tiny_inv) == 0
+        _word_list_sites_agree(rule, words, tiny_inv)
+    # The empty word "# @ #" is matched like any other.
+    assert text.word_sites(text.starts(Rule([WordStart(), IsNothing(), WordEnd()], [1], [Insert("e")]))) == [
+        (1, [0])
+    ]
 
 
 def test_rule_hash_is_the_field_tuple_hash_computed_once():
@@ -549,6 +614,40 @@ def test_a_predicate_without_matches_raises_once_a_window_reaches_it(tiny_inv):
     assert find_sites(rule, tokenize("kt", tiny_inv), tiny_inv) == []  # no window reaches it
     with pytest.raises(RuleError, match="unknown predicate"):
         find_sites(rule, tokenize("kat", tiny_inv), tiny_inv)
+
+
+def test_a_feature_requirement_without_an_inventory_raises_only_on_a_reached_phone(tiny_inv):
+    words = [tokenize(w, tiny_inv) for w in ("kat", "tit", "")]
+    scorer = Scorer(words, words)
+    quiet = [
+        # The requirement sits on the "@" after the first "#": no phone token.
+        Rule([WordStart(), FeatureReq({0: 1})], [1], [Delete()]),
+        # No word holds "s", so no anchored window reaches the requirement.
+        Rule([FeatureReq({0: 1}), IsNothing(), PhoneSet({"s"})], [0], [Delete()]),
+    ]
+    for rule in quiet:
+        assert all(find_sites(rule, word) == [] for word in words)
+        assert rank_rules([rule], scorer) == [(rule, scorer.report(words))]
+    # On "k" the one window reaching the "k" would run past the word's end.
+    short = [tokenize("k", tiny_inv)]
+    past_end = Rule([IsNothing(), FeatureReq({0: 1}), IsNothing(), IsNothing(), IsNothing()], [1], [Delete()])
+    assert find_sites(past_end, short[0]) == []
+    assert rank_rules([past_end], Scorer(short, short))[0][1].passed
+    reaching = Rule([WordStart(), IsNothing(), FeatureReq({0: 1})], [2], [Delete()])
+    assert find_sites(reaching, words[2]) == []  # "# @ #" has "#" there
+    for raising in (reaching, Rule([FeatureReq({0: 1}), IsNothing(), PhoneSet({"t"})], [0], [Delete()])):
+        with pytest.raises(RuleError, match="inventory"):
+            find_sites(raising, words[0])
+        with pytest.raises(RuleError, match="inventory"):
+            rank_rules([raising], scorer)
+
+
+def test_an_unknown_predicate_raises_only_where_an_anchored_window_reaches_it(tiny_inv):
+    rule = Rule([Unknown(), IsNothing(), PhoneSet({"e"})], [2], [Delete()])
+    words = [tokenize(w, tiny_inv) for w in ("kat", "tit", "")]
+    assert all(find_sites(rule, word) == [] for word in words)
+    with pytest.raises(RuleError, match="unknown predicate"):
+        find_sites(rule, tokenize("ke", tiny_inv))
 
 
 def test_a_mapping_without_edit_raises_once_a_site_reaches_it(tiny_inv):

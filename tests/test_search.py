@@ -1,5 +1,6 @@
 import functools
 import json
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 import oracles
 from cascade_forge import proposers
 from cascade_forge.metrics import Dataset, ExamplePair, RewardReport, Scorer, reward_report
-from cascade_forge.phonology import tokenize
+from cascade_forge.phonology import TokenizedWord, tokenize
 from cascade_forge.proposers import (
     ProposalRequest,
     builtin_enumerative_propose,
@@ -18,12 +19,18 @@ from cascade_forge.proposers import (
 from cascade_forge.resources import strip_markers, tangkhulic_inventory, tangkhulic_laws
 from cascade_forge.rule_engine import (
     Cascade,
+    Delete,
+    Insert,
     IsNothing,
+    Not,
     PhoneSet,
     Rule,
     Substitute,
+    WordEnd,
+    WordStart,
     apply_cascade,
     apply_rule,
+    layout_rule,
     serialize_cascade,
     serialize_rule,
 )
@@ -42,7 +49,7 @@ from cascade_forge.synthgen import (
     task_rng,
 )
 
-from oracles import dp_distance, make_ground_truth_proposer, reference_apply
+from oracles import dp_distance, make_ground_truth_proposer, reference_apply, reference_beam_search
 
 
 def sub_rule(env, pos, old, new):
@@ -283,6 +290,86 @@ def test_builtin_beam_search_recovers_all_20_seed_0_multilaw_cascades(default_in
         beam_search(builtin_proposer(), case.dataset, config, inv=default_inv)[0].reward == 1.0 for case in cases
     )
     assert solved == 20
+
+
+# --- beam search against the reference -------------------------------------------------
+
+
+def _beams(hypotheses):
+    return [(serialize_cascade(h.cascade), h.reward, h.forms, h.step) for h in hypotheses]
+
+
+def test_builtin_beam_search_equals_the_reference_search(default_inv):
+    # multilaw-beam's shape: 5-law cascades over 20 words, beam 20 x 1 sample.
+    pool = Cascade(gen_smp_law(default_inv, SmpSpec(), task_rng(3, "pool", i)) for i in range(25))
+    cases = gen_multilaw_evalset(default_inv, pool, 5, 20, 6, task_rng(3, "reference-beam"))
+    config = SearchConfig(beam_width=20, samples_per_step=1, max_steps=5)
+    for case in cases:
+        got = _beams(beam_search(builtin_proposer(), case.dataset, config, inv=default_inv))
+        assert got == reference_beam_search(builtin_enumerative_propose, case.dataset, config, default_inv)
+
+
+def _random_search_rule(rng, alphabet):
+    """A rule over 1-2 phone slots, each a phone set or a negated one (so
+    some rules have no anchor), with optional word-edge conditions, one
+    delete or substitute and sometimes an insert."""
+    preds = []
+    for _ in range(rng.randint(1, 2)):
+        phones = rng.sample(alphabet, rng.randint(1, 2))
+        preds.append(Not(PhoneSet(phones)) if rng.random() < 0.3 else PhoneSet(phones))
+    if rng.random() < 0.3:
+        preds.insert(0, rng.choice((WordStart(), Not(WordStart()))))
+    if rng.random() < 0.3:
+        preds.append(rng.choice((WordEnd(), Not(WordEnd()))))
+    slot = rng.choice([k for k, p in enumerate(preds) if isinstance(getattr(p, "inner", p), PhoneSet)])
+    change = Delete() if rng.random() < 0.4 else Substitute({phone: (rng.choice(alphabet),) for phone in alphabet})
+    inserts = {rng.randint(0, len(preds)): (rng.choice(alphabet),)} if rng.random() < 0.3 else {}
+    return layout_rule(preds, {slot: change}, inserts)
+
+
+def _seeded_proposer(alphabet):
+    """A callable whose reply is a function of the request alone: valid
+    rules with and without an anchor, invalid ones, and a rule under two names."""
+    invalid = (Rule([PhoneSet(set())], [0], [Delete()]), Rule([PhoneSet({"ʘ"})], [0], [Delete()]))
+
+    def propose(request):
+        rng = random.Random(f"{request.step_index}:{[source.tokens for source, _ in request.examples]}")
+        rules = []
+        for _ in range(rng.randint(0, 4)):
+            rules.append(rng.choice(invalid) if rng.random() < 0.2 else _random_search_rule(rng, alphabet))
+        if rules and rng.random() < 0.3:
+            twin = rules[-1]
+            rules.insert(rng.randint(0, len(rules)), Rule(twin.predicates, twin.change_pos, twin.mappings, "twin"))
+        return rules
+
+    return propose
+
+
+def test_beam_search_equals_the_reference_search_on_random_data(tiny_inv):
+    rng = random.Random("reference-beam")
+    settings = set()
+    for i in range(400):
+        alphabet = rng.sample(("a", "e", "i", "u", "t", "k", "s"), rng.randint(4, 6))
+        sources = [
+            TokenizedWord.from_phones(rng.choices(alphabet, k=rng.randint(0, 5))) for _ in range(rng.randint(2, 7))
+        ]
+        targets = sources
+        for _ in range(rng.randint(1, 2)):
+            hidden = _random_search_rule(rng, alphabet)
+            targets = [reference_apply(hidden, word, tiny_inv) for word in targets]
+        ds = Dataset(ExamplePair(s, t, f"p{k}") for k, (s, t) in enumerate(zip(sources, targets)))
+        config = SearchConfig(
+            beam_width=rng.randint(1, 5),
+            samples_per_step=rng.randint(1, 3),
+            max_steps=rng.randint(1, 3),
+            early_stop_on_perfect=rng.random() < 0.5,
+        )
+        use_ites = rng.random() < 0.5
+        settings.add((config.early_stop_on_perfect, use_ites))
+        fn = _seeded_proposer(alphabet)
+        got = _beams(beam_search(callable_proposer(fn), ds, config, inv=tiny_inv, use_ites=use_ites))
+        assert got == reference_beam_search(fn, ds, config, tiny_inv, use_ites), i
+    assert len(settings) == 4
 
 
 # --- beam search -----------------------------------------------------------------------
