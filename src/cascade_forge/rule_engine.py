@@ -499,8 +499,8 @@ class WordListText:
 
     Each word's tokens (``#`` and ``@`` included) take one position each,
     and one gap position follows each word.  The text holds a bit mask of
-    the positions of each token symbol, of every word's first token and of
-    its last; masks of the phone positions holding a feature value are
+    the positions of each token symbol and of the word-start and word-end
+    boundaries; masks of the phone positions holding a feature value are
     built on first use, per inventory.  No mask covers a gap, so no window
     of consecutive matched positions spans two words.  It is built once
     per word list and shared by the rules matched on it.
@@ -524,8 +524,6 @@ class WordListText:
             base += len(tokens) + 1
         self._holding = holding
         self._tokens = every
-        self._first = first
-        self._last = last
         boundary = holding.get(BOUNDARY, 0)
         self._nothing = holding.get(SEPARATOR, 0)
         self._word_start = first & boundary
@@ -539,11 +537,13 @@ class WordListText:
         positions the anchor's offset before an anchor phone (every token
         position when the rule has no anchor), and each other predicate, left to
         right, keeps the starts whose token at its offset it matches; the
-        pass stops once no start is left.  A predicate that has no mask
-        here (a kind this module does not define, or a feature requirement
-        the inventory cannot evaluate) is tested with ``Predicate.matches``
-        at each start left whose window fits its word, so, as in
-        ``find_sites``, it raises only once such a window reaches it.
+        pass stops once no start is left.  Once it reaches a predicate that
+        has no mask here (a kind this module does not define, or a feature
+        requirement the inventory cannot evaluate), the starts are those of
+        ``find_sites`` on each word instead, so it raises exactly where
+        ``find_sites`` does.  A pass that stops before that predicate
+        raises nowhere, and neither does ``find_sites``: each anchored
+        window it tries fails at a predicate left of that one.
         """
         preds = rule.predicates
         if rule.anchor is None:
@@ -561,9 +561,12 @@ class WordListText:
                 continue
             mask = self._mask(pred, inv)
             if mask is None:
-                starts = self._test(pred, offset, starts, len(preds), inv)
-            else:
-                starts &= mask >> offset
+                starts = 0
+                for base, word in zip(self._bases, self._words):
+                    for site in find_sites(rule, word, inv):
+                        starts |= 1 << (base + site)
+                break
+            starts &= mask >> offset
         return starts
 
     def word_sites(self, starts: int) -> list[tuple[int, list[int]]]:
@@ -629,27 +632,6 @@ class WordListText:
                     mask |= held
             self._features[key] = mask
         return mask
-
-    def _test(self, pred: Predicate, offset: int, starts: int, width: int, inv: Inventory | None) -> int:
-        """The ``starts`` whose window of ``width`` tokens fits its word and
-        whose token at ``offset`` ``pred.matches``, tested one by one."""
-        tokens = self._tokens
-        fits = tokens
-        for shift in range(1, width):
-            fits &= tokens >> shift
-        flat: list[str | None] = []
-        for word in self._words:
-            flat.extend(word.tokens)
-            flat.append(None)  # the gap
-        kept = 0
-        bits = bin(starts & fits)[:1:-1]
-        start = bits.find("1")
-        while start != -1:
-            pos = start + offset
-            if pred.matches(flat[pos], bool(self._first >> pos & 1), bool(self._last >> pos & 1), inv):
-                kept |= 1 << start
-            start = bits.find("1", start + 1)
-        return kept
 
 
 def effect_key(rule: Rule, starts: int) -> frozenset | None:

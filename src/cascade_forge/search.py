@@ -44,7 +44,6 @@ from cascade_forge.rule_engine import (
     WordListText,
     apply_rule,
     cascade_to_obj,
-    effect_key,
     serialize_cascade,
 )
 
@@ -193,21 +192,13 @@ def beam_search_cascade(
                 if diagnostics is not None:
                     diagnostics.extend(result.diagnostics)
                 text = WordListText(beam.forms)
-                shared: dict[frozenset, tuple[tuple[TokenizedWord, ...], RewardReport]] = {}
                 for rule in result.rules:
                     proposed_any = True
-                    starts = text.starts(rule, inv)
-                    key = effect_key(rule, starts)
-                    made = shared.get(key)
-                    if made is None:
-                        successor = list(beam.forms)
-                        for i, sites in text.word_sites(starts):
-                            successor[i] = apply_rule(rule, successor[i], inv, sites)
-                        forms = tuple(successor)
-                        made = forms, scorer.report(forms, (beam.forms, beam.per_pair))
-                        if key is not None:
-                            shared[key] = made
-                    forms, report = made
+                    successor = list(beam.forms)
+                    for i, sites in text.word_sites(text.starts(rule, inv)):
+                        successor[i] = apply_rule(rule, successor[i], inv, sites)
+                    forms = tuple(successor)
+                    report = scorer.report(forms, (beam.forms, beam.per_pair))
                     cascade = Cascade(beam.cascade.rules + (rule,))
                     candidates.append(
                         Hypothesis(cascade, forms, report.reward, step, report.per_pair)
