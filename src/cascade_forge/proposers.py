@@ -15,10 +15,12 @@ Edit candidates are named tuples, hashed and compared as plain tuples.
 
 ``propose`` is the one gate: it reads the rules a callable returns, or
 the programs of an external reply, one at a time in order, decodes and
-validates each once, drops each invalid one with a diagnostic, and keeps
+validates each, drops each invalid one with a diagnostic, and keeps
 the first ``num_samples`` valid ones, so an invalid rule never takes a
 valid rule's place and nothing after the cut is read: a callable that is
-a generator is not resumed after it.
+a generator is not resumed after it.  Within one search, each distinct
+valid external program is decoded once: ``ProposerSessions`` keeps the
+rule it gave, keyed by inventory and the program's canonical JSON text.
 
 External proposers are child processes speaking one JSON object per line
 on stdin/stdout; ``external_propose`` only exchanges the lines.  A search
@@ -66,8 +68,10 @@ from cascade_forge.rule_engine import (
 
 TIMEOUT_ENV_VAR = "CASCADE_FORGE_PROPOSER_TIMEOUT_MS"
 DEFAULT_TIMEOUT_MS = 120_000
-# Seconds a proposer process gets to exit once its stdin is closed.
+# Seconds a proposer process gets to exit once its stdin is closed, and
+# the step at which its exit is polled meanwhile.
 CLOSE_GRACE_S = 1.0
+_EXIT_POLL_S = 0.001
 _READ_SIZE = 65536
 _STDERR_TAIL_CHARS = 200
 _STDERR_TAIL_BYTES = 4 * _STDERR_TAIL_CHARS  # enough for 200 characters of UTF-8
@@ -305,8 +309,8 @@ def rank_rules(
             report = shared.get(key)
             if report is None:
                 preds = list(scorer.sources)
-                for i, _ in text.word_sites(starts):
-                    preds[i] = apply_rule(rule, preds[i], inv)
+                for i, sites in text.word_sites(starts):
+                    preds[i] = apply_rule(rule, preds[i], inv, sites)
                 report = scorer.report(preds)
                 if key is not None:
                     shared[key] = report
@@ -518,16 +522,15 @@ class _Session:
         if proc is None:
             return
         proc.stdin.close()
-        try:
-            proc.wait(grace_s)
-        except subprocess.TimeoutExpired:
+        # A fixed step, not Popen.wait's doubling sleeps, sees the exit within ~1 ms.
+        deadline = time.monotonic() + grace_s
+        while proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(_EXIT_POLL_S)
+        if proc.returncode is None:
             proc.kill()
             proc.wait()
-        else:
-            if proc.returncode != 0 and diagnostics is not None:
-                diagnostics.append(
-                    f"proposer exited with status {proc.returncode}: {self._stderr_tail()}"
-                )
+        elif proc.returncode != 0 and diagnostics is not None:
+            diagnostics.append(f"proposer exited with status {proc.returncode}: {self._stderr_tail()}")
         proc.stdout.close()
         self._stderr.close()
         self._stderr, self._pending = None, b""
@@ -544,16 +547,23 @@ class _Session:
 
 
 class ProposerSessions:
-    """The external proposer processes of one search, one per distinct command.
+    """The external proposer processes of one search, one per distinct command,
+    and the rules its external programs decoded to.
 
     Use it as a context manager: leaving the block closes and reaps every
     child, whether the search returned or raised, and reports each
     non-zero exit status a child ends with to ``diagnostics``.
+
+    It also maps (inventory, a valid program's canonical JSON text) to the
+    rule ``rule_from_obj`` made of it, so ``propose`` decodes each distinct
+    valid program once per search.  A program is a JSON value as decoded,
+    which that text names exactly; the inventory is keyed by identity.
     """
 
     def __init__(self, diagnostics: list[str] | None = None) -> None:
         self._sessions: dict[tuple[str, ...], _Session] = {}
         self._diagnostics = diagnostics
+        self._rules: dict[tuple[Inventory | None, str], Rule] = {}
 
     def __enter__(self) -> "ProposerSessions":
         return self
@@ -594,6 +604,20 @@ def external_propose(
 # --- dispatch -----------------------------------------------------------------
 
 
+def _decode(program: Any, index: int, inv: Inventory | None, sessions: ProposerSessions | None) -> Rule:
+    """``rule_from_obj`` of the ``index``-th program of a reply, served from ``sessions``' memo when there."""
+    if sessions is None:
+        return rule_from_obj(program, f"/programs/{index}", inv)
+    try:
+        key = (inv, json.dumps(program, sort_keys=True, ensure_ascii=False, separators=(",", ":")))
+    except RecursionError:  # too deep to name; rule_from_obj says so
+        return rule_from_obj(program, f"/programs/{index}", inv)
+    rule = sessions._rules.get(key)
+    if rule is None:
+        rule = sessions._rules[key] = rule_from_obj(program, f"/programs/{index}", inv)
+    return rule
+
+
 def propose(
     handle: ProposerHandle,
     request: ProposalRequest,
@@ -616,7 +640,9 @@ def propose(
     diagnostic.  An ensemble keeps the first copy of equal rules and does
     not cut the union, so it returns up to ``num_samples`` rules per member.
     External proposers get their requests through ``sessions`` (see
-    ``external_propose``).
+    ``external_propose``), and a valid program already decoded against
+    ``inv`` in ``sessions`` is not decoded again; an invalid one is judged
+    afresh at every request.  Without ``sessions`` every program is decoded.
     """
     if handle.kind == "ensemble":
         pooled: dict[Rule, None] = {}
@@ -641,7 +667,7 @@ def propose(
     for i, item in enumerate(items):
         try:
             if handle.kind == "external":
-                rule = rule_from_obj(item, f"/programs/{i}", inv)
+                rule = _decode(item, i, inv, sessions)
             elif isinstance(item, Rule):
                 rule = item
                 rule.validate(inv)

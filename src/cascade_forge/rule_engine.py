@@ -224,7 +224,10 @@ class Rule:
     none (a phone set inside ``not`` never anchors); every site holds one
     of ``phones`` at ``offset``.  It is built at construction and takes no
     part in equality.  The hash is computed on first use and cached, so a
-    slot that does not hash fails where the rule is first hashed, not here.
+    slot that does not hash fails where the rule is first hashed, not here;
+    ``serialize_rule`` caches its text the same way.  Copies and pickles
+    carry neither cache but remake both on first use: a string's hash
+    differs between processes.
     """
 
     predicates: tuple[Predicate, ...]
@@ -251,6 +254,12 @@ class Rule:
             value = hash((self.predicates, self.change_pos, self.mappings))
             object.__setattr__(self, "_hash", value)
             return value
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = dict(vars(self))
+        state.pop("_hash", None)
+        state.pop("_text", None)
+        return state
 
     def validate(self, inv: Inventory | None = None) -> None:
         """Raise ``RuleError`` unless the rule is well formed.
@@ -710,8 +719,16 @@ def rule_to_obj(rule: Rule) -> dict[str, Any]:
 
 
 def serialize_rule(rule: Rule) -> str:
-    """Canonical JSON text: sorted keys, sorted phone sets, compact separators."""
-    return json.dumps(rule_to_obj(rule), sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    """Canonical JSON text: sorted keys, sorted phone sets, compact separators.
+
+    The text is made on the rule's first call and cached on it.
+    """
+    try:
+        return rule._text
+    except AttributeError:
+        text = json.dumps(rule_to_obj(rule), sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+        object.__setattr__(rule, "_text", text)
+        return text
 
 
 def _expect(obj: Any, kind: type, path: str, what: str) -> Any:
@@ -811,7 +828,8 @@ def cascade_to_obj(cascade: Cascade) -> list[dict[str, Any]]:
 
 
 def serialize_cascade(cascade: Cascade) -> str:
-    return json.dumps(cascade_to_obj(cascade), sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    """The JSON text of ``cascade_to_obj`` in ``serialize_rule``'s format: its rules' texts joined."""
+    return "[" + ",".join(serialize_rule(r) for r in cascade.rules) + "]"
 
 
 def cascade_from_obj(obj: Any, inv: Inventory | None = None) -> Cascade:

@@ -1,19 +1,22 @@
 """Seeded fuzz guards for the two ways text enters the engine.
 
 The program fuzzer feeds random and mutated rule programs to the rule JSON
-decoder and random rules built in code to ``Rule.validate``; the CLI fuzzer
-feeds small random pairs and word files to ``cli.main``.  Counts are kept
-small enough for the whole file to run in about a second.
+decoder, and sends them, a few to a reply, twice each through one external
+proposer session; random rules built in code go to ``Rule.validate``.  The
+CLI fuzzer feeds small random pairs and word files to ``cli.main``.  Counts
+are kept small enough for the whole file to run in about a second.
 """
 
 import copy
 import json
 import random
+import sys
 
 import pytest
 
 from cascade_forge.cli import main
 from cascade_forge.phonology import TokenizedWord, validate_word
+from cascade_forge.proposers import ProposalRequest, ProposerSessions, external_proposer, propose
 from cascade_forge.rule_engine import (
     MAX_NOT_DEPTH,
     Delete,
@@ -141,9 +144,50 @@ def check_accepted(rule, inv, rng):
         validate_word(applied, inv)
 
 
-def test_rule_json_decoding_raises_only_rule_parse_errors(tiny_inv):
+# Answers a request with the programs of the reply its step names, from the
+# JSON list of replies in its argument.
+REPLAYING_STUB = """
+import json, sys
+with open(sys.argv[1]) as fh:
+    replies = json.load(fh)
+for line in sys.stdin:
+    if line.strip():
+        print(json.dumps({"v": 1, "programs": replies[json.loads(line)["step"]]}), flush=True)
+"""
+
+
+def check_sent_twice(programs, inv, rng, tmp_path):
+    """Send ``programs``, a few to a reply, twice each through one session:
+    both times the gate keeps and drops what ``rule_from_obj`` judges of each."""
+    replies = []
+    while programs:
+        size = rng.randint(1, 8)
+        replies.append(programs[:size])
+        programs = programs[size:]
+    (tmp_path / "replies.json").write_text(json.dumps(replies))
+    (tmp_path / "stub.py").write_text(REPLAYING_STUB)
+    handle = external_proposer([sys.executable, str(tmp_path / "stub.py"), str(tmp_path / "replies.json")], "fuzz")
+    words = (TokenizedWord.from_phones(["a"]), TokenizedWord.from_phones(["e"]))
+    with ProposerSessions() as sessions:
+        for step, reply in enumerate(replies):
+            rules, diagnostics = [], []
+            for i, program in enumerate(reply):
+                try:
+                    rules.append(rule_from_obj(program, f"/programs/{i}", inv))
+                except RuleParseError as exc:
+                    diagnostics.append(f"dropped invalid candidate {i} from fuzz: {exc}")
+            request = ProposalRequest([words], len(reply), step_index=step)
+            for _ in range(2):
+                result = propose(handle, request, inv, sessions)
+                assert result.diagnostics == diagnostics, reply
+                assert result.rules == rules and [r.name for r in result.rules] == [r.name for r in rules], reply
+                assert [serialize_rule(r) for r in result.rules] == [serialize_rule(r) for r in rules], reply
+
+
+def test_rule_json_decoding_raises_only_rule_parse_errors(tiny_inv, tmp_path):
     rng = random.Random(101)
     accepted = rejected = 0
+    whole = []  # the programs sent as they are
     for k in range(900):
         program = random_program(rng, faulty=k % 3 != 0)
         if k % 2:
@@ -152,6 +196,8 @@ def test_rule_json_decoding_raises_only_rule_parse_errors(tiny_inv):
         if k % 10 == 9:  # cut the text short, or drop one character
             cut = rng.randrange(len(text))
             text = text[:cut] if rng.random() < 0.5 else text[:cut] + text[cut + 1 :]
+        else:
+            whole.append(json.loads(text))
         try:
             rule = parse_rule(text, tiny_inv)
         except RuleParseError as exc:
@@ -163,6 +209,7 @@ def test_rule_json_decoding_raises_only_rule_parse_errors(tiny_inv):
         check_accepted(rule, tiny_inv, rng)
         accepted += 1
     assert accepted > 100 and rejected > 300, (accepted, rejected)
+    check_sent_twice(whole, tiny_inv, rng, tmp_path)
 
 
 # --- rules built in code ------------------------------------------------------------

@@ -338,9 +338,9 @@ def test_edit_candidates_hash_and_compare_as_plain_tuples(tiny_inv):
 def counting_apply_rule(monkeypatch):
     calls = []
 
-    def counting(rule, word, inv=None):
+    def counting(rule, word, inv=None, sites=None):
         calls.append(rule)
-        return apply_rule(rule, word, inv)
+        return apply_rule(rule, word, inv, sites)
 
     monkeypatch.setattr(proposers, "apply_rule", counting)
     return calls
@@ -1252,6 +1252,116 @@ def test_one_shot_proposer_gives_the_beams_of_its_programs(tmp_path, tiny_inv):
     assert diagnostics == []
     assert [hypothesis_to_obj(b) for b in exec_beams] == [hypothesis_to_obj(b) for b in same_beams]
     assert max(b.step for b in exec_beams) == 3
+
+
+# Answers every request line with the first num_samples programs of the
+# JSON list in its argument.
+REPEATING_STUB = """
+    import json, sys
+    with open(sys.argv[1]) as fh:
+        programs = json.load(fh)
+    for line in sys.stdin:
+        if line.strip():
+            request = json.loads(line)
+            print(json.dumps({"v": 1, "programs": programs[: request["num_samples"]]}), flush=True)
+"""
+
+
+def repeating_stub(tmp_path, programs):
+    path = tmp_path / "programs.json"
+    path.write_text(json.dumps(programs))
+    return write_stub(tmp_path, "repeating_stub.py", REPEATING_STUB) + [str(path)]
+
+
+def counting_decodes(monkeypatch):
+    """Counts ``proposers.rule_from_obj`` calls per program, by its JSON text."""
+    decoded = Counter()
+    real = proposers.rule_from_obj
+
+    def counting(obj, path="", inv=None):
+        decoded[json.dumps(obj, sort_keys=True)] += 1
+        return real(obj, path, inv)
+
+    monkeypatch.setattr(proposers, "rule_from_obj", counting)
+    return decoded
+
+
+def counting_requests(monkeypatch):
+    requests = []
+    real = proposers.external_propose
+
+    def counting(command, request, sessions=None):
+        requests.append(request)
+        return real(command, request, sessions)
+
+    monkeypatch.setattr(proposers, "external_propose", counting)
+    return requests
+
+
+U_TO_I = rule_to_obj(sub_rule("u", 0, "u", "i"))
+J_TO_I = rule_to_obj(sub_rule("j", 0, "j", "i"))
+ZZ_INSERT = rule_to_obj(BAD_RULE)  # names a phone outside every inventory here
+
+
+def test_a_search_decodes_each_distinct_valid_program_once(tmp_path, tiny_inv, monkeypatch):
+    programs = [VALID_RULE_OBJ, ZZ_INSERT, U_TO_I, VALID_RULE_OBJ, ZZ_INSERT, J_TO_I]
+    handle = external_proposer(repeating_stub(tmp_path, programs), name="stub")
+    config = SearchConfig(beam_width=3, samples_per_step=10, max_steps=3, early_stop_on_perfect=False)
+    decoded = counting_decodes(monkeypatch)
+    requests = counting_requests(monkeypatch)
+    valid = {json.dumps(p, sort_keys=True) for p in (VALID_RULE_OBJ, U_TO_I, J_TO_I)}
+    beams = []
+    for search in (1, 2):
+        diagnostics = []
+        requests.clear()
+        beams.append(beam_search_cascade(handle, search_dataset(tiny_inv), config, tiny_inv,
+                                         diagnostics=diagnostics))
+        assert len(requests) > 3
+        assert {text: decoded[text] for text in valid} == dict.fromkeys(valid, search)
+        assert decoded[json.dumps(ZZ_INSERT, sort_keys=True)] == 2 * len(requests) * search
+        # The invalid program is judged at every request, at each of its indices.
+        assert [d.split(":")[0] for d in diagnostics] == ["dropped invalid candidate 1 from stub",
+                                                          "dropped invalid candidate 4 from stub"] * len(requests)
+        assert all("/programs/1: " in d or "/programs/4: " in d for d in diagnostics)
+    assert [hypothesis_to_obj(b) for b in beams[0]] == [hypothesis_to_obj(b) for b in beams[1]]
+
+
+def test_propose_without_sessions_decodes_every_program(tmp_path, tiny_inv, monkeypatch):
+    programs = [VALID_RULE_OBJ, U_TO_I, VALID_RULE_OBJ]
+    handle = external_proposer(repeating_stub(tmp_path, programs))
+    decoded = counting_decodes(monkeypatch)
+    for _ in range(2):
+        result = propose(handle, step_request(tiny_inv, 0), tiny_inv)
+        assert result.rules == [sub_rule("a", 0, "a", "e"), sub_rule("u", 0, "u", "i"), sub_rule("a", 0, "a", "e")]
+    assert sum(decoded.values()) == 2 * len(programs)
+
+
+def test_a_program_decoded_under_one_inventory_is_judged_afresh_under_another(tmp_path, default_inv, tiny_inv,
+                                                                              monkeypatch):
+    p_to_b = rule_to_obj(sub_rule("p", 0, "p", "b"))  # "p" is a phone of the default inventory only
+    handle = external_proposer(repeating_stub(tmp_path, [p_to_b]), name="stub")
+    decoded = counting_decodes(monkeypatch)
+    with ProposerSessions() as sessions:
+        judged = [propose(handle, step_request(tiny_inv, step), inv, sessions)
+                  for step, inv in enumerate((default_inv, tiny_inv, default_inv, tiny_inv, None))]
+    assert [len(result.rules) for result in judged] == [1, 0, 1, 0, 1]
+    assert judged[0].rules[0] is judged[2].rules[0]
+    for result in (judged[1], judged[3]):
+        assert result.diagnostics == ["dropped invalid candidate 0 from stub: /programs/0: "
+                                      "substitute at position 0: phone 'p' not in inventory"]
+    assert sum(decoded.values()) == 4  # once under each inventory, and at each tiny request
+
+
+def test_a_program_too_deep_to_key_is_dropped_as_nesting_too_deep(tiny_inv, monkeypatch):
+    deep = _deep_not_program(2 * sys.getrecursionlimit())
+    monkeypatch.setattr(proposers, "external_propose",
+                        lambda command, request, sessions=None: proposers.ExternalReply([deep, VALID_RULE_OBJ], []))
+    with ProposerSessions() as sessions:
+        for step in range(2):
+            result = propose(external_proposer(["unused"], name="deep"), step_request(tiny_inv, step),
+                             tiny_inv, sessions)
+            assert result.rules == [sub_rule("a", 0, "a", "e")]
+            assert result.diagnostics == ["dropped invalid candidate 0 from deep: /programs/0: nesting too deep"]
 
 
 def test_session_crash_is_reported_and_the_next_request_answered(tmp_path, tiny_inv):

@@ -1,7 +1,12 @@
 import copy
 import hashlib
 import json
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,11 +40,13 @@ from cascade_forge.rule_engine import (
     WordStart,
     apply_cascade,
     apply_rule,
+    cascade_to_obj,
     find_sites,
     layout_rule,
     parse_cascade,
     parse_rule,
     rule_from_obj,
+    rule_to_obj,
     serialize_cascade,
     serialize_rule,
 )
@@ -601,6 +608,51 @@ def test_rule_hash_is_the_field_tuple_hash_computed_once():
         hash(unhashable)
 
 
+# Builds a rule, hashes and serializes it, and prints its pickle as hex.
+PICKLE_RULE_SCRIPT = """
+import pickle
+from cascade_forge.rule_engine import PhoneSet, Rule, Substitute, serialize_rule
+rule = Rule([PhoneSet({"a", "tʰ"})], [0], [Substitute({"a": ("e",)})])
+hash(rule), serialize_rule(rule)
+print(pickle.dumps(rule).hex())
+"""
+
+# Reads a pickled rule as hex and prints whether it equals, and is found
+# in a dict keyed by, its twin built in this process.
+FIND_RULE_SCRIPT = """
+import pickle, sys
+from cascade_forge.rule_engine import PhoneSet, Rule, Substitute
+rule = pickle.loads(bytes.fromhex(sys.stdin.read()))
+fresh = Rule([PhoneSet({"a", "tʰ"})], [0], [Substitute({"a": ("e",)})])
+print(rule == fresh, rule in {fresh: 1})
+"""
+
+
+def _run_with_hash_seed(script, hash_seed, stdin=""):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], input=stdin, capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+def test_a_rule_pickled_under_one_hash_seed_is_found_under_another():
+    pickled = _run_with_hash_seed(PICKLE_RULE_SCRIPT, "1")
+    assert _run_with_hash_seed(FIND_RULE_SCRIPT, "2", pickled) == "True True"
+
+
+def test_copies_and_pickles_of_a_rule_remake_its_caches():
+    rule = sub_rule("aj", 0, "a", "e", name="law")
+    hash(rule), serialize_rule(rule)
+    assert {"_hash", "_text"} <= set(vars(rule))
+    for twin in (copy.copy(rule), copy.deepcopy(rule), pickle.loads(pickle.dumps(rule))):
+        assert not {"_hash", "_text"} & set(vars(twin))
+        assert twin == rule and twin.name == "law" and twin.anchor == rule.anchor
+        assert hash(twin) == hash(rule) and serialize_rule(twin) == serialize_rule(rule)
+
+
 class Unknown(Predicate):
     """A predicate kind that does not say how it matches."""
 
@@ -1000,6 +1052,52 @@ def test_cascade_roundtrip(tiny_inv):
     cascade = Cascade([A_TO_E_BEFORE_J, sub_rule("e", 0, "e", "i")])
     text = serialize_cascade(cascade)
     assert parse_cascade(text) == cascade
+
+
+def _dumps(obj):
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
+SERIALIZED_PHONES = ("a", "e", "tʰ", "ŋ", "é", "ʔ", "ts")
+
+
+def _random_serialized_predicate(rng, depth=0):
+    roll = rng.randrange(6 if depth < 3 else 5)
+    if roll == 0:
+        return PhoneSet(rng.sample(SERIALIZED_PHONES, rng.randint(1, 3)))
+    if roll == 1:
+        return FeatureReq({rng.randrange(12): rng.randint(0, 1) for _ in range(rng.randint(1, 3))})
+    if roll == 5:
+        return Not(_random_serialized_predicate(rng, depth + 1))
+    return (IsNothing(), WordStart(), WordEnd(), PhoneSet({rng.choice(SERIALIZED_PHONES)}))[roll - 2]
+
+
+def _random_serialized_rule(rng):
+    preds = [_random_serialized_predicate(rng) for _ in range(rng.randint(1, 4))]
+    positions = rng.sample(range(len(preds)), rng.randint(1, len(preds)))
+    mappings = [
+        Insert(rng.choices(SERIALIZED_PHONES, k=rng.randint(1, 2))) if isinstance(preds[pos], IsNothing)
+        else Delete() if rng.random() < 0.3
+        else Substitute({rng.choice(SERIALIZED_PHONES): tuple(rng.choices(SERIALIZED_PHONES, k=rng.randint(1, 2)))})
+        for pos in positions
+    ]
+    return Rule(preds, positions, mappings, name=rng.choice((None, "law", "ŝ-law", "")))
+
+
+def test_serialize_cascade_is_the_compact_sorted_json_of_its_rules():
+    rng = random.Random(27)
+    kinds = set()
+    for _ in range(300):
+        rules = [_random_serialized_rule(rng) for _ in range(rng.randint(0, 4))]
+        for rule in rules:
+            kinds.update(type(p).__name__ for p in rule.predicates)
+            kinds.update("Not(Not)" for p in rule.predicates if isinstance(p, Not) and isinstance(p.inner, Not))
+            first = serialize_rule(rule)
+            assert first == _dumps(rule_to_obj(rule)) == serialize_rule(rule)
+        cascade = Cascade(rules)
+        assert serialize_cascade(cascade) == _dumps(cascade_to_obj(cascade))
+    assert serialize_cascade(Cascade()) == "[]" == _dumps([])
+    assert {"PhoneSet", "FeatureReq", "Not", "Not(Not)", "IsNothing", "WordStart", "WordEnd"} <= kinds
 
 
 # --- rule layout ----------------------------------------------------------------

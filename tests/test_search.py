@@ -189,9 +189,9 @@ def test_single_induction_applies_each_rule_to_each_source_once(default_inv, mon
     applied = Counter()
     real = proposers.apply_rule
 
-    def counting(rule, word, inv=None):
+    def counting(rule, word, inv=None, sites=None):
         applied[rule, id(word)] += 1
-        return real(rule, word, inv)
+        return real(rule, word, inv, sites)
 
     monkeypatch.setattr(proposers, "apply_rule", counting)
     checked = 0
