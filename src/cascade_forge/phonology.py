@@ -27,7 +27,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 BOUNDARY = "#"
 SEPARATOR = "@"
@@ -91,7 +91,9 @@ class Inventory:
     Immutable after construction: each phone's feature masks are built
     when the phone is, and no lookup stores anything on the instance, so
     instances can be shared freely across threads.  Across phones it
-    derives only the symbols, the symbol lookup and the symbol lengths.
+    derives only the symbols, the symbol lookup, the symbol lengths and
+    the extension table, which maps each symbol to the longer symbols that
+    start with it.
     """
 
     def __init__(self, phones: Iterable[Phone], feature_names: Iterable[str] | None = None):
@@ -125,6 +127,18 @@ class Inventory:
         self._symbol_lengths: tuple[int, ...] = tuple(
             sorted({len(s) for s in self._by_symbol}, reverse=True)
         )
+
+        # Each symbol's longer symbols that start with it, for segments_stably:
+        # walking every symbol's proper prefixes costs the total symbol length.
+        extensions: dict[str, list[str]] = {s: [] for s in self.symbols}
+        for symbol in self.symbols:
+            for end in range(1, len(symbol)):
+                prefixed = extensions.get(symbol[:end])
+                if prefixed is not None:
+                    prefixed.append(symbol)
+        self._extensions: dict[str, tuple[str, ...]] = {
+            s: tuple(longer) for s, longer in extensions.items()
+        }
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._by_symbol
@@ -262,6 +276,30 @@ def tokenize(word: str, inv: Inventory) -> TokenizedWord:
                 f"unsegmentable residue {word[pos:]!r} at offset {pos} in {word!r}", pos
             )
     return TokenizedWord.from_phones(phones)
+
+
+def segments_stably(phones: Sequence[str], inv: Inventory) -> bool:
+    """True iff :func:`tokenize` reads the phones' surface back as ``phones``.
+
+    Greedy longest-match keeps ``phones[i]`` at its offset exactly when it
+    is an inventory symbol and no longer symbol starting with it matches
+    the surface there; by induction over tokenize's left-to-right walk,
+    that test at every phone decides the whole word.  Each phone costs one
+    lookup in the inventory's extension table and a ``startswith`` per
+    extension.
+    """
+    surface = "".join(phones)
+    extensions = inv._extensions
+    offset = 0
+    for phone in phones:
+        longer = extensions.get(phone)
+        if longer is None:
+            return False
+        for symbol in longer:
+            if surface.startswith(symbol, offset):
+                return False
+        offset += len(phone)
+    return True
 
 
 def detokenize(word: TokenizedWord) -> str:

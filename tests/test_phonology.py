@@ -20,6 +20,7 @@ from cascade_forge.phonology import (
     load_inventory,
     realize_feature_change,
     requirement_masks,
+    segments_stably,
     tokenize,
     validate_word,
 )
@@ -162,6 +163,58 @@ def test_roundtrip_random_inventory_words(default_inv):
         assert detokenize(again) == surface
         # and canonical words tokenize back to themselves
         assert tokenize(detokenize(again), default_inv) == again
+
+
+def _reads_back(phones, inv):
+    """The specification segments_stably implements: tokenize gives the phones back."""
+    try:
+        return tokenize("".join(phones), inv) == TokenizedWord.from_phones(phones)
+    except TokenizeError:
+        return False
+
+
+SMALL_INVENTORIES = {
+    "chain": "t\t0,0\ns\t0,1\nts\t1,0\ntsʰ\t1,1\nʰ\t-1,0\na\t1,-1\n",
+    # Neither abc's nor xyz's two-character prefix is a symbol, and neither
+    # is yz, so only the surface, not a phone and its neighbour, shows that
+    # x, y, z reads back as xyz.
+    "gap": "a\t0\nb\t1\nc\t-1\nbc\t0\nabc\t1\nx\t0\ny\t1\nz\t-1\nxyz\t0\n",
+}
+
+
+@pytest.mark.parametrize("name", ["default", *SMALL_INVENTORIES])
+def test_segments_stably_equals_tokenize_round_trip(default_inv, name):
+    inv = default_inv if name == "default" else load_inventory(SMALL_INVENTORIES[name])
+    rng = random.Random(41)
+    draws = inv.symbols + ("ʰ", "ː", "x?", "")
+    for _ in range(10000):
+        phones = [rng.choice(draws) for _ in range(rng.randint(0, 6))]
+        assert segments_stably(phones, inv) == _reads_back(phones, inv), phones
+
+
+@pytest.mark.parametrize(
+    "name, phones, stable",
+    [
+        ("chain", [], True),
+        ("chain", ["tsʰ", "a"], True),
+        ("chain", ["t", "s"], False),
+        ("chain", ["ts", "ʰ"], False),
+        ("chain", ["t", "s", "ʰ"], False),
+        ("chain", ["a", "x?"], False),
+        ("chain", [""], False),
+        ("gap", ["a", "bc"], False),
+        ("gap", ["a", "b", "c"], False),
+        ("gap", ["b", "a", "bc"], False),
+        ("gap", ["bc", "a"], True),
+        ("gap", ["x", "y", "z"], False),
+        ("gap", ["x", "y", "x", "y", "z"], False),
+        ("gap", ["x", "y", "xyz"], True),
+    ],
+)
+def test_segments_stably_on_symbol_chains(name, phones, stable):
+    inv = load_inventory(SMALL_INVENTORIES[name])
+    assert segments_stably(phones, inv) is stable
+    assert _reads_back(phones, inv) is stable
 
 
 def test_canonical_layout_even_odd_invariant(default_inv):

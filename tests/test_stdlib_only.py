@@ -86,5 +86,6 @@ def test_package_keeps_an_unread_import_only_for_a_traced_binding():
     assert sorted(kept) == [
         ("proposers.py", "metrics", "reward"),
         ("search.py", "metrics", "reward_report"),
+        ("synthgen.py", "phonology", "tokenize"),
         ("synthgen.py", "rule_engine", "find_sites"),
     ]

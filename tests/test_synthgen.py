@@ -332,6 +332,16 @@ def test_multilaw_corpus_bytes_are_pinned(default_inv):
     assert _corpus_digest(cases) == MULTILAW_CORPUS_DIGEST
 
 
+def test_ling_and_multilaw_words_survive_file_roundtrip(default_inv):
+    # The generators accept a word by the inventory's extension table;
+    # tokenize, which reads corpus files back, checks them here.
+    multilaw = gen_multilaw_evalset(default_inv, make_pool(default_inv, 12), 5, 3, 20, task_rng(19, "file"))
+    for case in _ling_corpus(default_inv, 3) + multilaw:
+        for pair in case.dataset.pairs:
+            assert tokenize(pair.source.surface, default_inv) == pair.source
+            assert tokenize(pair.target.surface, default_inv) == pair.target
+
+
 def test_ling_rule_requires_protoforms(default_inv):
     with pytest.raises(ValueError):
         gen_ling_rule(default_inv, [], LingSpec(), task_rng(14, "empty"))
